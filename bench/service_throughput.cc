@@ -30,11 +30,9 @@
 // the loopback seam. The qps gap is the per-message cost the optimizer
 // charges as transport_overhead.
 //
-// A fifth section measures the v2 envelope itself: the same workload
-// submitted through the frozen v1 Request shim vs the native
-// Query/ExecOptions path (shim conversion overhead — should be noise),
-// plus the serialized size of v2 wire messages (the envelope's bound
-// fields and typed status codes cost a handful of bytes per message).
+// A fifth section measures the serialized size of wire messages (the
+// envelope's bound fields and typed status codes cost a handful of bytes
+// per message; reference requests ship no cells).
 //
 // A seventh section (RunMux) is the multiplexing argument: a CLOSED LOOP
 // of D concurrent clients over a one-shard socket deployment, so all D
@@ -75,14 +73,35 @@
 namespace dbsa {
 namespace {
 
+using service::Query;
 using service::QueryService;
-using service::Request;
 using service::ServiceOptions;
+
+/// One envelope submission.
+struct Submission {
+  Query query;
+  service::ExecOptions options;
+};
+
+/// The Absolute(epsilon) contract, optionally with a pinned plan.
+service::ExecOptions Within(double epsilon, core::Mode mode = core::Mode::kAuto) {
+  service::ExecOptions options;
+  options.bound = query::ErrorBound::Absolute(epsilon);
+  options.mode = mode;
+  return options;
+}
+
+/// One ad-hoc count, waited for; a failed query aborts the bench.
+void CountNow(QueryService& service, const geom::Polygon& poly, double epsilon) {
+  const service::Result result = service.Execute(Query::Count(poly),
+                                                 Within(epsilon)).get();
+  DBSA_CHECK(result.ok());
+}
 
 /// The repeated-epsilon workload: region aggregations across a few
 /// distance bounds plus ad-hoc viewport counts (a dashboard's refresh).
-std::vector<Request> MakeWorkload(const geom::Box& universe, size_t rounds) {
-  std::vector<Request> reqs;
+std::vector<Submission> MakeWorkload(const geom::Box& universe, size_t rounds) {
+  std::vector<Submission> reqs;
   const std::vector<double> epsilons = {4.0, 16.0, 64.0};
   std::vector<geom::Polygon> viewports;
   Rng rng(2021);
@@ -97,12 +116,12 @@ std::vector<Request> MakeWorkload(const geom::Box& universe, size_t rounds) {
   }
   for (size_t round = 0; round < rounds; ++round) {
     for (const double eps : epsilons) {
-      reqs.push_back(Request::MakeAggregate(join::AggKind::kCount, core::Attr::kNone,
-                                            eps, core::Mode::kPointIndex));
-      reqs.push_back(Request::MakeAggregate(join::AggKind::kSum, core::Attr::kFare,
-                                            eps, core::Mode::kPointIndex));
+      reqs.push_back({Query::Aggregate(join::AggKind::kCount),
+                      Within(eps, core::Mode::kPointIndex)});
+      reqs.push_back({Query::Aggregate(join::AggKind::kSum, core::Attr::kFare),
+                      Within(eps, core::Mode::kPointIndex)});
       for (const geom::Polygon& viewport : viewports) {
-        reqs.push_back(Request::MakeCount(viewport, eps));
+        reqs.push_back({Query::Count(viewport), Within(eps)});
       }
     }
   }
@@ -115,10 +134,10 @@ struct PassResult {
   double hit_ratio = 0.0;
 };
 
-PassResult RunPass(QueryService& service, const std::vector<Request>& workload) {
+PassResult RunPass(QueryService& service, const std::vector<Submission>& workload) {
   const service::ApproxCache::Stats before = service.cache_stats();
   Timer timer;
-  for (const Request& req : workload) service.Submit(req);
+  for (const Submission& sub : workload) service.Submit(sub.query, sub.options);
   service.Drain();
   PassResult result;
   result.seconds = timer.Seconds();
@@ -148,7 +167,7 @@ void Run(size_t n_points, size_t n_regions, size_t rounds, size_t max_threads) {
   PrintNote("one-off snapshot build (grid + point index): " +
             TablePrinter::Num(snap_timer.Millis(), 4) + " ms");
 
-  const std::vector<Request> workload =
+  const std::vector<Submission> workload =
       MakeWorkload(snapshot->grid.universe(), rounds);
   PrintNote(std::to_string(workload.size()) + " queries per pass");
   if (workload.empty()) {
@@ -246,14 +265,14 @@ void RunSharding(size_t n_points, size_t n_regions, size_t threads,
 
     // Warm the HR cache so both paths measure probes, not rasterization.
     for (const geom::Polygon& v : viewports) {
-      service.CountInPolygon(v, eps).get();
+      CountNow(service, v, eps);
     }
 
     // One query in flight at a time: per-query latency is the metric; the
     // shard fan-out across the pool is the only intra-query parallelism.
     Timer timer;
     for (const geom::Polygon& v : viewports) {
-      service.CountInPolygon(v, eps).get();
+      CountNow(service, v, eps);
     }
     const double seconds = timer.Seconds();
     const double qps = static_cast<double>(viewports.size()) / seconds;
@@ -326,7 +345,7 @@ void RunTransport(size_t n_points, size_t n_regions, size_t threads,
     const auto time_pass = [&](QueryService& service) {
       Timer timer;
       for (const geom::Polygon& v : viewports) {
-        service.CountInPolygon(v, eps).get();
+        CountNow(service, v, eps);
       }
       return static_cast<double>(viewports.size()) / timer.Seconds();
     };
@@ -420,7 +439,7 @@ void RunSocket(size_t n_points, size_t n_regions, size_t threads,
     const auto time_pass = [&](QueryService& service) {
       Timer timer;
       for (const geom::Polygon& v : viewports) {
-        service.CountInPolygon(v, eps).get();
+        CountNow(service, v, eps);
       }
       return static_cast<double>(viewports.size()) / timer.Seconds();
     };
@@ -502,9 +521,7 @@ void RunMux(size_t n_points, size_t n_regions, size_t num_viewports) {
           per_client[c].reserve(kPerClient);
           for (size_t i = 0; i < kPerClient; ++i) {
             Timer one;
-            service.CountInPolygon(viewports[(c * kPerClient + i) % viewports.size()],
-                                   eps)
-                .get();
+            CountNow(service, viewports[(c * kPerClient + i) % viewports.size()], eps);
             per_client[c].push_back(one.Millis());
           }
         });
@@ -552,15 +569,13 @@ void RunMux(size_t n_points, size_t n_regions, size_t num_viewports) {
   PrintNote("wire latency the blocking arm pays serially per request.");
 }
 
-/// The envelope-overhead section: v1 shim vs native v2 submissions of the
-/// same repeated-epsilon workload (warm cache, so conversion and
-/// dispatch — not HR builds — dominate), plus v2 wire bytes per message.
-void RunEnvelope(size_t n_points, size_t n_regions, size_t rounds,
-                 size_t threads) {
-  PrintBanner("v2 envelope: v1-shim vs native submit, wire message sizes");
+/// The wire-size section: one shard's scatter messages for a mid-size
+/// region, inline vs reference (the envelope's contract fields ride every
+/// request).
+void RunEnvelope(size_t n_points, size_t n_regions) {
+  PrintBanner("Wire message sizes: inline vs reference scatter requests");
   bench::PrintScale(HumanCount(static_cast<double>(n_points)) + " points, " +
-                    std::to_string(n_regions) + " region polygons, " +
-                    std::to_string(threads) + " threads");
+                    std::to_string(n_regions) + " region polygons");
 
   data::PointSet points = bench::BenchPoints(n_points);
   data::RegionSet regions =
@@ -568,41 +583,6 @@ void RunEnvelope(size_t n_points, size_t n_regions, size_t rounds,
   const std::shared_ptr<const core::EngineState> snapshot =
       core::BuildEngineState(std::move(points), std::move(regions));
 
-  const std::vector<Request> v1_workload =
-      MakeWorkload(snapshot->grid.universe(), rounds);
-  std::vector<std::pair<service::Query, service::ExecOptions>> v2_workload;
-  v2_workload.reserve(v1_workload.size());
-  for (const Request& req : v1_workload) {
-    v2_workload.emplace_back(service::QueryFromV1(req),
-                             service::OptionsFromV1(req));
-  }
-
-  ServiceOptions options;
-  options.num_threads = threads;
-  options.cache_budget_bytes = size_t{256} << 20;
-  QueryService service(snapshot, options);
-
-  const auto time_v1 = [&]() {
-    Timer timer;
-    for (const Request& req : v1_workload) service.Submit(req);
-    service.Drain();
-    return static_cast<double>(v1_workload.size()) / timer.Seconds();
-  };
-  const auto time_v2 = [&]() {
-    Timer timer;
-    for (const auto& [query, exec] : v2_workload) service.Submit(query, exec);
-    service.Drain();
-    return static_cast<double>(v2_workload.size()) / timer.Seconds();
-  };
-
-  (void)time_v2();  // Warm the HR cache off the clock.
-  const double v1_qps = time_v1();
-  const double v2_qps = time_v2();
-
-  // Wire-size probe: one shard's scatter messages for a mid-size region
-  // at two bound regimes, inline vs reference (the envelope's contract
-  // fields ride every request; the response carries the compensated
-  // aggregate pair).
   const geom::Polygon& probe_poly = snapshot->regions->polys.front();
   const raster::HierarchicalRaster hr =
       raster::HierarchicalRaster::BuildEpsilon(probe_poly, snapshot->grid, 4.0);
@@ -621,21 +601,13 @@ void RunEnvelope(size_t n_points, size_t n_regions, size_t rounds,
   const size_t inline_bytes = inline_req.Encode().size();
   const size_t reference_bytes = reference_req.Encode().size();
 
-  TablePrinter table({"v1 shim qps", "native v2 qps", "v2/v1",
-                      "inline req B", "reference req B"});
-  table.AddRow({TablePrinter::Num(v1_qps, 5), TablePrinter::Num(v2_qps, 5),
-                TablePrinter::Num(v2_qps / v1_qps, 4),
-                std::to_string(inline_bytes), std::to_string(reference_bytes)});
+  TablePrinter table({"cells", "inline req B", "reference req B"});
+  table.AddRow({std::to_string(hr.cells().size()), std::to_string(inline_bytes),
+                std::to_string(reference_bytes)});
   table.Print();
-  PrintNote("v2/v1 ~ 1: the shim is pure conversion; the envelope adds no");
-  PrintNote("dispatch cost. Reference requests stay tens of bytes under v2.");
+  PrintNote("Reference requests stay tens of bytes: no cell payload.");
 
   bench::JsonLine("service_envelope")
-      .Add("threads", threads)
-      .Add("queries", v1_workload.size())
-      .Add("v1_shim_qps", v1_qps)
-      .Add("v2_native_qps", v2_qps)
-      .Add("v2_over_v1", v2_qps / v1_qps)
       .Add("wire_inline_request_bytes", inline_bytes)
       .Add("wire_reference_request_bytes", reference_bytes)
       .Add("wire_cells", hr.cells().size())
@@ -658,7 +630,7 @@ void RunTelemetry(size_t n_points, size_t n_regions, size_t rounds,
       data::GenerateRegions(data::CensusConfig(bench::BenchUniverse(), n_regions));
   const std::shared_ptr<const core::EngineState> snapshot =
       core::BuildEngineState(std::move(points), std::move(regions));
-  const std::vector<Request> workload =
+  const std::vector<Submission> workload =
       MakeWorkload(snapshot->grid.universe(), rounds);
   if (workload.empty()) {
     PrintNote("empty workload (rounds=0); nothing to measure");
@@ -678,9 +650,9 @@ void RunTelemetry(size_t n_points, size_t n_regions, size_t rounds,
     QueryService service(snapshot, options);
     const auto pass = [&](bench::LatencyRecorder* record) {
       Timer timer;
-      for (const Request& req : workload) {
+      for (const Submission& sub : workload) {
         Timer one;
-        service.Submit(req);
+        service.Submit(sub.query, sub.options);
         if (record != nullptr) {
           service.Drain();  // Per-query latency: one in flight at a time.
           record->Record(one.Millis());
@@ -827,9 +799,8 @@ void RunStartup(size_t n_points, size_t n_regions, size_t max_shards) {
 
     const auto one_query = [&]() {
       Timer one;
-      service.Submit(Request::MakeAggregate(join::AggKind::kCount,
-                                            core::Attr::kNone, eps,
-                                            core::Mode::kPointIndex));
+      service.Submit(Query::Aggregate(join::AggKind::kCount),
+                     Within(eps, core::Mode::kPointIndex));
       service.Drain();
       return one.Millis();
     };
@@ -849,7 +820,7 @@ void RunStartup(size_t n_points, size_t n_regions, size_t max_shards) {
                                      {u.max.x, u.max.y},
                                      {u.min.x, u.max.y}});
     trigger.Normalize();
-    service.CountInPolygon(trigger, eps).get();
+    CountNow(service, trigger, eps);
     // Give the rewarm arm time to finish off the query path; the cold
     // arm sleeps the same amount so the clock fairness is exact.
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -910,7 +881,7 @@ int main(int argc, char** argv) {
   dbsa::RunTransport(n_points, n_regions, max_threads, max_shards, viewports);
   dbsa::RunSocket(n_points, n_regions, max_threads, max_shards, viewports);
   dbsa::RunMux(n_points, n_regions, viewports);
-  dbsa::RunEnvelope(n_points, n_regions, rounds, max_threads);
+  dbsa::RunEnvelope(n_points, n_regions);
   dbsa::RunTelemetry(n_points, n_regions, rounds, max_threads);
   dbsa::RunStartup(n_points, n_regions, max_shards);
   dbsa::bench::CloseJsonOut();

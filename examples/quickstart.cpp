@@ -1,7 +1,7 @@
 // Quickstart: the 60-second tour of dbsa.
 //
 //   1. Generate a synthetic city (points + regions).
-//   2. Register both tables with the SpatialEngine.
+//   2. Freeze both tables into an engine state (grid + point index).
 //   3. Run the paper's aggregation query with a 10 m distance bound —
 //      no exact geometric test is ever executed.
 //   4. Compare against the exact answer and inspect the guarantees.
@@ -9,6 +9,7 @@
 // Build & run:  ./build/examples/quickstart
 
 #include <cstdio>
+#include <memory>
 
 #include "core/dbsa.h"
 
@@ -26,25 +27,24 @@ int main() {
   district_config.target_avg_vertices = 40;
   data::RegionSet districts = data::GenerateRegions(district_config);
 
-  // 2. Register with the engine.
-  core::SpatialEngine engine;
-  engine.SetPoints(std::move(pickups));
-  engine.SetRegions(std::move(districts));
+  // 2. Build the engine state: covering grid and linearized point index.
+  const std::shared_ptr<const core::EngineState> state =
+      core::BuildEngineState(std::move(pickups), std::move(districts));
 
   // 3. COUNT(*) GROUP BY district, approximate with a 10 m bound. The
   //    optimizer picks the plan; stats.explain says why.
   const core::AggregateAnswer approx =
-      engine.Aggregate(join::AggKind::kCount, core::Attr::kNone,
-                       /*epsilon=*/10.0);
+      core::ExecuteAggregate(*state, join::AggKind::kCount, core::Attr::kNone,
+                             query::ErrorBound::Absolute(10.0));
   std::printf("plan: %s\n", query::PlanKindName(approx.stats.plan));
   std::printf("      %s\n", approx.stats.explain.c_str());
   std::printf("elapsed: %.2f ms, exact geometry tests: %zu, achieved bound: %.2f m\n\n",
               approx.stats.elapsed_ms, approx.stats.pip_tests,
               approx.stats.achieved_epsilon);
 
-  // 4. Exact reference (epsilon = 0 forces the exact plan).
-  const core::AggregateAnswer exact =
-      engine.Aggregate(join::AggKind::kCount, core::Attr::kNone, /*epsilon=*/0.0);
+  // 4. Exact reference (an exact bound forces the exact plan).
+  const core::AggregateAnswer exact = core::ExecuteAggregate(
+      *state, join::AggKind::kCount, core::Attr::kNone, query::ErrorBound::Exact());
 
   std::printf("district | approx count | exact count | rel. error\n");
   std::printf("---------+--------------+-------------+-----------\n");
@@ -62,7 +62,8 @@ int main() {
           "POLYGON ((4000 4000, 12000 5000, 12000 12000, 8000 10000, 4000 12000, "
           "4000 4000))")
           .value();
-  const join::ResultRange range = engine.CountInPolygon(query_region, /*epsilon=*/25.0);
+  const join::ResultRange range =
+      core::ExecuteCount(*state, query_region, query::ErrorBound::Absolute(25.0)).range;
   std::printf("ad-hoc region count: %.0f, guaranteed within [%.0f, %.0f]\n",
               range.estimate, range.lo, range.hi);
   return 0;

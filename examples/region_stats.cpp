@@ -6,6 +6,7 @@
 // Build & run:  ./build/examples/region_stats
 
 #include <cstdio>
+#include <memory>
 
 #include "core/dbsa.h"
 #include "util/stats.h"
@@ -23,25 +24,31 @@ int main() {
   region_config.multi_fraction = 0.0;
   const data::RegionSet regions = data::GenerateRegions(region_config);
 
-  core::SpatialEngine engine;
-  engine.SetPoints(trips);
-  engine.SetRegions(regions);
+  const std::shared_ptr<const core::EngineState> state =
+      core::BuildEngineState(trips, regions);
+  const auto aggregate = [&](join::AggKind agg, core::Attr attr,
+                             const query::ErrorBound& bound,
+                             core::Mode mode = core::Mode::kAuto) {
+    return core::ExecuteAggregate(*state, agg, attr, bound, mode);
+  };
+  using query::ErrorBound;
 
   // Exact reference once.
   const core::AggregateAnswer exact_count =
-      engine.Aggregate(join::AggKind::kCount, core::Attr::kNone, 0.0);
+      aggregate(join::AggKind::kCount, core::Attr::kNone, ErrorBound::Exact());
   const core::AggregateAnswer exact_avg =
-      engine.Aggregate(join::AggKind::kAvg, core::Attr::kFare, 0.0);
+      aggregate(join::AggKind::kAvg, core::Attr::kFare, ErrorBound::Exact());
 
   std::printf("accuracy vs distance bound (ACT plan, no exact tests)\n");
   std::printf("eps (m) | elapsed (ms) | mean |count err| %% | mean |avg-fare err| %%\n");
   std::printf("--------+--------------+-------------------+---------------------\n");
   for (const double eps : {64.0, 16.0, 4.0, 1.0}) {
-    const core::AggregateAnswer count =
-        engine.Aggregate(join::AggKind::kCount, core::Attr::kNone, eps,
-                         core::Mode::kAct);
-    const core::AggregateAnswer avg = engine.Aggregate(
-        join::AggKind::kAvg, core::Attr::kFare, eps, core::Mode::kAct);
+    const core::AggregateAnswer count = aggregate(
+        join::AggKind::kCount, core::Attr::kNone, ErrorBound::Absolute(eps),
+        core::Mode::kAct);
+    const core::AggregateAnswer avg = aggregate(
+        join::AggKind::kAvg, core::Attr::kFare, ErrorBound::Absolute(eps),
+        core::Mode::kAct);
     RunningStats count_err, avg_err;
     for (size_t r = 0; r < regions.num_regions; ++r) {
       if (exact_count.rows[r].value > 0) {
@@ -61,10 +68,12 @@ int main() {
 
   // The report itself, at a 4 m bound with guaranteed count ranges.
   std::printf("\nregional report (eps=4m, point-index plan with ranges)\n");
-  const core::AggregateAnswer report = engine.Aggregate(
-      join::AggKind::kCount, core::Attr::kNone, 4.0, core::Mode::kPointIndex);
-  const core::AggregateAnswer fares = engine.Aggregate(
-      join::AggKind::kAvg, core::Attr::kFare, 4.0, core::Mode::kAct);
+  const core::AggregateAnswer report =
+      aggregate(join::AggKind::kCount, core::Attr::kNone, ErrorBound::Absolute(4.0),
+                core::Mode::kPointIndex);
+  const core::AggregateAnswer fares =
+      aggregate(join::AggKind::kAvg, core::Attr::kFare, ErrorBound::Absolute(4.0),
+                core::Mode::kAct);
   std::printf("region | trips (range)            | avg fare\n");
   std::printf("-------+--------------------------+---------\n");
   for (size_t r = 0; r < 10 && r < regions.num_regions; ++r) {

@@ -8,6 +8,7 @@
 // Build & run:  ./build/examples/taxi_dashboard
 
 #include <cstdio>
+#include <memory>
 
 #include "core/dbsa.h"
 #include "util/timer.h"
@@ -26,9 +27,8 @@ int main() {
   region_config.target_avg_vertices = 30;
   const data::RegionSet districts = data::GenerateRegions(region_config);
 
-  core::SpatialEngine engine;
-  engine.SetPoints(pickups);
-  engine.SetRegions(districts);
+  const std::shared_ptr<const core::EngineState> state =
+      core::BuildEngineState(pickups, districts);
 
   // Zoom from the full city toward the downtown hotspot; a 1024px screen.
   const geom::Point downtown{16384 * 0.45, 16384 * 0.55};
@@ -47,7 +47,9 @@ int main() {
     viewport_poly.Normalize();
     Timer timer;
     const join::ResultRange visible =
-        engine.CountInPolygon(viewport_poly, step.epsilon);
+        core::ExecuteCount(*state, viewport_poly,
+                           query::ErrorBound::Absolute(step.epsilon))
+            .range;
     const double ms = timer.Millis();
     std::printf("%4zu | %13.2f | %7.2f | %15.0f | %12.3f\n", z,
                 step.viewport.Width() / 1000.0, step.epsilon, visible.estimate, ms);
@@ -58,8 +60,9 @@ int main() {
   const data::ZoomStep& deepest = zoom_steps.back();
   std::printf("\nchoropleth at zoom %zu (eps=%.2fm): top districts by pickups\n",
               zoom_steps.size() - 1, deepest.epsilon);
-  const core::AggregateAnswer per_district = engine.Aggregate(
-      join::AggKind::kCount, core::Attr::kNone, deepest.epsilon, core::Mode::kAuto);
+  const core::AggregateAnswer per_district =
+      core::ExecuteAggregate(*state, join::AggKind::kCount, core::Attr::kNone,
+                             query::ErrorBound::Absolute(deepest.epsilon));
   // Report the three busiest districts.
   std::vector<core::AggregateRow> rows = per_district.rows;
   std::sort(rows.begin(), rows.end(),

@@ -42,7 +42,7 @@ cxx_files() {
 }
 
 # Audited scope for the lock rules: the concurrent layers (service,
-# telemetry), the engine facade (core), and the fuzz harnesses — fuzz
+# telemetry), the engine core (core), and the fuzz harnesses — fuzz
 # drivers spawn servers too, so the same discipline applies.
 LOCK_DIRS=(src/service src/telemetry src/core fuzz)
 

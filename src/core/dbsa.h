@@ -1,7 +1,8 @@
 // Umbrella header for the dbsa library — distance-bounded spatial
 // approximations (CIDR'21 reproduction). Include this to get the public
-// API: the SpatialEngine façade, the raster approximations, the indexing
-// layer, the canvas algebra, and the join executors.
+// API: the engine state and its executors, the raster approximations,
+// the indexing layer, the canvas algebra, the join executors, and the
+// serving layer.
 
 #ifndef DBSA_CORE_DBSA_H_
 #define DBSA_CORE_DBSA_H_
@@ -37,9 +38,8 @@
 #include "data/taxi.h"      // IWYU pragma: export
 #include "data/workload.h"  // IWYU pragma: export
 
-// Engine façade, its shareable immutable state, and the SFC-sharded
-// scatter-gather execution layer.
-#include "core/engine.h"         // IWYU pragma: export
+// The shareable immutable engine state, the executors over the
+// shard-source seam, and the SFC-sharded scatter-gather source.
 #include "core/engine_state.h"   // IWYU pragma: export
 #include "core/sharded_state.h"  // IWYU pragma: export
 

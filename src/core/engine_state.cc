@@ -63,33 +63,26 @@ std::shared_ptr<const EngineState> BuildEngineState(data::PointSet points,
       std::make_shared<const data::RegionSet>(std::move(regions)));
 }
 
-query::QueryProfile MakeAggregateProfile(const EngineState& state, double epsilon,
-                                         const ExecHooks& hooks) {
-  query::QueryProfile profile;
-  profile.num_points = state.points->size();
-  profile.num_polygons = state.regions->NumPolygons();
-  profile.avg_vertices = state.regions->AvgVertices();
-  profile.epsilon = epsilon;
-  profile.universe_extent = state.grid.side();
-  profile.total_perimeter = state.regions->TotalPerimeter();
-  profile.total_polygon_area = state.regions->TotalArea();
-  profile.point_index_available = state.point_index.has_value();
-  profile.hr_cache_available = static_cast<bool>(hooks.hr_provider);
-  return profile;
+size_t EngineState::IndexBytes() const {
+  return point_index.has_value()
+             ? point_index->MemoryBytes(join::SearchStrategy::kRadixSpline)
+             : 0;
 }
 
-Mode ModeForPlan(query::PlanKind plan) {
-  switch (plan) {
-    case query::PlanKind::kActJoin:
-      return Mode::kAct;
-    case query::PlanKind::kPointIndexJoin:
-      return Mode::kPointIndex;
-    case query::PlanKind::kCanvasBrj:
-      return Mode::kCanvasBrj;
-    case query::PlanKind::kExactRStar:
-      return Mode::kExact;
-  }
-  return Mode::kExact;
+join::CellAggregate EngineState::ProbeCells(const Probe& probe,
+                                            const ExecHooks& /*hooks*/) const {
+  DBSA_CHECK(point_index.has_value());
+  return point_index->QueryCells(probe.hr, join::SearchStrategy::kRadixSpline);
+}
+
+std::vector<uint32_t> EngineState::SelectIds(const Probe& probe,
+                                             const ExecHooks& /*hooks*/,
+                                             size_t* cells) const {
+  DBSA_CHECK(point_index.has_value());
+  std::vector<uint32_t> ids;
+  point_index->SelectIds(probe.hr, join::SearchStrategy::kRadixSpline, &ids);
+  *cells = probe.hr.cells().size();
+  return ids;
 }
 
 void RunMaybeParallel(const ExecHooks& hooks, size_t n,
@@ -112,10 +105,33 @@ void RunMaybeParallel(const ExecHooks& hooks, size_t n,
   }
 }
 
-query::PlanKind ResolveAggregatePlan(query::PlanKind optimizer_choice,
-                                     join::AggKind agg, Attr attr, double epsilon,
-                                     Mode mode) {
-  query::PlanKind plan = optimizer_choice;
+namespace {
+
+/// The optimizer's plan for a region aggregation over `source` (costed
+/// with the source's fan-out and transport terms), then the mode
+/// override, the epsilon==0 exactness requirement, and the kPassengers
+/// reroute (the point index carries fare prefix sums only).
+query::PlanKind ResolveAggregatePlan(const ShardSource& source, join::AggKind agg,
+                                     Attr attr, double epsilon, Mode mode,
+                                     const ExecHooks& hooks, std::string* explain) {
+  const EngineState& base = source.base();
+  query::QueryProfile profile;
+  profile.num_points = base.points->size();
+  profile.num_polygons = base.regions->NumPolygons();
+  profile.avg_vertices = base.regions->AvgVertices();
+  profile.epsilon = epsilon;
+  profile.universe_extent = base.grid.side();
+  profile.total_perimeter = base.regions->TotalPerimeter();
+  profile.total_polygon_area = base.regions->TotalArea();
+  profile.point_index_available = base.point_index.has_value();
+  profile.hr_cache_available = static_cast<bool>(hooks.hr_provider);
+  profile.parallel_shards =
+      std::max(1.0, static_cast<double>(source.num_shards()));
+  profile.transport_overhead = source.transport_overhead();
+  query::PlanChoice choice = query::ChoosePlan(profile);
+  *explain = std::move(choice.explain);
+
+  query::PlanKind plan = choice.kind;
   switch (mode) {
     case Mode::kAuto:
       break;
@@ -143,6 +159,8 @@ query::PlanKind ResolveAggregatePlan(query::PlanKind optimizer_choice,
   return plan;
 }
 
+/// Builds the per-region answer rows (value + Section 6 range) from the
+/// merged per-region cell aggregates of a point-index execution.
 void RowsFromRegionAggregates(const std::vector<join::CellAggregate>& per_region,
                               join::AggKind agg, std::vector<AggregateRow>* rows) {
   rows->resize(per_region.size());
@@ -167,6 +185,8 @@ void RowsFromRegionAggregates(const std::vector<join::CellAggregate>& per_region
   }
 }
 
+/// HR approximation of one polygon: through hooks.hr_provider when set
+/// (the serving layer's cache), otherwise built fresh on this thread.
 std::shared_ptr<const raster::HierarchicalRaster> HrForPolygon(
     const EngineState& state, const ExecHooks& hooks, size_t poly_index,
     const geom::Polygon& poly, double epsilon) {
@@ -175,32 +195,88 @@ std::shared_ptr<const raster::HierarchicalRaster> HrForPolygon(
       raster::HierarchicalRaster::BuildEpsilon(poly, state.grid, epsilon));
 }
 
-AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
-                                 Attr attr, double epsilon, Mode mode,
-                                 const ExecHooks& hooks) {
-  DBSA_CHECK(!state.regions->polys.empty());
-  const join::JoinInput in = state.MakeInput(attr);
+/// One flag per shard of a source, set by its probes (Probe::touched).
+using ShardFlags = std::vector<std::atomic<uint32_t>>;
+
+size_t CountTouched(const ShardFlags& touched) {
+  size_t n = 0;
+  for (const std::atomic<uint32_t>& flag : touched) {
+    n += flag.load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
+/// Brute-force stage of the kExact ad-hoc queries: visits every point
+/// inside the polygon, ascending by row id. The bounding-box prefilter
+/// keeps the PIP count honest in `pip_tests`.
+template <typename Fn>
+size_t ForEachInsidePoint(const EngineState& state, const geom::Polygon& poly,
+                          Fn&& fn) {
+  const std::vector<geom::Point>& locs = state.points->locs;
+  const geom::Box& bounds = poly.bounds();
+  size_t pip_tests = 0;
+  for (uint32_t i = 0; i < locs.size(); ++i) {
+    const geom::Point& p = locs[i];
+    if (p.x < bounds.min.x || p.x > bounds.max.x || p.y < bounds.min.y ||
+        p.y > bounds.max.y) {
+      continue;
+    }
+    ++pip_tests;
+    if (poly.Contains(p)) fn(i);
+  }
+  return pip_tests;
+}
+
+/// The approximate half of an ad-hoc query: approximates `poly` at the
+/// bound's level, hands the probe to `run`, and fills the plan, level,
+/// index and shard fields of `stats`.
+template <typename Fn>
+void ProbeAdHoc(const ShardSource& source, const geom::Polygon& poly,
+                const query::ErrorBound& bound, const ExecHooks& hooks,
+                ExecStats* stats, Fn&& run) {
+  const EngineState& base = source.base();
+  const double epsilon = bound.EffectiveEpsilon(base.grid);
+  const int level = base.grid.LevelForEpsilon(epsilon);
+  const std::shared_ptr<const raster::HierarchicalRaster> hr =
+      HrForPolygon(base, hooks, kAdHocPolygon, poly, epsilon);
+  ShardFlags touched(source.num_shards());
+  run(Probe{*hr, kAdHocPolygon, poly, bound, level, touched.data()});
+  stats->plan = query::PlanKind::kPointIndexJoin;
+  stats->hr_level = level;
+  stats->achieved_epsilon = base.grid.AchievedEpsilon(level);
+  stats->index_bytes = source.IndexBytes();
+  stats->shards_probed = CountTouched(touched);
+}
+
+}  // namespace
+
+AggregateAnswer ExecuteAggregate(const ShardSource& source, join::AggKind agg,
+                                 Attr attr, const query::ErrorBound& bound,
+                                 Mode mode, const ExecHooks& hooks) {
+  const EngineState& base = source.base();
+  DBSA_CHECK(!base.regions->polys.empty());
+  const double epsilon = bound.EffectiveEpsilon(base.grid);
   AggregateAnswer answer;
-
-  const query::QueryProfile profile = MakeAggregateProfile(state, epsilon, hooks);
-  const query::PlanChoice choice = query::ChoosePlan(profile);
+  // An exact bound resolves to the exact plan through epsilon 0 as well;
+  // pinning the mode makes the contract explicit in the EXPLAIN output.
   const query::PlanKind plan =
-      ResolveAggregatePlan(choice.kind, agg, attr, epsilon, mode);
-
+      ResolveAggregatePlan(source, agg, attr, epsilon,
+                           bound.exact() ? Mode::kExact : mode, hooks,
+                           &answer.stats.explain);
   answer.stats.plan = plan;
-  answer.stats.explain = choice.explain;
+  const join::JoinInput in = base.MakeInput(attr);
 
   Timer timer;
   switch (plan) {
     case query::PlanKind::kActJoin: {
       join::ActJoinOptions opts;
       opts.epsilon = epsilon;
-      const join::JoinStats stats = join::ActJoin(in, agg, state.grid, opts);
+      const join::JoinStats stats = join::ActJoin(in, agg, base.grid, opts);
       answer.stats.pip_tests = stats.pip_tests;
       answer.stats.index_bytes = stats.index_bytes;
-      answer.stats.hr_level = state.grid.LevelForEpsilon(epsilon);
+      answer.stats.hr_level = base.grid.LevelForEpsilon(epsilon);
       answer.stats.achieved_epsilon =
-          state.grid.AchievedEpsilon(answer.stats.hr_level);
+          base.grid.AchievedEpsilon(answer.stats.hr_level);
       answer.rows.resize(stats.value.size());
       for (size_t r = 0; r < stats.value.size(); ++r) {
         answer.rows[r] = {static_cast<uint32_t>(r), stats.value[r], stats.value[r],
@@ -209,34 +285,35 @@ AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
       break;
     }
     case query::PlanKind::kPointIndexJoin: {
-      DBSA_CHECK(state.point_index.has_value());
       DBSA_CHECK(agg == join::AggKind::kCount || agg == join::AggKind::kSum ||
                  agg == join::AggKind::kAvg);
-      answer.stats.hr_level = state.grid.LevelForEpsilon(epsilon);
-      answer.stats.achieved_epsilon =
-          state.grid.AchievedEpsilon(answer.stats.hr_level);
-      // Stage 1 — independent per polygon (HR query cells + prefix-sum
-      // lookups), so the hook may fan it out across threads.
-      const std::vector<geom::Polygon>& polys = state.regions->polys;
+      const int level = base.grid.LevelForEpsilon(epsilon);
+      answer.stats.hr_level = level;
+      answer.stats.achieved_epsilon = base.grid.AchievedEpsilon(level);
+      // Stage 1 — independent per polygon (HR lookup + the source's
+      // probe), so the hook may fan it out across threads. A sharded
+      // source gathers each polygon's shard partials in ascending shard
+      // order, so scheduling never changes a merge order.
+      const std::vector<geom::Polygon>& polys = base.regions->polys;
       std::vector<join::CellAggregate> per_poly(polys.size());
-      const auto one_poly = [&](size_t j) {
+      ShardFlags touched(source.num_shards());
+      RunMaybeParallel(hooks, polys.size(), [&](size_t j) {
         const std::shared_ptr<const raster::HierarchicalRaster> hr =
-            HrForPolygon(state, hooks, j, polys[j], epsilon);
-        per_poly[j] = state.point_index->QueryCells(*hr,
-                                                    join::SearchStrategy::kRadixSpline);
-      };
-      RunMaybeParallel(hooks, polys.size(), one_poly);
+            HrForPolygon(base, hooks, j, polys[j], epsilon);
+        per_poly[j] = source.ProbeCells(
+            Probe{*hr, j, polys[j], bound, level, touched.data()}, hooks);
+      });
       // Stage 2 — combine into regions serially in polygon order, keeping
       // floating-point accumulation order independent of the scheduling
       // above (the service's determinism guarantee). The boundary partials
       // give the Section 6 result range.
-      std::vector<join::CellAggregate> per_region(state.regions->num_regions);
+      std::vector<join::CellAggregate> per_region(base.regions->num_regions);
       for (size_t j = 0; j < polys.size(); ++j) {
         answer.stats.query_cells += per_poly[j].query_cells;
-        per_region[state.regions->region_of[j]].Merge(per_poly[j]);
+        per_region[base.regions->region_of[j]].Merge(per_poly[j]);
       }
-      answer.stats.index_bytes =
-          state.point_index->MemoryBytes(join::SearchStrategy::kRadixSpline);
+      answer.stats.index_bytes = source.IndexBytes();
+      answer.stats.shards_probed = CountTouched(touched);
       RowsFromRegionAggregates(per_region, agg, &answer.rows);
       break;
     }
@@ -244,12 +321,12 @@ AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
       canvas::BrjOptions opts;
       opts.epsilon = epsilon;
       const canvas::BrjResult brj = canvas::BoundedRasterJoin(
-          in.points, in.attrs, in.num_points, state.regions->polys,
-          state.regions->region_of, state.regions->num_regions,
-          state.grid.universe(), opts);
+          in.points, in.attrs, in.num_points, base.regions->polys,
+          base.regions->region_of, base.regions->num_regions,
+          base.grid.universe(), opts);
       answer.stats.achieved_epsilon = epsilon;
-      answer.rows.resize(state.regions->num_regions);
-      for (size_t r = 0; r < state.regions->num_regions; ++r) {
+      answer.rows.resize(base.regions->num_regions);
+      for (size_t r = 0; r < base.regions->num_regions; ++r) {
         double value = 0.0;
         if (agg == join::AggKind::kCount) {
           value = brj.count[r];
@@ -281,111 +358,61 @@ AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
   return answer;
 }
 
-join::ResultRange ExecuteCountInPolygon(const EngineState& state,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const ExecHooks& hooks) {
-  return ExecuteCount(state, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .range;
-}
-
-std::vector<uint32_t> ExecuteSelectInPolygon(const EngineState& state,
-                                             const geom::Polygon& poly, double epsilon,
-                                             const ExecHooks& hooks) {
-  return ExecuteSelect(state, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .ids;
-}
-
-// ---- v2 executors: the typed distance-bound contract -------------------
-
-AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
-                                 Attr attr, const query::ErrorBound& bound,
-                                 Mode mode, const ExecHooks& hooks) {
-  // Effective epsilon 0 routes to the exact plan inside
-  // ResolveAggregatePlan; pinning the mode as well just makes the contract
-  // explicit in the EXPLAIN output.
-  return ExecuteAggregate(state, agg, attr, bound.EffectiveEpsilon(state.grid),
-                          bound.exact() ? Mode::kExact : mode, hooks);
-}
-
-namespace {
-
-/// Shared brute-force stage of the kExact ad-hoc queries: visits every
-/// point inside the polygon, ascending by row id. The bounding-box
-/// prefilter keeps the PIP count honest in `pip_tests`.
-template <typename Fn>
-size_t ForEachInsidePoint(const EngineState& state, const geom::Polygon& poly,
-                          Fn&& fn) {
-  const std::vector<geom::Point>& locs = state.points->locs;
-  const geom::Box& bounds = poly.bounds();
-  size_t pip_tests = 0;
-  for (uint32_t i = 0; i < locs.size(); ++i) {
-    const geom::Point& p = locs[i];
-    if (p.x < bounds.min.x || p.x > bounds.max.x || p.y < bounds.min.y ||
-        p.y > bounds.max.y) {
-      continue;
-    }
-    ++pip_tests;
-    if (poly.Contains(p)) fn(i);
-  }
-  return pip_tests;
-}
-
-}  // namespace
-
-CountAnswer ExecuteCount(const EngineState& state, const geom::Polygon& poly,
+CountAnswer ExecuteCount(const ShardSource& source, const geom::Polygon& poly,
                          const query::ErrorBound& bound, const ExecHooks& hooks) {
   CountAnswer out;
   Timer timer;
   if (bound.exact()) {
     double count = 0.0;
     out.stats.pip_tests =
-        ForEachInsidePoint(state, poly, [&](uint32_t) { count += 1.0; });
+        ForEachInsidePoint(source.base(), poly, [&](uint32_t) { count += 1.0; });
     out.range.approx = out.range.lo = out.range.hi = out.range.estimate = count;
     out.stats.plan = query::PlanKind::kExactRStar;
   } else {
-    DBSA_CHECK(state.point_index.has_value());
-    const double epsilon = bound.EffectiveEpsilon(state.grid);
-    const std::shared_ptr<const raster::HierarchicalRaster> hr =
-        HrForPolygon(state, hooks, kAdHocPolygon, poly, epsilon);
-    const join::CellAggregate agg =
-        state.point_index->QueryCells(*hr, join::SearchStrategy::kRadixSpline);
-    out.range = join::CountRange(agg);
-    out.stats.plan = query::PlanKind::kPointIndexJoin;
-    out.stats.hr_level = state.grid.LevelForEpsilon(epsilon);
-    out.stats.achieved_epsilon = state.grid.AchievedEpsilon(out.stats.hr_level);
-    out.stats.query_cells = agg.query_cells;
-    out.stats.index_bytes =
-        state.point_index->MemoryBytes(join::SearchStrategy::kRadixSpline);
+    ProbeAdHoc(source, poly, bound, hooks, &out.stats, [&](const Probe& probe) {
+      const join::CellAggregate agg = source.ProbeCells(probe, hooks);
+      out.range = join::CountRange(agg);
+      out.stats.query_cells = agg.query_cells;
+    });
   }
   out.stats.elapsed_ms = timer.Millis();
   return out;
 }
 
-SelectAnswer ExecuteSelect(const EngineState& state, const geom::Polygon& poly,
+SelectAnswer ExecuteSelect(const ShardSource& source, const geom::Polygon& poly,
                            const query::ErrorBound& bound,
                            const ExecHooks& hooks) {
   SelectAnswer out;
   Timer timer;
   if (bound.exact()) {
-    out.stats.pip_tests =
-        ForEachInsidePoint(state, poly, [&](uint32_t i) { out.ids.push_back(i); });
+    out.stats.pip_tests = ForEachInsidePoint(
+        source.base(), poly, [&](uint32_t i) { out.ids.push_back(i); });
     out.stats.plan = query::PlanKind::kExactRStar;
   } else {
-    DBSA_CHECK(state.point_index.has_value());
-    const double epsilon = bound.EffectiveEpsilon(state.grid);
-    const std::shared_ptr<const raster::HierarchicalRaster> hr =
-        HrForPolygon(state, hooks, kAdHocPolygon, poly, epsilon);
-    state.point_index->SelectIds(*hr, join::SearchStrategy::kRadixSpline,
-                                 &out.ids);
-    out.stats.plan = query::PlanKind::kPointIndexJoin;
-    out.stats.hr_level = state.grid.LevelForEpsilon(epsilon);
-    out.stats.achieved_epsilon = state.grid.AchievedEpsilon(out.stats.hr_level);
-    out.stats.query_cells = hr->cells().size();
-    out.stats.index_bytes =
-        state.point_index->MemoryBytes(join::SearchStrategy::kRadixSpline);
+    ProbeAdHoc(source, poly, bound, hooks, &out.stats, [&](const Probe& probe) {
+      out.ids = source.SelectIds(probe, hooks, &out.stats.query_cells);
+    });
   }
   out.stats.elapsed_ms = timer.Millis();
   return out;
+}
+
+AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
+                                 Attr attr, const query::ErrorBound& bound,
+                                 Mode mode, const ExecHooks& hooks) {
+  return ExecuteAggregate(static_cast<const ShardSource&>(state), agg, attr, bound,
+                          mode, hooks);
+}
+
+CountAnswer ExecuteCount(const EngineState& state, const geom::Polygon& poly,
+                         const query::ErrorBound& bound, const ExecHooks& hooks) {
+  return ExecuteCount(static_cast<const ShardSource&>(state), poly, bound, hooks);
+}
+
+SelectAnswer ExecuteSelect(const EngineState& state, const geom::Polygon& poly,
+                           const query::ErrorBound& bound,
+                           const ExecHooks& hooks) {
+  return ExecuteSelect(static_cast<const ShardSource&>(state), poly, bound, hooks);
 }
 
 }  // namespace dbsa::core

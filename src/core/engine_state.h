@@ -1,16 +1,19 @@
-// The engine's immutable build products, split out of the SpatialEngine
-// façade so they can be shared: one EngineState holds the registered
-// tables, the covering grid and the linearized point index, and NOTHING in
-// it mutates after BuildEngineState returns. Any number of threads may
-// execute queries against the same state concurrently through the
-// Execute* functions below — all per-query scratch lives on the caller's
-// stack. The service layer (src/service/) shares states behind
-// shared_ptr snapshots and injects caching / intra-query parallelism via
-// ExecHooks.
+// The engine's immutable build products and its executors. One
+// EngineState holds the registered tables, the covering grid and the
+// linearized point index, and NOTHING in it mutates after
+// BuildEngineState returns. Any number of threads may execute queries
+// against the same state concurrently through the Execute* functions
+// below — all per-query scratch lives on the caller's stack. The
+// executors run over the ShardSource seam, so the same plan serves a
+// whole state, its in-process shards (core/sharded_state.h) and remote
+// shard servers (service/shard_server.h). The service layer
+// (src/service/) shares states behind shared_ptr snapshots and injects
+// caching / intra-query parallelism via ExecHooks.
 
 #ifndef DBSA_CORE_ENGINE_STATE_H_
 #define DBSA_CORE_ENGINE_STATE_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -83,38 +86,6 @@ enum class Attr { kNone, kFare, kPassengers };
 /// Execution-mode override (kAuto defers to the optimizer).
 enum class Mode { kAuto, kAct, kPointIndex, kCanvasBrj, kExact };
 
-/// Immutable snapshot of one (points, regions) registration: the tables
-/// themselves plus every shared build product. Construct only through
-/// BuildEngineState; treat as frozen afterwards.
-struct EngineState {
-  std::shared_ptr<const data::PointSet> points;
-  std::shared_ptr<const data::RegionSet> regions;
-  /// Widened passenger column, materialized once per state (the seed
-  /// engine recomputed it on every SetPoints call).
-  std::vector<double> passengers_as_double;
-  raster::Grid grid{geom::Point{0.0, 0.0}, 1.0};
-  /// Built eagerly so concurrent queries never race on lazy construction.
-  std::optional<join::PointIndex> point_index;
-
-  const double* AttrColumn(Attr attr) const;
-  join::JoinInput MakeInput(Attr attr) const;
-};
-
-/// Builds the shared products (covering grid, point index, attribute
-/// columns) for the given tables. The tables are adopted, not copied.
-/// `grid_override`, when non-null, pins the state's grid instead of
-/// deriving it from the table bounds — shards of one base state must all
-/// linearize against the base grid so cell keys and epsilon levels agree
-/// across shards (core/sharded_state.h).
-std::shared_ptr<const EngineState> BuildEngineState(
-    std::shared_ptr<const data::PointSet> points,
-    std::shared_ptr<const data::RegionSet> regions,
-    const raster::Grid* grid_override = nullptr);
-
-/// Convenience overload that wraps the tables (moved, not copied).
-std::shared_ptr<const EngineState> BuildEngineState(data::PointSet points,
-                                                    data::RegionSet regions);
-
 /// poly_index value passed to an HrProvider for polygons that are not part
 /// of the registered region table (ad-hoc query polygons).
 inline constexpr size_t kAdHocPolygon = static_cast<size_t>(-1);
@@ -149,85 +120,157 @@ struct ExecHooks {
   telemetry::QueryTrace* trace = nullptr;
 };
 
-// ---- executor building blocks -----------------------------------------
-// Shared by the unsharded executor below and the sharded scatter-gather
-// executor (core/sharded_state.h) so the two paths cannot drift apart —
-// the sharded merge identity depends on them performing the exact same
-// plan resolution and row assembly.
-
-/// Optimizer profile for a region aggregation over `state`.
-query::QueryProfile MakeAggregateProfile(const EngineState& state, double epsilon,
-                                         const ExecHooks& hooks);
-
-/// The Mode that pins an already-resolved plan: executors that choose a
-/// plan against one cost model (e.g. the shard-aware profile) and then
-/// delegate execution must not let the delegate's optimizer second-guess
-/// the choice.
-Mode ModeForPlan(query::PlanKind plan);
-
 /// Runs fn(0..n-1) through hooks.parallel_for when set (and n > 1),
 /// serially otherwise — the standard fan-out of every executor stage.
 void RunMaybeParallel(const ExecHooks& hooks, size_t n,
                       const std::function<void(size_t)>& fn);
 
-/// Applies the mode override, the epsilon==0 exactness requirement, and
-/// the kPassengers reroute (the point index carries fare prefix sums
-/// only) to the optimizer's choice.
-query::PlanKind ResolveAggregatePlan(query::PlanKind optimizer_choice,
-                                     join::AggKind agg, Attr attr, double epsilon,
-                                     Mode mode);
+// ---- the shard-source seam ----------------------------------------------
+// An approximate query is answered by probing the cells of one HR
+// approximation against the point index, whether the points sit in one
+// index, in K in-process slices or behind K shard servers. A ShardSource
+// answers that probe; the executors below hold everything else once:
+// plan resolution, exact-bound routing to the base state, the
+// per-polygon fan-out, the per-region merge and ExecStats assembly.
+// Three sources implement it:
+//
+//   EngineState   the whole state: probes its own index, no routing;
+//   ShardedState  K in-process slices (core/sharded_state.h);
+//   ShardRouter   K shard servers behind a Transport
+//                 (service/shard_server.h).
+//
+// Per pinned plan every source answers byte-identically: a sharded source
+// gathers its per-shard partials in ascending shard order and re-sorts
+// its selection to the index's canonical (leaf key, row id) order.
 
-/// Builds the per-region answer rows (value + Section 6 range) from the
-/// merged per-region cell aggregates of a point-index execution.
-void RowsFromRegionAggregates(const std::vector<join::CellAggregate>& per_region,
-                              join::AggKind agg, std::vector<AggregateRow>* rows);
+struct EngineState;
 
-/// HR approximation of one polygon: through hooks.hr_provider when set
-/// (the serving layer's cache), otherwise built fresh on this thread.
-std::shared_ptr<const raster::HierarchicalRaster> HrForPolygon(
-    const EngineState& state, const ExecHooks& hooks, size_t poly_index,
-    const geom::Polygon& poly, double epsilon);
+/// One approximation handed to a source.
+struct Probe {
+  const raster::HierarchicalRaster& hr;
+  /// Region-table index, or kAdHocPolygon; with `poly`, the object a
+  /// source keys per-shard caches by.
+  size_t poly_index;
+  const geom::Polygon& poly;
+  /// The query's bound as submitted, and the HR level it resolved to.
+  const query::ErrorBound& bound;
+  int level;
+  /// num_shards() flags: the source sets the flag of every shard that
+  /// survives pruning (ExecStats::shards_probed counts them).
+  std::atomic<uint32_t>* touched;
+};
 
-/// SELECT AGG(attr) FROM P, R WHERE P.loc INSIDE R.geometry GROUP BY R.id
-/// with distance bound epsilon (0 = exact). Pure: state is shared-read.
-AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
-                                 Attr attr, double epsilon, Mode mode = Mode::kAuto,
-                                 const ExecHooks& hooks = {});
+class ShardSource {
+ public:
+  ShardSource() = default;
+  ShardSource(const ShardSource&) = delete;
+  ShardSource& operator=(const ShardSource&) = delete;
+  virtual ~ShardSource() = default;
 
-/// COUNT points inside an ad-hoc polygon with a guaranteed result range.
-join::ResultRange ExecuteCountInPolygon(const EngineState& state,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const ExecHooks& hooks = {});
+  /// The snapshot plans resolve against: grid, region table, and the
+  /// points that exact and non-point-index plans read.
+  virtual const EngineState& base() const = 0;
+  /// Shards a probe scatters over; 0 for the whole state. The cost
+  /// model's QueryProfile::parallel_shards is max(1, num_shards()).
+  virtual size_t num_shards() const = 0;
+  /// QueryProfile::transport_overhead: cost units per shard message.
+  virtual double transport_overhead() const { return 0.0; }
+  /// Bytes of the point index(es) probed (ExecStats::index_bytes).
+  virtual size_t IndexBytes() const = 0;
 
-/// Conservative approximate selection of point ids inside an ad-hoc
-/// polygon (every true inside point returned; extras within epsilon).
-std::vector<uint32_t> ExecuteSelectInPolygon(const EngineState& state,
-                                             const geom::Polygon& poly, double epsilon,
-                                             const ExecHooks& hooks = {});
+  /// The merged cell aggregate of `probe.hr` over the source's points.
+  virtual join::CellAggregate ProbeCells(const Probe& probe,
+                                         const ExecHooks& hooks) const = 0;
+  /// The conservative selection of `probe.hr` in canonical (leaf key,
+  /// row id) order; `*cells` receives the number of cells probed.
+  virtual std::vector<uint32_t> SelectIds(const Probe& probe,
+                                          const ExecHooks& hooks,
+                                          size_t* cells) const = 0;
+};
 
-// ---- v2 executors: the typed distance-bound contract -------------------
-// The envelope's ErrorBound replaces the loose epsilon: kAbsoluteDistance
-// reproduces the Grid::LevelForEpsilon snapping, kGridLevel pins the HR
-// level exactly, kExact bypasses approximation entirely (exact plans for
-// aggregations, brute-force point-in-polygon for ad-hoc queries). The
-// double-epsilon entry points above remain as the Absolute(epsilon) case.
+/// Immutable snapshot of one (points, regions) registration: the tables
+/// themselves plus every shared build product. Construct only through
+/// BuildEngineState; treat as frozen afterwards. As a ShardSource it is
+/// the whole state: probes go straight to its own point index.
+struct EngineState : ShardSource {
+  std::shared_ptr<const data::PointSet> points;
+  std::shared_ptr<const data::RegionSet> regions;
+  /// Widened passenger column, materialized once per state.
+  std::vector<double> passengers_as_double;
+  raster::Grid grid{geom::Point{0.0, 0.0}, 1.0};
+  /// Built eagerly so concurrent queries never race on lazy construction.
+  std::optional<join::PointIndex> point_index;
 
-AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
+  const double* AttrColumn(Attr attr) const;
+  join::JoinInput MakeInput(Attr attr) const;
+
+  const EngineState& base() const override { return *this; }
+  size_t num_shards() const override { return 0; }
+  size_t IndexBytes() const override;
+  join::CellAggregate ProbeCells(const Probe& probe,
+                                 const ExecHooks& hooks) const override;
+  std::vector<uint32_t> SelectIds(const Probe& probe, const ExecHooks& hooks,
+                                  size_t* cells) const override;
+};
+
+/// Builds the shared products (covering grid, point index, attribute
+/// columns) for the given tables. The tables are adopted, not copied.
+/// `grid_override`, when non-null, pins the state's grid instead of
+/// deriving it from the table bounds — shards of one base state must all
+/// linearize against the base grid so cell keys and epsilon levels agree
+/// across shards (core/sharded_state.h).
+std::shared_ptr<const EngineState> BuildEngineState(
+    std::shared_ptr<const data::PointSet> points,
+    std::shared_ptr<const data::RegionSet> regions,
+    const raster::Grid* grid_override = nullptr);
+
+/// Convenience overload that wraps the tables (moved, not copied).
+std::shared_ptr<const EngineState> BuildEngineState(data::PointSet points,
+                                                    data::RegionSet regions);
+
+// ---- the executors: one per query kind, over any ShardSource -----------
+// The typed ErrorBound is the contract: kAbsoluteDistance snaps through
+// Grid::LevelForEpsilon, kGridLevel pins the HR level exactly, kExact
+// bypasses approximation and never reaches the source's probes (exact
+// plans for aggregations, brute-force point-in-polygon over the base
+// points for ad-hoc queries), so every deployment path answers exact
+// queries identically by construction.
+//
+// Under Mode::kAuto the plan is chosen against the source's cost terms,
+// so a sharded or remote source may legitimately pick a different plan
+// than the whole state would; pin the mode to compare executions.
+
+/// SELECT AGG(attr) FROM P, R WHERE P.loc INSIDE R.geometry GROUP BY R.id.
+/// Only the point-index plan probes the source; ACT, canvas BRJ and exact
+/// plans run against source.base().
+AggregateAnswer ExecuteAggregate(const ShardSource& source, join::AggKind agg,
                                  Attr attr, const query::ErrorBound& bound,
                                  Mode mode = Mode::kAuto,
                                  const ExecHooks& hooks = {});
 
-/// COUNT under a typed bound. Exact bounds scan the point table with PIP
-/// tests (range collapses to the exact count); approximate bounds probe
-/// the point index through the bound's grid level.
-CountAnswer ExecuteCount(const EngineState& state, const geom::Polygon& poly,
+/// COUNT inside an ad-hoc polygon. Exact bounds scan the point table with
+/// PIP tests (range collapses to the exact count); approximate bounds
+/// probe the source at the bound's grid level.
+CountAnswer ExecuteCount(const ShardSource& source, const geom::Polygon& poly,
                          const query::ErrorBound& bound,
                          const ExecHooks& hooks = {});
 
-/// Selection under a typed bound. Exact bounds return exactly the inside
-/// points, ascending by row id; approximate bounds return the
+/// Selection inside an ad-hoc polygon. Exact bounds return exactly the
+/// inside points, ascending by row id; approximate bounds return the
 /// conservative covered set in the index's canonical (leaf key, row)
-/// order, as before.
+/// order.
+SelectAnswer ExecuteSelect(const ShardSource& source, const geom::Polygon& poly,
+                           const query::ErrorBound& bound,
+                           const ExecHooks& hooks = {});
+
+/// The whole-state entry points (forwards to the executors above).
+AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
+                                 Attr attr, const query::ErrorBound& bound,
+                                 Mode mode = Mode::kAuto,
+                                 const ExecHooks& hooks = {});
+CountAnswer ExecuteCount(const EngineState& state, const geom::Polygon& poly,
+                         const query::ErrorBound& bound,
+                         const ExecHooks& hooks = {});
 SelectAnswer ExecuteSelect(const EngineState& state, const geom::Polygon& poly,
                            const query::ErrorBound& bound,
                            const ExecHooks& hooks = {});

@@ -6,10 +6,8 @@
 #include <numeric>
 #include <utility>
 
-#include "join/result_range.h"
 #include "sfc/hilbert.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace dbsa::core {
 
@@ -185,6 +183,19 @@ std::vector<ShardedState::CellRoute> ShardedState::MakeRoutes(
   return routes;
 }
 
+ShardedState::Scatter ShardedState::PlanScatter(
+    const raster::HierarchicalRaster& hr, std::atomic<uint32_t>* touched) const {
+  Scatter scatter;
+  scatter.routes = MakeRoutes(hr.cells().data(), hr.cells().size());
+  scatter.shards = SurvivingShards(scatter.routes.data(), scatter.routes.size());
+  if (touched != nullptr) {
+    for (const uint32_t s : scatter.shards) {
+      touched[s].store(1, std::memory_order_relaxed);
+    }
+  }
+  return scatter;
+}
+
 bool ShardedState::ShardIntersects(size_t s, const CellRoute* routes,
                                    size_t num_cells) const {
   const Shard& shard = shards_[s];
@@ -276,227 +287,100 @@ size_t ShardedState::IndexBytes() const {
   return bytes;
 }
 
-namespace {
-
-/// Scatter-gather of one polygon's HR over the shards: each surviving
-/// shard answers its pruned cell subset from its local index — in
-/// parallel via hooks.parallel_for when the cell volume warrants it (the
-/// wall-clock division the optimizer's parallel_shards discount models) —
-/// and partials merge in ascending shard order. `touched`, when given,
-/// records which shards survived (ExecStats::shards_probed).
-join::CellAggregate ScatterGatherCells(const ShardedState& sharded,
-                                       const raster::HierarchicalRaster& hr,
-                                       const ExecHooks& hooks,
-                                       std::atomic<uint32_t>* touched,
-                                       size_t* num_surviving = nullptr) {
+join::CellAggregate ShardedState::ProbeCells(const Probe& probe,
+                                             const ExecHooks& hooks) const {
   // The in-process scatter needs slice states; a routing-only build
   // (socket clients) must go through ShardRouter instead.
-  DBSA_CHECK(sharded.has_slices());
-  // Routes computed once, shared by every shard's pruning pass.
-  const std::vector<ShardedState::CellRoute> routes =
-      sharded.MakeRoutes(hr.cells().data(), hr.cells().size());
-  const std::vector<uint32_t> surviving =
-      sharded.SurvivingShards(routes.data(), routes.size());
-  if (touched != nullptr) {
-    for (const uint32_t s : surviving) {
-      touched[s].store(1, std::memory_order_relaxed);
-    }
-  }
-  if (num_surviving != nullptr) *num_surviving = surviving.size();
-  std::vector<join::CellAggregate> partials(surviving.size());
+  DBSA_CHECK(has_slices());
+  const raster::HierarchicalRaster& hr = probe.hr;
+  const Scatter scatter = PlanScatter(hr, probe.touched);
+  // Each surviving shard answers its pruned cell subset from its local
+  // index — in parallel when the cell volume warrants it (the wall-clock
+  // division the optimizer's parallel_shards discount models).
+  std::vector<join::CellAggregate> partials(scatter.shards.size());
   const auto one_shard = [&](size_t t) {
-    const size_t s = surviving[t];
-    const std::vector<raster::HrCell> cells = sharded.PruneCellsForShard(
-        s, hr.cells().data(), routes.data(), hr.cells().size());
-    partials[t] = sharded.shard(s).state->point_index->QueryCells(
+    const size_t s = scatter.shards[t];
+    const std::vector<raster::HrCell> cells = PruneCellsForShard(
+        s, hr.cells().data(), scatter.routes.data(), hr.cells().size());
+    partials[t] = shards_[s].state->point_index->QueryCells(
         cells.data(), cells.size(), join::SearchStrategy::kRadixSpline);
   };
   if (hr.cells().size() >= kShardFanOutMinCells) {
-    RunMaybeParallel(hooks, surviving.size(), one_shard);
+    RunMaybeParallel(hooks, scatter.shards.size(), one_shard);
   } else {
-    for (size_t t = 0; t < surviving.size(); ++t) one_shard(t);
+    for (size_t t = 0; t < scatter.shards.size(); ++t) one_shard(t);
   }
+  return GatherCells(partials);
+}
+
+std::vector<uint32_t> ShardedState::SelectIds(const Probe& probe,
+                                              const ExecHooks& hooks,
+                                              size_t* cells) const {
+  DBSA_CHECK(has_slices());  // Routing-only builds: ShardRouter only.
+  const raster::HierarchicalRaster& hr = probe.hr;
+  const Scatter scatter = PlanScatter(hr, probe.touched);
+  // Scatter: each surviving shard selects its local rows, remapped to
+  // base-table ids.
+  const size_t n = scatter.shards.size();
+  std::vector<std::vector<uint32_t>> per_shard(n);
+  std::vector<size_t> per_shard_cells(n, 0);
+  RunMaybeParallel(hooks, n, [&](size_t t) {
+    const Shard& shard = shards_[scatter.shards[t]];
+    const std::vector<raster::HrCell> slice = PruneCellsForShard(
+        scatter.shards[t], hr.cells().data(), scatter.routes.data(),
+        hr.cells().size());
+    per_shard_cells[t] = slice.size();
+    std::vector<uint32_t> local;
+    shard.state->point_index->SelectIds(slice.data(), slice.size(),
+                                        join::SearchStrategy::kRadixSpline, &local);
+    per_shard[t].reserve(local.size());
+    for (const uint32_t l : local) per_shard[t].push_back(shard.global_ids[l]);
+  });
+  *cells = 0;
+  for (const size_t c : per_shard_cells) *cells += c;
+  std::vector<std::pair<uint64_t, uint32_t>> keyed;
+  for (const std::vector<uint32_t>& ids : per_shard) {
+    for (const uint32_t id : ids) {
+      keyed.emplace_back(base_->grid.LeafKey(base_->points->locs[id]), id);
+    }
+  }
+  return GatherIds(std::move(keyed));
+}
+
+join::CellAggregate GatherCells(const std::vector<join::CellAggregate>& partials) {
   join::CellAggregate agg;
   for (const join::CellAggregate& partial : partials) agg.Merge(partial);
   return agg;
 }
 
-}  // namespace
-
-AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
-                                 Attr attr, double epsilon, Mode mode,
-                                 const ExecHooks& hooks) {
-  const EngineState& base = sharded.base();
-  DBSA_CHECK(!base.regions->polys.empty());
-
-  // Plan selection runs through the SAME shared helpers as the unsharded
-  // executor (engine_state.cc), with one addition: the cost model knows
-  // the point-index probe fans out across the shards, so under
-  // Mode::kAuto it may legitimately pick a different plan than an
-  // unsharded engine would (see the byte-identity contract in the header:
-  // the guarantee is per pinned plan).
-  query::QueryProfile profile = MakeAggregateProfile(base, epsilon, hooks);
-  profile.parallel_shards = static_cast<double>(sharded.num_shards());
-  const query::PlanChoice choice = query::ChoosePlan(profile);
-  const query::PlanKind plan =
-      ResolveAggregatePlan(choice.kind, agg, attr, epsilon, mode);
-
-  if (plan != query::PlanKind::kPointIndexJoin) {
-    // Non-sharded plans execute against the base snapshot, byte-identical
-    // to the unsharded engine by construction. Pin the plan we chose —
-    // the base's own optimizer pass must not second-guess it.
-    AggregateAnswer answer = ExecuteAggregate(base, agg, attr, epsilon,
-                                              epsilon <= 0.0 ? Mode::kExact
-                                                             : ModeForPlan(plan),
-                                              hooks);
-    answer.stats.explain = choice.explain;
-    return answer;
-  }
-
-  AggregateAnswer answer;
-  answer.stats.plan = plan;
-  answer.stats.explain = choice.explain;
-
-  Timer timer;
-  DBSA_CHECK(agg == join::AggKind::kCount || agg == join::AggKind::kSum ||
-             agg == join::AggKind::kAvg);
-  answer.stats.hr_level = base.grid.LevelForEpsilon(epsilon);
-  answer.stats.achieved_epsilon =
-      base.grid.AchievedEpsilon(answer.stats.hr_level);
-
-  // Scatter stage — independent per polygon (HR lookup + shard-local
-  // prefix-sum probes), fanned out via the hook. The gather inside each
-  // polygon walks the shards in ascending order, so scheduling never
-  // changes the merge order.
-  const std::vector<geom::Polygon>& polys = base.regions->polys;
-  std::vector<join::CellAggregate> per_poly(polys.size());
-  std::unique_ptr<std::atomic<uint32_t>[]> touched(
-      new std::atomic<uint32_t>[sharded.num_shards()]);
-  for (size_t s = 0; s < sharded.num_shards(); ++s) touched[s].store(0);
-  const auto one_poly = [&](size_t j) {
-    const std::shared_ptr<const raster::HierarchicalRaster> hr =
-        HrForPolygon(base, hooks, j, polys[j], epsilon);
-    per_poly[j] = ScatterGatherCells(sharded, *hr, hooks, touched.get());
-  };
-  RunMaybeParallel(hooks, polys.size(), one_poly);
-
-  // Gather stage — identical to the unsharded point-index plan: combine
-  // into regions serially in polygon order.
-  std::vector<join::CellAggregate> per_region(base.regions->num_regions);
-  for (size_t j = 0; j < polys.size(); ++j) {
-    answer.stats.query_cells += per_poly[j].query_cells;
-    per_region[base.regions->region_of[j]].Merge(per_poly[j]);
-  }
-  answer.stats.index_bytes = sharded.IndexBytes();
-  for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    answer.stats.shards_probed += touched[s].load(std::memory_order_relaxed);
-  }
-  RowsFromRegionAggregates(per_region, agg, &answer.rows);
-  answer.stats.elapsed_ms = timer.Millis();
-  return answer;
-}
-
-join::ResultRange ExecuteCountInPolygon(const ShardedState& sharded,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const ExecHooks& hooks) {
-  return ExecuteCount(sharded, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .range;
-}
-
-std::vector<uint32_t> ExecuteSelectInPolygon(const ShardedState& sharded,
-                                             const geom::Polygon& poly,
-                                             double epsilon,
-                                             const ExecHooks& hooks) {
-  return ExecuteSelect(sharded, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .ids;
+std::vector<uint32_t> GatherIds(std::vector<std::pair<uint64_t, uint32_t>> keyed) {
+  // The unsharded index emits ids in (leaf key, row id) order — disjoint
+  // cells ascending, canonical tie-break inside each cell (see
+  // PrefixSumIndex::Build) — so sorting the union by the same key
+  // restores that order exactly.
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<uint32_t> ids;
+  ids.reserve(keyed.size());
+  for (const auto& [key, id] : keyed) ids.push_back(id);
+  return ids;
 }
 
 AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
                                  Attr attr, const query::ErrorBound& bound,
                                  Mode mode, const ExecHooks& hooks) {
-  return ExecuteAggregate(sharded, agg, attr,
-                          bound.EffectiveEpsilon(sharded.base().grid),
-                          bound.exact() ? Mode::kExact : mode, hooks);
+  return ExecuteAggregate(static_cast<const ShardSource&>(sharded), agg, attr,
+                          bound, mode, hooks);
 }
 
 CountAnswer ExecuteCount(const ShardedState& sharded, const geom::Polygon& poly,
                          const query::ErrorBound& bound, const ExecHooks& hooks) {
-  const EngineState& base = sharded.base();
-  if (bound.exact()) return ExecuteCount(base, poly, bound, hooks);
-  CountAnswer out;
-  Timer timer;
-  const double epsilon = bound.EffectiveEpsilon(base.grid);
-  const std::shared_ptr<const raster::HierarchicalRaster> hr =
-      HrForPolygon(base, hooks, kAdHocPolygon, poly, epsilon);
-  // Scatter across the surviving shards in parallel; gather in ascending
-  // shard order (counts are integers and sums compensated pairs — the
-  // merge is exact).
-  const join::CellAggregate agg = ScatterGatherCells(
-      sharded, *hr, hooks, /*touched=*/nullptr, &out.stats.shards_probed);
-  out.range = join::CountRange(agg);
-  out.stats.plan = query::PlanKind::kPointIndexJoin;
-  out.stats.hr_level = base.grid.LevelForEpsilon(epsilon);
-  out.stats.achieved_epsilon = base.grid.AchievedEpsilon(out.stats.hr_level);
-  out.stats.query_cells = agg.query_cells;
-  out.stats.index_bytes = sharded.IndexBytes();
-  out.stats.elapsed_ms = timer.Millis();
-  return out;
+  return ExecuteCount(static_cast<const ShardSource&>(sharded), poly, bound, hooks);
 }
 
 SelectAnswer ExecuteSelect(const ShardedState& sharded, const geom::Polygon& poly,
                            const query::ErrorBound& bound,
                            const ExecHooks& hooks) {
-  const EngineState& base = sharded.base();
-  if (bound.exact()) return ExecuteSelect(base, poly, bound, hooks);
-  DBSA_CHECK(sharded.has_slices());  // Routing-only builds: ShardRouter only.
-  SelectAnswer out;
-  Timer timer;
-  const double epsilon = bound.EffectiveEpsilon(base.grid);
-  const std::shared_ptr<const raster::HierarchicalRaster> hr =
-      HrForPolygon(base, hooks, kAdHocPolygon, poly, epsilon);
-  const std::vector<ShardedState::CellRoute> routes =
-      sharded.MakeRoutes(hr->cells().data(), hr->cells().size());
-  const std::vector<uint32_t> surviving =
-      sharded.SurvivingShards(routes.data(), routes.size());
-
-  // Scatter: each surviving shard selects its local rows, remapped to
-  // base-table ids.
-  std::vector<std::vector<uint32_t>> per_shard(surviving.size());
-  std::vector<size_t> per_shard_cells(surviving.size(), 0);
-  RunMaybeParallel(hooks, surviving.size(), [&](size_t t) {
-    const size_t s = surviving[t];
-    const ShardedState::Shard& shard = sharded.shard(s);
-    const std::vector<raster::HrCell> cells = sharded.PruneCellsForShard(
-        s, hr->cells().data(), routes.data(), hr->cells().size());
-    per_shard_cells[t] = cells.size();
-    std::vector<uint32_t> local;
-    shard.state->point_index->SelectIds(cells.data(), cells.size(),
-                                        join::SearchStrategy::kRadixSpline, &local);
-    per_shard[t].reserve(local.size());
-    for (const uint32_t l : local) per_shard[t].push_back(shard.global_ids[l]);
-  });
-
-  // Gather: the unsharded index emits ids in (leaf key, row id) order —
-  // disjoint cells ascending, canonical tie-break inside each cell (see
-  // PrefixSumIndex::Build). Re-sorting the union by the same key restores
-  // that order exactly, so the merged selection is byte-identical.
-  std::vector<std::pair<uint64_t, uint32_t>> keyed;
-  for (const std::vector<uint32_t>& ids : per_shard) {
-    for (const uint32_t id : ids) {
-      keyed.emplace_back(base.grid.LeafKey(base.points->locs[id]), id);
-    }
-  }
-  std::sort(keyed.begin(), keyed.end());
-  out.ids.reserve(keyed.size());
-  for (const auto& [key, id] : keyed) out.ids.push_back(id);
-  out.stats.plan = query::PlanKind::kPointIndexJoin;
-  out.stats.hr_level = base.grid.LevelForEpsilon(epsilon);
-  out.stats.achieved_epsilon = base.grid.AchievedEpsilon(out.stats.hr_level);
-  for (const size_t c : per_shard_cells) out.stats.query_cells += c;
-  out.stats.index_bytes = sharded.IndexBytes();
-  out.stats.shards_probed = surviving.size();
-  out.stats.elapsed_ms = timer.Millis();
-  return out;
+  return ExecuteSelect(static_cast<const ShardSource&>(sharded), poly, bound, hooks);
 }
 
 }  // namespace dbsa::core

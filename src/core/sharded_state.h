@@ -10,7 +10,8 @@
 // table and, critically, the base GRID, so cell keys and epsilon levels
 // agree across shards.
 //
-// Query execution is scatter-gather:
+// As a ShardSource (core/engine_state.h) it probes an approximation by
+// scatter-gather:
 //
 //   scatter  the query's HR approximation cells are routed only to shards
 //            whose point bounds intersect them (shard pruning — exact
@@ -18,8 +19,8 @@
 //   execute  each surviving shard answers its cell subset from its local
 //            point index (fanned out via ExecHooks::parallel_for);
 //   gather   shard partials merge in ascending shard order via
-//            CellAggregate::Merge, and per-region combination proceeds
-//            exactly like the unsharded point-index plan.
+//            CellAggregate::Merge (GatherCells), and the executor combines
+//            regions exactly like the unsharded point-index plan.
 //
 // Merge identity (per pinned plan): shards partition the points, every
 // point's home cell survives pruning for its own shard, and the gather
@@ -44,8 +45,10 @@
 #ifndef DBSA_CORE_SHARDED_STATE_H_
 #define DBSA_CORE_SHARDED_STATE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/engine_state.h"
@@ -79,7 +82,7 @@ struct ShardingOptions {
 
 /// K spatially-local shards of one EngineState snapshot. Immutable after
 /// Build, shareable behind shared_ptr exactly like EngineState itself.
-class ShardedState {
+class ShardedState : public ShardSource {
  public:
   struct Shard {
     /// Slice state: shard points + shared regions, base grid, eagerly
@@ -132,12 +135,12 @@ class ShardedState {
       std::shared_ptr<const EngineState> base, std::vector<Shard> shards,
       int hilbert_level, bool has_slices);
 
-  const EngineState& base() const { return *base_; }
+  const EngineState& base() const override { return *base_; }
   const std::shared_ptr<const EngineState>& base_ptr() const { return base_; }
-  size_t num_shards() const { return shards_.size(); }
+  size_t num_shards() const override { return shards_.size(); }
   /// False iff built with build_slices == false: routing/pruning work,
-  /// the in-process scatter executors (which need shard(s).state) do not
-  /// (they DBSA_CHECK), and IndexBytes() reports 0.
+  /// the in-process probes (which need shard(s).state) do not (they
+  /// DBSA_CHECK), and IndexBytes() reports 0.
   bool has_slices() const { return has_slices_; }
   const Shard& shard(size_t i) const { return shards_[i]; }
   const std::vector<Shard>& shards() const { return shards_; }
@@ -155,6 +158,16 @@ class ShardedState {
   /// Computes the routes of a query's cells (the per-query scatter prep).
   std::vector<CellRoute> MakeRoutes(const raster::HrCell* cells,
                                     size_t num_cells) const;
+
+  /// The scatter of one approximation: its cell routes, computed once and
+  /// shared by pruning and every shard's slice, and the surviving shards,
+  /// ascending. Sets `touched[s]` for every survivor when non-null.
+  struct Scatter {
+    std::vector<CellRoute> routes;
+    std::vector<uint32_t> shards;
+  };
+  Scatter PlanScatter(const raster::HierarchicalRaster& hr,
+                      std::atomic<uint32_t>* touched) const;
 
   /// True iff any routed cell intersects shard `s` — the pruning
   /// predicate of the scatter step: the cell's curve interval must cross
@@ -176,9 +189,8 @@ class ShardedState {
   /// Cells of `hr` that intersect shard `s` (the shard's scatter slice).
   /// This IS the message payload of the distribution seam: a serialized
   /// ScatterRequest (service/transport.h) carries exactly this slice to
-  /// the shard's server, and the in-process executors below consume it
-  /// directly — the two paths share one routing function so they cannot
-  /// drift.
+  /// the shard's server, and the in-process probes consume it directly —
+  /// the two paths share one routing function so they cannot drift.
   std::vector<raster::HrCell> PruneCellsForShard(size_t s,
                                                  const raster::HrCell* cells,
                                                  const CellRoute* routes,
@@ -189,9 +201,16 @@ class ShardedState {
       size_t s, const raster::HrCell* cells, size_t num_cells) const;
 
   /// Total bytes of the shard point indexes (stats).
-  size_t IndexBytes() const;
+  size_t IndexBytes() const override;
 
   int hilbert_level() const { return hilbert_level_; }
+
+  /// The in-process probes: scatter to the slices' point indexes, gather
+  /// in ascending shard order. Need has_slices().
+  join::CellAggregate ProbeCells(const Probe& probe,
+                                 const ExecHooks& hooks) const override;
+  std::vector<uint32_t> SelectIds(const Probe& probe, const ExecHooks& hooks,
+                                  size_t* cells) const override;
 
  private:
   ShardedState() = default;
@@ -205,47 +224,33 @@ class ShardedState {
 /// Below this many approximation cells a query's shard fan-out cannot
 /// amortize the task-submission overhead; the scatter runs on the calling
 /// thread instead. Results are identical either way — only scheduling
-/// changes. Shared by the in-process executors below and the
-/// transport-backed shard-server executors (service/shard_server.h) so
-/// the two paths schedule identically.
+/// changes. Shared by the in-process cell probe and the shard router
+/// (service/shard_server.h) so the two schedule identically.
 inline constexpr size_t kShardFanOutMinCells = 256;
 
-/// Scatter-gather equivalents of the EngineState Execute* functions.
-/// Per pinned plan, results are byte-identical to the unsharded
-/// functions (see the merge identity above — Mode::kAuto may resolve to
-/// a different plan than an unsharded engine); only ExecStats
-/// bookkeeping fields (shards_probed, index_bytes, query-cell counters)
-/// reflect the sharded execution.
-///
-/// Plans other than the point-index join do not shard — they run against
-/// the base state exactly as ExecuteAggregate(state, ...) would.
-AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
-                                 Attr attr, double epsilon, Mode mode = Mode::kAuto,
-                                 const ExecHooks& hooks = {});
+/// The canonical gather every sharded source ends with, so completion
+/// order never reaches a result: cell partials, positional in the
+/// ascending survivor list, fold in that order (counts are integers and
+/// sums compensated pairs, so the fold is exact) ...
+join::CellAggregate GatherCells(const std::vector<join::CellAggregate>& partials);
 
-join::ResultRange ExecuteCountInPolygon(const ShardedState& sharded,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const ExecHooks& hooks = {});
+/// ... and a selection's (leaf key, base row id) pairs re-sort to the
+/// (key, row) order the unsharded index emits, keys stripped.
+std::vector<uint32_t> GatherIds(std::vector<std::pair<uint64_t, uint32_t>> keyed);
 
-std::vector<uint32_t> ExecuteSelectInPolygon(const ShardedState& sharded,
-                                             const geom::Polygon& poly,
-                                             double epsilon,
-                                             const ExecHooks& hooks = {});
-
-// ---- v2 executors (typed distance-bound contract) ----------------------
-// Same envelope semantics as the EngineState versions in engine_state.h;
-// exact bounds never scatter — they execute against the base snapshot, so
-// all deployment paths answer exact queries identically by construction.
-
+/// The sharded entry points (forwards to the ShardSource executors in
+/// core/engine_state.h). Per pinned plan, results are byte-identical to
+/// the whole state's (see the merge identity above — Mode::kAuto may
+/// resolve to a different plan); only the ExecStats bookkeeping fields
+/// (shards_probed, index_bytes, query-cell counters) reflect the sharded
+/// execution.
 AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
                                  Attr attr, const query::ErrorBound& bound,
                                  Mode mode = Mode::kAuto,
                                  const ExecHooks& hooks = {});
-
 CountAnswer ExecuteCount(const ShardedState& sharded, const geom::Polygon& poly,
                          const query::ErrorBound& bound,
                          const ExecHooks& hooks = {});
-
 SelectAnswer ExecuteSelect(const ShardedState& sharded, const geom::Polygon& poly,
                            const query::ErrorBound& bound,
                            const ExecHooks& hooks = {});

@@ -108,19 +108,26 @@ void Polygon::Normalize() {
   RecomputeBounds();
 }
 
-bool Polygon::IsValid() const {
-  auto ring_ok = [](const Ring& r) {
-    if (r.size() < 3) return false;
+bool Polygon::IsFinite() const {
+  const auto finite = [](const Ring& r) {
     for (const Point& p : r) {
       if (!std::isfinite(p.x) || !std::isfinite(p.y)) return false;
     }
     return true;
   };
-  if (!ring_ok(outer_)) return false;
+  if (!finite(outer_)) return false;
   for (const Ring& h : holes_) {
-    if (!ring_ok(h)) return false;
+    if (!finite(h)) return false;
   }
-  return Area() > 0.0;
+  return true;
+}
+
+bool Polygon::IsValid() const {
+  if (outer_.size() < 3) return false;
+  for (const Ring& h : holes_) {
+    if (h.size() < 3) return false;
+  }
+  return IsFinite() && Area() > 0.0;
 }
 
 void Polygon::RecomputeBounds() {

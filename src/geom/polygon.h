@@ -65,6 +65,9 @@ class Polygon {
   /// Enforces outer-CCW / holes-CW orientation and refreshes bounds.
   void Normalize();
 
+  /// True iff every vertex of every ring has finite coordinates.
+  bool IsFinite() const;
+
   /// Basic structural validity: >= 3 vertices per ring, finite coords,
   /// non-zero area.
   bool IsValid() const;

@@ -45,6 +45,11 @@ struct SpecValidator {
     if (poly.outer().size() < 3) {
       return Status::InvalidArgument("query polygon needs at least 3 vertices");
     }
+    // A NaN or infinite vertex has no grid cell: rasterizing it overflows
+    // the scanline arithmetic or yields a meaningless approximation.
+    if (!poly.IsFinite()) {
+      return Status::InvalidArgument("query polygon has a non-finite vertex");
+    }
     return Status::OK();
   }
 };

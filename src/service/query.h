@@ -1,5 +1,5 @@
-// The v2 query envelope: what a client hands the serving layer and what
-// it gets back.
+// The query envelope: what a client hands the serving layer and what it
+// gets back.
 //
 //   Query        WHAT to compute — a closed set of typed descriptors
 //                (AggregateSpec / CountSpec / SelectSpec) behind a
@@ -18,11 +18,8 @@
 //
 // The same envelope runs on every execution path — single-threaded
 // engine, pooled service, in-process sharded, shard-server transport
-// seam — with byte-identical payloads per pinned plan (the contract
-// restated and tested over v2 in tests/query_envelope_test.cc).
-//
-// The v1 Request/Response surface lives on as a frozen shim in
-// service/v1_compat.h.
+// seam — with byte-identical payloads per pinned plan (tested in
+// tests/query_envelope_test.cc).
 
 #ifndef DBSA_SERVICE_QUERY_H_
 #define DBSA_SERVICE_QUERY_H_

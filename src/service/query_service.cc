@@ -120,7 +120,6 @@ QueryService::QueryService(std::shared_ptr<const core::EngineState> state,
     // All shards record into the service registry, distinguished by their
     // {shard="N"} label.
     ShardServer::Options server_options;
-    server_options.cell_cache_budget_bytes = options.shard_cache_budget_bytes;
     server_options.registry = registry_;
     server_options.serving_epoch = options.serving_epoch;
     std::vector<LoopbackTransport::Handler> handlers;
@@ -139,9 +138,16 @@ QueryService::QueryService(std::shared_ptr<const core::EngineState> state,
     loopback_ = std::make_shared<LoopbackTransport>(std::move(handlers), registry_);
     router_ = std::make_unique<ShardRouter>(sharded_, loopback_);
   }
-  // Pin every outgoing scatter to the serving generation (wire v5 epoch;
-  // 0 stays the wildcard for epoch-less deployments).
-  if (router_ != nullptr) router_->set_epoch(options.serving_epoch);
+  if (router_ != nullptr) {
+    // Pin every outgoing scatter to the serving generation (wire v5
+    // epoch; 0 stays the wildcard for epoch-less deployments).
+    router_->set_epoch(options.serving_epoch);
+    source_ = router_.get();
+  } else if (sharded_ != nullptr) {
+    source_ = sharded_.get();
+  } else {
+    source_ = state_.get();
+  }
 }
 
 QueryService::QueryService(data::PointSet points, data::RegionSet regions,
@@ -193,7 +199,7 @@ core::ExecHooks QueryService::MakeHooks(const ExecOptions& options,
     }
     return hr;
   };
-  if (options_.parallel_regions && pool_.size() > 1) {
+  if (pool_.size() > 1) {
     hooks.parallel_for = [this](size_t n, const std::function<void(size_t)>& fn) {
       pool_.ParallelFor(n, fn);
     };
@@ -238,16 +244,8 @@ void QueryService::RunSpec(const AggregateSpec& spec, const ExecOptions& options
                            telemetry::QueryTrace* trace, Result* result) {
   result->aggregate =
       RunWithStats(options, trace, result, [&](const core::ExecHooks& hooks) {
-        return router_ != nullptr
-                   ? ExecuteAggregate(*router_, spec.agg, spec.attr,
-                                      options.bound, options.mode, hooks)
-                   : (sharded_ != nullptr
-                          ? core::ExecuteAggregate(*sharded_, spec.agg, spec.attr,
-                                                   options.bound, options.mode,
-                                                   hooks)
-                          : core::ExecuteAggregate(*state_, spec.agg, spec.attr,
-                                                   options.bound, options.mode,
-                                                   hooks));
+        return core::ExecuteAggregate(*source_, spec.agg, spec.attr, options.bound,
+                                      options.mode, hooks);
       });
 }
 
@@ -255,13 +253,7 @@ void QueryService::RunSpec(const CountSpec& spec, const ExecOptions& options,
                            telemetry::QueryTrace* trace, Result* result) {
   result->range =
       RunWithStats(options, trace, result, [&](const core::ExecHooks& hooks) {
-        return router_ != nullptr
-                   ? ExecuteCount(*router_, spec.poly, options.bound, hooks)
-                   : (sharded_ != nullptr
-                          ? core::ExecuteCount(*sharded_, spec.poly,
-                                               options.bound, hooks)
-                          : core::ExecuteCount(*state_, spec.poly, options.bound,
-                                               hooks));
+        return core::ExecuteCount(*source_, spec.poly, options.bound, hooks);
       }).range;
 }
 
@@ -269,13 +261,7 @@ void QueryService::RunSpec(const SelectSpec& spec, const ExecOptions& options,
                            telemetry::QueryTrace* trace, Result* result) {
   result->ids = std::move(
       RunWithStats(options, trace, result, [&](const core::ExecHooks& hooks) {
-        return router_ != nullptr
-                   ? ExecuteSelect(*router_, spec.poly, options.bound, hooks)
-                   : (sharded_ != nullptr
-                          ? core::ExecuteSelect(*sharded_, spec.poly,
-                                                options.bound, hooks)
-                          : core::ExecuteSelect(*state_, spec.poly, options.bound,
-                                                hooks));
+        return core::ExecuteSelect(*source_, spec.poly, options.bound, hooks);
       }).ids);
 }
 
@@ -544,68 +530,6 @@ void QueryService::RewarmShard(size_t shard) {
     const ApproxCache::HrPtr hr = hooks.hr_provider(j, polys[j], epsilon);
     router_->WarmShard(shard, ObjectKey(static_cast<uint64_t>(j)), level, *hr);
   }
-}
-
-// ---- FROZEN v1 shims (conversion only; see service/v1_compat.h) --------
-
-std::future<core::AggregateAnswer> QueryService::Aggregate(join::AggKind agg,
-                                                           core::Attr attr,
-                                                           double epsilon,
-                                                           core::Mode mode) {
-  // Convert BEFORE capturing so geometry moves into the closure once.
-  const Request request = Request::MakeAggregate(agg, attr, epsilon, mode);
-  Query query = QueryFromV1(request);
-  ExecOptions options = OptionsFromV1(request);
-  const Clock::time_point submitted = Clock::now();
-  return pool_.Async([this, query = std::move(query),
-                      options = std::move(options), submitted]() {
-    Result result = RunQuery(0, query, options, submitted);
-    if (!result.ok()) ThrowLegacy(result.status);  // v1 exception contract.
-    return std::move(result.aggregate);
-  });
-}
-
-std::future<join::ResultRange> QueryService::CountInPolygon(geom::Polygon poly,
-                                                            double epsilon) {
-  Query query = Query::Count(std::move(poly));
-  ExecOptions options;
-  options.bound = query::ErrorBound::Absolute(epsilon);
-  const Clock::time_point submitted = Clock::now();
-  return pool_.Async(
-      [this, query = std::move(query), options = std::move(options), submitted]() {
-        Result result = RunQuery(0, query, options, submitted);
-        if (!result.ok()) ThrowLegacy(result.status);
-        return result.range;
-      });
-}
-
-std::future<std::vector<uint32_t>> QueryService::SelectInPolygon(geom::Polygon poly,
-                                                                 double epsilon) {
-  Query query = Query::Select(std::move(poly));
-  ExecOptions options;
-  options.bound = query::ErrorBound::Absolute(epsilon);
-  const Clock::time_point submitted = Clock::now();
-  return pool_.Async(
-      [this, query = std::move(query), options = std::move(options), submitted]() {
-        Result result = RunQuery(0, query, options, submitted);
-        if (!result.ok()) ThrowLegacy(result.status);
-        return std::move(result.ids);
-      });
-}
-
-uint64_t QueryService::Submit(Request request) {
-  ExecOptions options = OptionsFromV1(request);
-  return Submit(QueryFromV1(request), std::move(options));
-}
-
-std::vector<Response> QueryService::DrainResponses() {
-  std::vector<Result> results = Drain();
-  std::vector<Response> responses;
-  responses.reserve(results.size());
-  for (Result& result : results) {
-    responses.push_back(ResponseFromResult(std::move(result)));
-  }
-  return responses;
 }
 
 }  // namespace dbsa::service

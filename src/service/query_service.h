@@ -14,20 +14,19 @@
 //     waits for everything outstanding and returns the Results in
 //     submission order (one per ticket, failures as statuses — a
 //     poisoned query can never lose a batch).
-//   * v1 shims      — the frozen Request/Response surface of
-//     service/v1_compat.h (Submit(Request), DrainResponses(), the typed
-//     futures below) forwards to the envelope unchanged for one release.
+//
+// Every query runs through the core executors over ONE shard source fixed
+// at construction (core::ShardSource): the whole snapshot, its in-process
+// shards, or a ShardRouter over the message seam (see ServiceOptions
+// below and core/sharded_state.h, service/shard_server.h).
 //
 // Determinism: a service run with any thread count, shard count, fan-out
 // cap and deployment path (in-process, sharded, transport seam) returns
 // payloads byte-identical to the single-threaded engine on the same
 // workload per pinned plan — per-query floating-point accumulation order
 // is fixed (ExecHooks in core/engine_state.h; compensated SUM merges in
-// join/point_index_join.h), only scheduling varies. Restated and tested
-// over the v2 envelope in tests/query_envelope_test.cc.
-//
-// Sharding and the message seam are unchanged from PR 2/3 (see
-// ServiceOptions below and core/sharded_state.h, service/shard_server.h).
+// join/point_index_join.h), only scheduling varies. Tested over the
+// envelope in tests/query_envelope_test.cc.
 
 #ifndef DBSA_SERVICE_QUERY_SERVICE_H_
 #define DBSA_SERVICE_QUERY_SERVICE_H_
@@ -49,7 +48,6 @@
 #include "service/socket_transport.h"
 #include "service/thread_pool.h"
 #include "service/transport.h"
-#include "service/v1_compat.h"
 #include "util/thread_annotations.h"
 
 namespace dbsa::service {
@@ -71,10 +69,6 @@ struct ServiceOptions {
   size_t num_threads = 0;
   /// Budget for the shared approximation cache (HR bytes).
   size_t cache_budget_bytes = size_t{64} << 20;
-  /// Fan the per-polygon stage of region aggregations out across the
-  /// pool (cache misses build HRs in parallel). Results are identical
-  /// either way; this only trades latency for pool occupancy.
-  bool parallel_regions = true;
   /// > 1 partitions the point table into this many Hilbert-contiguous
   /// spatial shards (core::ShardedState); point-index queries scatter
   /// across the shards that survive pruning and gather byte-identical
@@ -89,12 +83,9 @@ struct ServiceOptions {
   /// num_shards >= 1 (one shard server is the degenerate deployment).
   /// Results stay byte-identical to the in-process engine per pinned
   /// plan; each ShardServer additionally keeps a per-shard HR cache of
-  /// its routed cell slices (see WarmCache).
+  /// its routed cell slices (see WarmCache) at ShardServer::Options'
+  /// default budget.
   bool use_transport = false;
-  /// Budget of each shard server's routed-cell cache (loopback transport
-  /// only — socket-mode servers configure their own, see
-  /// shard_server_main --cache_budget_mb).
-  size_t shard_cache_budget_bytes = size_t{8} << 20;
   /// Which transport carries the seam (use_transport only).
   TransportKind transport_kind = TransportKind::kLoopback;
   /// kSocket only: where each shard (and its optional failover replica)
@@ -242,17 +233,6 @@ class QueryService {
   /// connection/failover/timeout counters and the placement in use.
   const SocketTransport* socket_transport() const { return socket_.get(); }
 
-  // ---- FROZEN v1 shims (service/v1_compat.h) -------------------------
-  std::future<core::AggregateAnswer> Aggregate(join::AggKind agg, core::Attr attr,
-                                               double epsilon,
-                                               core::Mode mode = core::Mode::kAuto);
-  std::future<join::ResultRange> CountInPolygon(geom::Polygon poly, double epsilon);
-  std::future<std::vector<uint32_t>> SelectInPolygon(geom::Polygon poly,
-                                                     double epsilon);
-  uint64_t Submit(Request request);
-  /// v1 Drain: the same tickets as Drain(), converted to Responses.
-  std::vector<Response> DrainResponses();
-
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -323,6 +303,8 @@ class QueryService {
   std::shared_ptr<LoopbackTransport> loopback_;
   std::shared_ptr<SocketTransport> socket_;
   std::unique_ptr<ShardRouter> router_;
+  /// What every query executes over: router_, else sharded_, else state_.
+  const core::ShardSource* source_ = nullptr;
   ServiceOptions options_;
   /// Declared before cache_: the cache (and every other component)
   /// records into it.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "join/result_range.h"
 #include "telemetry/trace.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -293,7 +292,7 @@ bool ShardRouter::KnownCached(size_t shard, const Key& key) const {
   return known_[shard].count(key) != 0;
 }
 
-void ShardRouter::MarkCached(size_t shard, const Key& key, bool cached) {
+void ShardRouter::MarkCached(size_t shard, const Key& key, bool cached) const {
   dbsa::MutexLock lock(known_mu_);
   if (cached) {
     auto& keys = known_[shard];
@@ -416,11 +415,14 @@ void SendWave(Transport& transport, const core::ExecHooks& hooks,
 
 std::vector<GatherPartial> ShardRouter::GatherFromShards(
     ScatterRequest::Kind kind, const ObjectKey* object, int level,
-    const query::ErrorBound& bound, uint64_t checksum,
-    const raster::HrCell* cells, const core::ShardedState::CellRoute* routes,
-    size_t num_cells, const core::ExecHooks& hooks,
-    const std::vector<uint32_t>& surviving) {
+    const query::ErrorBound& bound, const raster::HierarchicalRaster& hr,
+    const core::ShardedState::Scatter& scatter,
+    const core::ExecHooks& hooks) const {
   telemetry::QueryTrace* trace = hooks.trace;
+  const raster::HrCell* cells = hr.cells().data();
+  const size_t num_cells = hr.cells().size();
+  const core::ShardedState::CellRoute* routes = scatter.routes.data();
+  const std::vector<uint32_t>& surviving = scatter.shards;
   const size_t n = surviving.size();
   // Same fan-out threshold as the in-process executor: scheduling (not
   // results) is all that changes with it.
@@ -432,7 +434,7 @@ std::vector<GatherPartial> ShardRouter::GatherFromShards(
   base.bound_kind = bound.kind;
   base.bound_epsilon = bound.epsilon;
   base.level = level;
-  base.checksum = checksum;
+  base.checksum = ApproxChecksum(cells, num_cells);
   base.epoch = epoch_;
   if (trace != nullptr) {
     base.trace_hi = trace->ctx().trace_hi;
@@ -534,85 +536,82 @@ std::vector<GatherPartial> ShardRouter::GatherFromShards(
   return partials;
 }
 
+core::ShardedState::Scatter ShardRouter::Route(
+    const raster::HierarchicalRaster& hr, std::atomic<uint32_t>* touched,
+    telemetry::QueryTrace* trace) const {
+  telemetry::SpanTimer route_span(trace, "route");
+  return sharded_->PlanScatter(hr, touched);
+}
+
 join::CellAggregate ShardRouter::ScatterGather(
     const raster::HierarchicalRaster& hr, const ObjectKey* object, int level,
     const query::ErrorBound& bound, const core::ExecHooks& hooks,
-    std::atomic<uint32_t>* touched, size_t* num_surviving) {
-  const raster::HrCell* cells = hr.cells().data();
-  const size_t num_cells = hr.cells().size();
-  telemetry::QueryTrace* trace = hooks.trace;
-  std::vector<core::ShardedState::CellRoute> routes;
-  std::vector<uint32_t> surviving;
-  {
-    telemetry::SpanTimer route_span(trace, "route");
-    routes = sharded_->MakeRoutes(cells, num_cells);
-    surviving = sharded_->SurvivingShards(routes.data(), num_cells);
-  }
-  if (touched != nullptr) {
-    for (const uint32_t s : surviving) {
-      touched[s].store(1, std::memory_order_relaxed);
-    }
-  }
-  if (num_surviving != nullptr) *num_surviving = surviving.size();
-  const uint64_t checksum = ApproxChecksum(cells, num_cells);
+    std::atomic<uint32_t>* touched) const {
+  const core::ShardedState::Scatter scatter = Route(hr, touched, hooks.trace);
   const std::vector<GatherPartial> partials =
       GatherFromShards(ScatterRequest::Kind::kAggregateCells, object, level,
-                       bound, checksum, cells, routes.data(), num_cells, hooks,
-                       surviving);
-  // Completion order was whatever the wire delivered; the fold below is
-  // the canonical ascending-shard merge (partials are positional in
-  // `surviving`), preserving byte identity with the in-process engine.
-  telemetry::SpanTimer merge_span(trace, "merge");
-  join::CellAggregate agg;
-  for (const GatherPartial& partial : partials) agg.Merge(partial.aggregate);
-  return agg;
+                       bound, hr, scatter, hooks);
+  // Completion order was whatever the wire delivered; partials are
+  // positional in the ascending survivor list, so the canonical gather
+  // preserves byte identity with the in-process engine.
+  telemetry::SpanTimer merge_span(hooks.trace, "merge");
+  std::vector<join::CellAggregate> aggregates(partials.size());
+  for (size_t t = 0; t < partials.size(); ++t) {
+    aggregates[t] = partials[t].aggregate;
+  }
+  return core::GatherCells(aggregates);
 }
 
-std::vector<std::pair<uint64_t, uint32_t>> ShardRouter::SelectKeyed(
-    const raster::HierarchicalRaster& hr, const ObjectKey* object, int level,
-    const query::ErrorBound& bound, const core::ExecHooks& hooks,
-    size_t* num_surviving, size_t* probe_cells) {
-  const raster::HrCell* cells = hr.cells().data();
-  const size_t num_cells = hr.cells().size();
-  telemetry::QueryTrace* trace = hooks.trace;
-  std::vector<core::ShardedState::CellRoute> routes;
-  std::vector<uint32_t> surviving;
-  {
-    telemetry::SpanTimer route_span(trace, "route");
-    routes = sharded_->MakeRoutes(cells, num_cells);
-    surviving = sharded_->SurvivingShards(routes.data(), num_cells);
-  }
-  if (num_surviving != nullptr) *num_surviving = surviving.size();
-  const uint64_t checksum = ApproxChecksum(cells, num_cells);
+namespace {
+
+/// The per-shard cache key of a probed polygon: its region-table index,
+/// or the geometry fingerprint of an ad-hoc polygon.
+ObjectKey ProbeObject(const core::Probe& probe) {
+  return probe.poly_index == core::kAdHocPolygon
+             ? PolygonFingerprint(probe.poly)
+             : ObjectKey(static_cast<uint64_t>(probe.poly_index));
+}
+
+}  // namespace
+
+join::CellAggregate ShardRouter::ProbeCells(const core::Probe& probe,
+                                            const core::ExecHooks& hooks) const {
+  const ObjectKey object = ProbeObject(probe);
+  return ScatterGather(probe.hr, &object, probe.level, probe.bound, hooks,
+                       probe.touched);
+}
+
+std::vector<uint32_t> ShardRouter::SelectIds(const core::Probe& probe,
+                                             const core::ExecHooks& hooks,
+                                             size_t* cells) const {
+  const ObjectKey object = ProbeObject(probe);
+  const core::ShardedState::Scatter scatter =
+      Route(probe.hr, probe.touched, hooks.trace);
   std::vector<GatherPartial> partials =
-      GatherFromShards(ScatterRequest::Kind::kSelectIds, object, level, bound,
-                       checksum, cells, routes.data(), num_cells, hooks,
-                       surviving);
-  telemetry::SpanTimer gather_span(trace, "gather");
-  if (probe_cells != nullptr) {
-    *probe_cells = 0;
-    for (const GatherPartial& partial : partials) {
-      *probe_cells += partial.probe_cells;
+      GatherFromShards(ScatterRequest::Kind::kSelectIds, &object, probe.level,
+                       probe.bound, probe.hr, scatter, hooks);
+  // Cells are counted per shard slice, exact even on cache-reference hits
+  // (the partials report them).
+  std::vector<std::pair<uint64_t, uint32_t>> keyed;
+  {
+    telemetry::SpanTimer gather_span(hooks.trace, "gather");
+    *cells = 0;
+    for (GatherPartial& partial : partials) {
+      *cells += partial.probe_cells;
+      keyed.insert(keyed.end(), partial.keyed_ids.begin(),
+                   partial.keyed_ids.end());
     }
   }
-  std::vector<std::pair<uint64_t, uint32_t>> keyed;
-  for (GatherPartial& partial : partials) {
-    keyed.insert(keyed.end(), partial.keyed_ids.begin(),
-                 partial.keyed_ids.end());
-  }
-  return keyed;
+  return core::GatherIds(std::move(keyed));
 }
 
 size_t ShardRouter::WarmObject(const ObjectKey& object, int level,
                                const raster::HierarchicalRaster& hr) {
   const raster::HrCell* cells = hr.cells().data();
   const size_t num_cells = hr.cells().size();
-  const std::vector<core::ShardedState::CellRoute> routes =
-      sharded_->MakeRoutes(cells, num_cells);
-  const std::vector<uint32_t> surviving =
-      sharded_->SurvivingShards(routes.data(), num_cells);
+  const core::ShardedState::Scatter scatter = sharded_->PlanScatter(hr, nullptr);
   const uint64_t checksum = ApproxChecksum(cells, num_cells);
-  for (const uint32_t s : surviving) {
+  for (const uint32_t s : scatter.shards) {
     ScatterRequest request;
     request.kind = ScatterRequest::Kind::kWarm;
     request.bound_kind = query::BoundKind::kGridLevel;
@@ -622,11 +621,12 @@ size_t ShardRouter::WarmObject(const ObjectKey& object, int level,
     request.has_object = true;
     request.object = object;
     request.has_cells = true;
-    request.cells = sharded_->PruneCellsForShard(s, cells, routes.data(), num_cells);
+    request.cells =
+        sharded_->PruneCellsForShard(s, cells, scatter.routes.data(), num_cells);
     RoundtripDecode(*transport_, s, request);
     MarkCached(s, Key{object, level}, true);
   }
-  return surviving.size();
+  return scatter.shards.size();
 }
 
 bool ShardRouter::WarmShard(size_t shard, const ObjectKey& object, int level,
@@ -651,154 +651,26 @@ bool ShardRouter::WarmShard(size_t shard, const ObjectKey& object, int level,
   return true;
 }
 
-// ------------------------------------------- transport-backed executors
+// ------------------------------------------ transport-backed entry points
 
 core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
                                        core::Attr attr,
                                        const query::ErrorBound& bound,
                                        core::Mode mode,
                                        const core::ExecHooks& hooks) {
-  const core::ShardedState& sharded = router.sharded();
-  const core::EngineState& base = sharded.base();
-  DBSA_CHECK(!base.regions->polys.empty());
-  const double epsilon = bound.EffectiveEpsilon(base.grid);
-
-  // Same shared plan-selection helpers as the in-process executors, plus
-  // the transport-cost term: each shard probe now costs a message
-  // round-trip, which the optimizer weighs against the fan-out discount.
-  query::QueryProfile profile = core::MakeAggregateProfile(base, epsilon, hooks);
-  profile.parallel_shards = static_cast<double>(sharded.num_shards());
-  profile.transport_overhead = router.transport().CostPerMessage();
-  const query::PlanChoice choice = query::ChoosePlan(profile);
-  const query::PlanKind plan = core::ResolveAggregatePlan(
-      choice.kind, agg, attr, epsilon, bound.exact() ? core::Mode::kExact : mode);
-
-  if (plan != query::PlanKind::kPointIndexJoin) {
-    // Non-sharded plans never cross the seam: they execute against the
-    // base snapshot exactly as the in-process sharded engine delegates.
-    core::AggregateAnswer answer = core::ExecuteAggregate(
-        base, agg, attr, epsilon,
-        epsilon <= 0.0 ? core::Mode::kExact : core::ModeForPlan(plan), hooks);
-    answer.stats.explain = choice.explain;
-    return answer;
-  }
-
-  core::AggregateAnswer answer;
-  answer.stats.plan = plan;
-  answer.stats.explain = choice.explain;
-
-  Timer timer;
-  DBSA_CHECK(agg == join::AggKind::kCount || agg == join::AggKind::kSum ||
-             agg == join::AggKind::kAvg);
-  const int level = base.grid.LevelForEpsilon(epsilon);
-  answer.stats.hr_level = level;
-  answer.stats.achieved_epsilon = base.grid.AchievedEpsilon(level);
-
-  const std::vector<geom::Polygon>& polys = base.regions->polys;
-  std::vector<join::CellAggregate> per_poly(polys.size());
-  std::unique_ptr<std::atomic<uint32_t>[]> touched(
-      new std::atomic<uint32_t>[sharded.num_shards()]);
-  for (size_t s = 0; s < sharded.num_shards(); ++s) touched[s].store(0);
-  const auto one_poly = [&](size_t j) {
-    const std::shared_ptr<const raster::HierarchicalRaster> hr =
-        core::HrForPolygon(base, hooks, j, polys[j], epsilon);
-    const ObjectKey object(static_cast<uint64_t>(j));
-    per_poly[j] =
-        router.ScatterGather(*hr, &object, level, bound, hooks, touched.get());
-  };
-  core::RunMaybeParallel(hooks, polys.size(), one_poly);
-
-  // Gather: canonical — serial in polygon order, ascending-shard merges
-  // already folded inside ScatterGather. Identical to the in-process
-  // sharded executor, hence (per pinned plan) to the unsharded engine.
-  std::vector<join::CellAggregate> per_region(base.regions->num_regions);
-  for (size_t j = 0; j < polys.size(); ++j) {
-    answer.stats.query_cells += per_poly[j].query_cells;
-    per_region[base.regions->region_of[j]].Merge(per_poly[j]);
-  }
-  answer.stats.index_bytes = sharded.IndexBytes();
-  for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    answer.stats.shards_probed += touched[s].load(std::memory_order_relaxed);
-  }
-  core::RowsFromRegionAggregates(per_region, agg, &answer.rows);
-  answer.stats.elapsed_ms = timer.Millis();
-  return answer;
+  return core::ExecuteAggregate(router, agg, attr, bound, mode, hooks);
 }
 
 core::CountAnswer ExecuteCount(ShardRouter& router, const geom::Polygon& poly,
                                const query::ErrorBound& bound,
                                const core::ExecHooks& hooks) {
-  const core::EngineState& base = router.sharded().base();
-  if (bound.exact()) return core::ExecuteCount(base, poly, bound, hooks);
-  core::CountAnswer out;
-  Timer timer;
-  const double epsilon = bound.EffectiveEpsilon(base.grid);
-  const std::shared_ptr<const raster::HierarchicalRaster> hr =
-      core::HrForPolygon(base, hooks, core::kAdHocPolygon, poly, epsilon);
-  const ObjectKey object = PolygonFingerprint(poly);
-  const int level = base.grid.LevelForEpsilon(epsilon);
-  const join::CellAggregate agg = router.ScatterGather(
-      *hr, &object, level, bound, hooks, nullptr, &out.stats.shards_probed);
-  out.range = join::CountRange(agg);
-  out.stats.plan = query::PlanKind::kPointIndexJoin;
-  out.stats.hr_level = level;
-  out.stats.achieved_epsilon = base.grid.AchievedEpsilon(level);
-  out.stats.query_cells = agg.query_cells;
-  out.stats.index_bytes = router.sharded().IndexBytes();
-  out.stats.elapsed_ms = timer.Millis();
-  return out;
+  return core::ExecuteCount(router, poly, bound, hooks);
 }
 
 core::SelectAnswer ExecuteSelect(ShardRouter& router, const geom::Polygon& poly,
                                  const query::ErrorBound& bound,
                                  const core::ExecHooks& hooks) {
-  const core::EngineState& base = router.sharded().base();
-  if (bound.exact()) return core::ExecuteSelect(base, poly, bound, hooks);
-  core::SelectAnswer out;
-  Timer timer;
-  const double epsilon = bound.EffectiveEpsilon(base.grid);
-  const std::shared_ptr<const raster::HierarchicalRaster> hr =
-      core::HrForPolygon(base, hooks, core::kAdHocPolygon, poly, epsilon);
-  const ObjectKey object = PolygonFingerprint(poly);
-  const int level = base.grid.LevelForEpsilon(epsilon);
-  std::vector<std::pair<uint64_t, uint32_t>> keyed =
-      router.SelectKeyed(*hr, &object, level, bound, hooks,
-                         &out.stats.shards_probed, &out.stats.query_cells);
-  // Canonicalize exactly like the in-process gather: the unsharded index
-  // emits (leaf key, row id) ascending, and re-sorting the shard union by
-  // the same key restores that order bit-for-bit.
-  std::sort(keyed.begin(), keyed.end());
-  out.ids.reserve(keyed.size());
-  for (const auto& [key, id] : keyed) out.ids.push_back(id);
-  out.stats.plan = query::PlanKind::kPointIndexJoin;
-  out.stats.hr_level = level;
-  out.stats.achieved_epsilon = base.grid.AchievedEpsilon(level);
-  out.stats.index_bytes = router.sharded().IndexBytes();
-  out.stats.elapsed_ms = timer.Millis();
-  return out;
-}
-
-core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
-                                       core::Attr attr, double epsilon,
-                                       core::Mode mode,
-                                       const core::ExecHooks& hooks) {
-  return ExecuteAggregate(router, agg, attr, query::ErrorBound::Absolute(epsilon),
-                          mode, hooks);
-}
-
-join::ResultRange ExecuteCountInPolygon(ShardRouter& router,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const core::ExecHooks& hooks) {
-  return ExecuteCount(router, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .range;
-}
-
-std::vector<uint32_t> ExecuteSelectInPolygon(ShardRouter& router,
-                                             const geom::Polygon& poly,
-                                             double epsilon,
-                                             const core::ExecHooks& hooks) {
-  return ExecuteSelect(router, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .ids;
+  return core::ExecuteSelect(router, poly, bound, hooks);
 }
 
 }  // namespace dbsa::service

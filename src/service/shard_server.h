@@ -6,7 +6,8 @@
 // per-shard HR cache of routed cell slices, and knows nothing about the
 // other shards or the router.
 //
-// The client half is ShardRouter: it keeps the routing metadata (the
+// The client half is ShardRouter, the remote ShardSource of the core
+// executors (core/engine_state.h): it keeps the routing metadata (the
 // ShardedState — curve-run key ranges and leaf bounds are a few dozen
 // integers per shard), prunes each query approximation per shard, and
 // executes scatter/gather over a Transport. Per pinned plan the results
@@ -161,13 +162,28 @@ uint64_t ApproxChecksum(const raster::HrCell* cells, size_t num_cells);
 
 /// The client half of the seam: prunes per shard, scatters serialized
 /// requests over the transport, and gathers partials in canonical order.
-class ShardRouter {
+/// As a ShardSource it keys the per-shard caches by region index for
+/// region polygons and by PolygonFingerprint for ad-hoc ones, and charges
+/// the transport's CostPerMessage to the cost model.
+class ShardRouter : public core::ShardSource {
  public:
   ShardRouter(std::shared_ptr<const core::ShardedState> sharded,
               std::shared_ptr<Transport> transport);
 
   const core::ShardedState& sharded() const { return *sharded_; }
   Transport& transport() const { return *transport_; }
+
+  const core::EngineState& base() const override { return sharded_->base(); }
+  size_t num_shards() const override { return sharded_->num_shards(); }
+  double transport_overhead() const override {
+    return transport_->CostPerMessage();
+  }
+  size_t IndexBytes() const override { return sharded_->IndexBytes(); }
+  join::CellAggregate ProbeCells(const core::Probe& probe,
+                                 const core::ExecHooks& hooks) const override;
+  std::vector<uint32_t> SelectIds(const core::Probe& probe,
+                                  const core::ExecHooks& hooks,
+                                  size_t* cells) const override;
 
   /// Pins every outgoing ScatterRequest to dataset generation `epoch`
   /// (stamped into the wire's epoch field): servers of another non-zero
@@ -180,28 +196,15 @@ class ShardRouter {
   uint64_t epoch() const { return epoch_; }
 
   /// Scatter-gather of one approximation over the surviving shards;
-  /// byte-identical to the in-process ScatterGatherCells. `object`, when
-  /// non-null, keys the per-shard caches. `bound` is the query's contract
-  /// as submitted (travels on every ScatterRequest). `touched`, when
-  /// non-null, has one flag per shard (multi-polygon callers union them
-  /// into ExecStats::shards_probed); `num_surviving`, when non-null,
-  /// receives this approximation's surviving-shard count directly.
+  /// byte-identical to the in-process ShardedState::ProbeCells. `object`,
+  /// when non-null, keys the per-shard caches. `bound` is the query's
+  /// contract as submitted (travels on every ScatterRequest). `touched`,
+  /// when non-null, has one flag per shard (see core::Probe::touched).
   join::CellAggregate ScatterGather(const raster::HierarchicalRaster& hr,
                                     const ObjectKey* object, int level,
                                     const query::ErrorBound& bound,
                                     const core::ExecHooks& hooks,
-                                    std::atomic<uint32_t>* touched,
-                                    size_t* num_surviving = nullptr);
-
-  /// Scatter of a selection: the union of the shards' (leaf key, base
-  /// row id) pairs, unsorted (the caller canonicalizes). `num_surviving`
-  /// as in ScatterGather; `probe_cells`, when non-null, receives the
-  /// total slice cells the shards probed (per-shard-slice accounting,
-  /// exact even on cache-reference hits — the partials report it).
-  std::vector<std::pair<uint64_t, uint32_t>> SelectKeyed(
-      const raster::HierarchicalRaster& hr, const ObjectKey* object, int level,
-      const query::ErrorBound& bound, const core::ExecHooks& hooks,
-      size_t* num_surviving = nullptr, size_t* probe_cells = nullptr);
+                                    std::atomic<uint32_t>* touched) const;
 
   /// Warms the per-shard caches of exactly the shards `hr` routes to with
   /// their pruned slices. Returns the number of shards warmed.
@@ -231,13 +234,17 @@ class ShardRouter {
   /// "shard_roundtrip" span tagged with its shard and correlation id.
   std::vector<GatherPartial> GatherFromShards(
       ScatterRequest::Kind kind, const ObjectKey* object, int level,
-      const query::ErrorBound& bound, uint64_t checksum,
-      const raster::HrCell* cells,
-      const core::ShardedState::CellRoute* routes, size_t num_cells,
-      const core::ExecHooks& hooks, const std::vector<uint32_t>& surviving);
+      const query::ErrorBound& bound, const raster::HierarchicalRaster& hr,
+      const core::ShardedState::Scatter& scatter,
+      const core::ExecHooks& hooks) const;
+
+  /// The scatter of `hr`, timed as the query's "route" stage.
+  core::ShardedState::Scatter Route(const raster::HierarchicalRaster& hr,
+                                    std::atomic<uint32_t>* touched,
+                                    telemetry::QueryTrace* trace) const;
 
   bool KnownCached(size_t shard, const Key& key) const;
-  void MarkCached(size_t shard, const Key& key, bool cached);
+  void MarkCached(size_t shard, const Key& key, bool cached) const;
 
   std::shared_ptr<const core::ShardedState> sharded_;
   std::shared_ptr<Transport> transport_;
@@ -253,21 +260,19 @@ class ShardRouter {
   /// Advisory: keys each shard is believed to hold (server eviction or
   /// the cap makes this stale, which only costs a kNotCached round-trip
   /// or an unnecessary inline ship).
-  std::vector<std::unordered_map<Key, char, ObjectLevelKeyHash>> known_
+  mutable std::vector<std::unordered_map<Key, char, ObjectLevelKeyHash>> known_
       DBSA_GUARDED_BY(known_mu_);
 };
 
-// ---- transport-backed executors ---------------------------------------
-// Mirrors of the core executors over a ShardedState, with the shard
-// probes crossing the message seam. Per pinned plan, results are
-// byte-identical to the in-process sharded executors (and hence to the
-// unsharded engine). Plan choice feeds the transport's CostPerMessage
-// into query::QueryProfile::transport_overhead, so under Mode::kAuto the
+// ---- transport-backed entry points --------------------------------------
+// The core executors over the router (forwards). Per pinned plan, results
+// are byte-identical to the in-process sharded executors (and hence to
+// the whole state). Plan choice feeds the transport's CostPerMessage into
+// query::QueryProfile::transport_overhead, so under Mode::kAuto the
 // optimizer may legitimately resolve differently than in-process — pin
-// the mode to compare executions (same caveat as sharding itself).
-// Exact bounds never cross the seam: they execute against the base
-// snapshot, identical on every deployment path by construction. Shard
-// failures surface as StatusException carrying the wire's typed code.
+// the mode to compare executions (same caveat as sharding itself). Exact
+// bounds never cross the seam. Shard failures surface as StatusException
+// carrying the wire's typed code.
 
 core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
                                        core::Attr attr,
@@ -282,21 +287,6 @@ core::CountAnswer ExecuteCount(ShardRouter& router, const geom::Polygon& poly,
 core::SelectAnswer ExecuteSelect(ShardRouter& router, const geom::Polygon& poly,
                                  const query::ErrorBound& bound,
                                  const core::ExecHooks& hooks = {});
-
-// Double-epsilon shims (the Absolute(epsilon) case).
-core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
-                                       core::Attr attr, double epsilon,
-                                       core::Mode mode = core::Mode::kAuto,
-                                       const core::ExecHooks& hooks = {});
-
-join::ResultRange ExecuteCountInPolygon(ShardRouter& router,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const core::ExecHooks& hooks = {});
-
-std::vector<uint32_t> ExecuteSelectInPolygon(ShardRouter& router,
-                                             const geom::Polygon& poly,
-                                             double epsilon,
-                                             const core::ExecHooks& hooks = {});
 
 }  // namespace dbsa::service
 

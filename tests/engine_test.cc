@@ -1,4 +1,4 @@
-// Integration tests for the SpatialEngine façade: end-to-end aggregation
+// Integration tests for the whole-state executors: end-to-end aggregation
 // across all execution modes, exact-vs-approximate consistency, result
 // ranges, and the motivating Figure 2 semantics.
 
@@ -10,6 +10,8 @@
 
 namespace dbsa::core {
 namespace {
+
+using query::ErrorBound;
 
 class EngineTest : public ::testing::Test {
  protected:
@@ -24,18 +26,17 @@ class EngineTest : public ::testing::Test {
     region_config.target_avg_vertices = 28;
     regions_ = data::GenerateRegions(region_config);
 
-    engine_.SetPoints(points_);
-    engine_.SetRegions(regions_);
+    state_ = BuildEngineState(points_, regions_);
   }
 
   data::PointSet points_;
   data::RegionSet regions_;
-  SpatialEngine engine_;
+  std::shared_ptr<const EngineState> state_;
 };
 
 TEST_F(EngineTest, ExactModeMatchesBruteForce) {
-  const AggregateAnswer exact = engine_.Aggregate(join::AggKind::kCount, Attr::kNone,
-                                                  /*epsilon=*/0.0);
+  const AggregateAnswer exact = ExecuteAggregate(*state_, join::AggKind::kCount,
+                                                 Attr::kNone, ErrorBound::Exact());
   EXPECT_EQ(exact.stats.plan, query::PlanKind::kExactRStar);
   double total = 0;
   for (const AggregateRow& row : exact.rows) total += row.value;
@@ -45,10 +46,11 @@ TEST_F(EngineTest, ExactModeMatchesBruteForce) {
 TEST_F(EngineTest, ApproxModesAgreeWithinBound) {
   const double eps = 8.0;
   const AggregateAnswer exact =
-      engine_.Aggregate(join::AggKind::kCount, Attr::kNone, 0.0);
+      ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone, ErrorBound::Exact());
   for (const Mode mode : {Mode::kAct, Mode::kPointIndex, Mode::kCanvasBrj}) {
     const AggregateAnswer approx =
-        engine_.Aggregate(join::AggKind::kCount, Attr::kNone, eps, mode);
+        ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone,
+                         ErrorBound::Absolute(eps), mode);
     ASSERT_EQ(approx.rows.size(), exact.rows.size());
     double total_err = 0, total = 0;
     for (size_t r = 0; r < exact.rows.size(); ++r) {
@@ -62,16 +64,18 @@ TEST_F(EngineTest, ApproxModesAgreeWithinBound) {
 
 TEST_F(EngineTest, ActModePerformsNoPipTests) {
   const AggregateAnswer approx =
-      engine_.Aggregate(join::AggKind::kCount, Attr::kNone, 8.0, Mode::kAct);
+      ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone,
+                       ErrorBound::Absolute(8.0), Mode::kAct);
   EXPECT_EQ(approx.stats.pip_tests, 0u);
   EXPECT_GT(approx.stats.index_bytes, 0u);
 }
 
 TEST_F(EngineTest, PointIndexModeReturnsValidRanges) {
   const AggregateAnswer exact =
-      engine_.Aggregate(join::AggKind::kCount, Attr::kNone, 0.0);
+      ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone, ErrorBound::Exact());
   const AggregateAnswer ranged =
-      engine_.Aggregate(join::AggKind::kCount, Attr::kNone, 16.0, Mode::kPointIndex);
+      ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone,
+                       ErrorBound::Absolute(16.0), Mode::kPointIndex);
   for (size_t r = 0; r < exact.rows.size(); ++r) {
     EXPECT_GE(exact.rows[r].value, ranged.rows[r].lo - 1e-6) << "region " << r;
     EXPECT_LE(exact.rows[r].value, ranged.rows[r].hi + 1e-6) << "region " << r;
@@ -81,11 +85,13 @@ TEST_F(EngineTest, PointIndexModeReturnsValidRanges) {
 
 TEST_F(EngineTest, SumAndAvgAggregates) {
   const AggregateAnswer exact_sum =
-      engine_.Aggregate(join::AggKind::kSum, Attr::kFare, 0.0);
+      ExecuteAggregate(*state_, join::AggKind::kSum, Attr::kFare, ErrorBound::Exact());
   const AggregateAnswer approx_sum =
-      engine_.Aggregate(join::AggKind::kSum, Attr::kFare, 8.0, Mode::kAct);
+      ExecuteAggregate(*state_, join::AggKind::kSum, Attr::kFare,
+                       ErrorBound::Absolute(8.0), Mode::kAct);
   const AggregateAnswer approx_avg =
-      engine_.Aggregate(join::AggKind::kAvg, Attr::kFare, 8.0, Mode::kAct);
+      ExecuteAggregate(*state_, join::AggKind::kAvg, Attr::kFare,
+                       ErrorBound::Absolute(8.0), Mode::kAct);
   for (size_t r = 0; r < exact_sum.rows.size(); ++r) {
     if (exact_sum.rows[r].value > 1000) {
       EXPECT_NEAR(approx_sum.rows[r].value / exact_sum.rows[r].value, 1.0, 0.1);
@@ -98,29 +104,33 @@ TEST_F(EngineTest, PointIndexPassengerSumReroutesToAct) {
   // The point index carries prefix sums of the fare column only; a
   // SUM/AVG over passengers must not silently aggregate fares. The engine
   // reroutes such queries to the ACT join.
-  const AggregateAnswer rerouted = engine_.Aggregate(
-      join::AggKind::kSum, Attr::kPassengers, 8.0, Mode::kPointIndex);
+  const AggregateAnswer rerouted =
+      ExecuteAggregate(*state_, join::AggKind::kSum, Attr::kPassengers,
+                       ErrorBound::Absolute(8.0), Mode::kPointIndex);
   EXPECT_EQ(rerouted.stats.plan, query::PlanKind::kActJoin);
   const AggregateAnswer act =
-      engine_.Aggregate(join::AggKind::kSum, Attr::kPassengers, 8.0, Mode::kAct);
+      ExecuteAggregate(*state_, join::AggKind::kSum, Attr::kPassengers,
+                       ErrorBound::Absolute(8.0), Mode::kAct);
   ASSERT_EQ(rerouted.rows.size(), act.rows.size());
   for (size_t r = 0; r < act.rows.size(); ++r) {
     EXPECT_EQ(rerouted.rows[r].value, act.rows[r].value) << "region " << r;
   }
   // COUNT needs no attribute column and stays on the point index.
-  const AggregateAnswer count = engine_.Aggregate(join::AggKind::kCount,
-                                                  Attr::kNone, 8.0, Mode::kPointIndex);
+  const AggregateAnswer count =
+      ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone,
+                       ErrorBound::Absolute(8.0), Mode::kPointIndex);
   EXPECT_EQ(count.stats.plan, query::PlanKind::kPointIndexJoin);
 }
 
 TEST_F(EngineTest, AutoModePicksAPlanAndExplains) {
   const AggregateAnswer auto_run =
-      engine_.Aggregate(join::AggKind::kCount, Attr::kNone, 8.0, Mode::kAuto);
+      ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone,
+                       ErrorBound::Absolute(8.0), Mode::kAuto);
   EXPECT_FALSE(auto_run.stats.explain.empty());
   EXPECT_GT(auto_run.stats.elapsed_ms, 0.0);
 }
 
-TEST_F(EngineTest, CountInPolygonRangeContainsExact) {
+TEST_F(EngineTest, CountRangeContainsExact) {
   const geom::Polygon query =
       dbsa::testing::MakeStarPolygon({4000, 4000}, 800, 1800, 20, 11);
   size_t exact = 0;
@@ -128,18 +138,20 @@ TEST_F(EngineTest, CountInPolygonRangeContainsExact) {
     if (query.bounds().Contains(p) && query.Contains(p)) ++exact;
   }
   for (const double eps : {64.0, 16.0, 4.0}) {
-    const join::ResultRange range = engine_.CountInPolygon(query, eps);
+    const join::ResultRange range = ExecuteCount(*state_, query,
+                                                 ErrorBound::Absolute(eps)).range;
     EXPECT_TRUE(range.Contains(static_cast<double>(exact)))
         << "eps " << eps << " range [" << range.lo << "," << range.hi << "] exact "
         << exact;
   }
 }
 
-TEST_F(EngineTest, SelectInPolygonIsConservativeAndBounded) {
+TEST_F(EngineTest, SelectIsConservativeAndBounded) {
   const geom::Polygon query =
       dbsa::testing::MakeStarPolygon({4000, 4000}, 800, 1800, 20, 21);
   const double eps = 16.0;
-  const std::vector<uint32_t> ids = engine_.SelectInPolygon(query, eps);
+  const std::vector<uint32_t> ids = ExecuteSelect(*state_, query,
+                                                  ErrorBound::Absolute(eps)).ids;
   std::vector<bool> selected(points_.size(), false);
   for (const uint32_t id : ids) {
     ASSERT_LT(id, points_.size());
@@ -172,7 +184,8 @@ TEST_F(EngineTest, Figure2Semantics) {
     }
   }
   const double eps = 32.0;
-  const join::ResultRange ur_range = engine_.CountInPolygon(query, eps);
+  const join::ResultRange ur_range = ExecuteCount(*state_, query,
+                                                  ErrorBound::Absolute(eps)).range;
   // The raster count is within its guaranteed range and much closer to
   // exact than the MBR count for concave regions.
   EXPECT_TRUE(ur_range.Contains(static_cast<double>(exact)));
@@ -180,24 +193,27 @@ TEST_F(EngineTest, Figure2Semantics) {
             std::fabs(static_cast<double>(mbr_count) - static_cast<double>(exact)));
 }
 
-TEST(EngineLifecycleTest, ReRegisteringResetsState) {
-  SpatialEngine engine;
+TEST(EngineLifecycleTest, StatesAnswerForTheirOwnRegionTables) {
   data::TaxiConfig config;
   config.universe = geom::Box(0, 0, 1024, 1024);
-  engine.SetPoints(data::GenerateTaxiPoints(1000, config));
+  const data::PointSet points = data::GenerateTaxiPoints(1000, config);
   data::RegionConfig rc;
   rc.universe = config.universe;
   rc.num_polygons = 4;
-  engine.SetRegions(data::GenerateRegions(rc));
-  const AggregateAnswer a = engine.Aggregate(join::AggKind::kCount, Attr::kNone, 4.0);
-  ASSERT_EQ(a.rows.size(), 4u);
+  const auto a = BuildEngineState(points, data::GenerateRegions(rc));
+  ASSERT_EQ(ExecuteAggregate(*a, join::AggKind::kCount, Attr::kNone,
+                             query::ErrorBound::Absolute(4.0))
+                .rows.size(),
+            4u);
 
-  // Swap in a different region set; answers must follow.
+  // A state over a different region set answers with its own rows.
   rc.num_polygons = 9;
   rc.seed = 99;
-  engine.SetRegions(data::GenerateRegions(rc));
-  const AggregateAnswer b = engine.Aggregate(join::AggKind::kCount, Attr::kNone, 4.0);
-  ASSERT_EQ(b.rows.size(), 9u);
+  const auto b = BuildEngineState(points, data::GenerateRegions(rc));
+  ASSERT_EQ(ExecuteAggregate(*b, join::AggKind::kCount, Attr::kNone,
+                             query::ErrorBound::Absolute(4.0))
+                .rows.size(),
+            9u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Acceptance tests for the v2 query envelope:
+// Acceptance tests for the query envelope:
 //
 //   * every query kind runs through the envelope on all four execution
 //     paths — single-threaded engine, pooled service, in-process sharded,
@@ -8,9 +8,7 @@
 //     kAbsoluteDistance reproduces Grid::LevelForEpsilon snapping (one-ulp
 //     sweep), kExact bypasses approximation and matches brute force;
 //   * ExecOptions: deadlines and cancellation answer typed statuses,
-//     the shard fan-out cap never changes results;
-//   * the frozen v1 shim surface produces byte-identical answers to the
-//     native envelope.
+//     the shard fan-out cap never changes results.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +21,7 @@
 #include <vector>
 
 #include "core/dbsa.h"
+#include "envelope_util.h"
 #include "service/query_service.h"
 #include "telemetry/trace.h"
 #include "test_util.h"
@@ -32,14 +31,8 @@ namespace {
 
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
+using dbsa::testing::Submission;
 using query::ErrorBound;
-
-/// One envelope submission: the descriptor plus its contract.
-struct Submission {
-  Query query;
-  ExecOptions options;
-  std::string label;
-};
 
 class QueryEnvelopeTest : public ::testing::Test {
  protected:
@@ -97,68 +90,9 @@ class QueryEnvelopeTest : public ::testing::Test {
     return subs;
   }
 
-  /// Path 1: the single-threaded engine — the envelope executed directly
-  /// through the core bound-typed executors, no service, no pool.
-  Result Baseline(const Submission& sub) const {
-    Result r;
-    r.kind = sub.query.kind();
-    r.bound.requested = sub.options.bound;
-    sub.query.Visit([&](const auto& spec) { BaselineSpec(spec, sub.options, &r); });
-    r.status = Status::OK();
-    return r;
-  }
-
-  void BaselineSpec(const AggregateSpec& spec, const ExecOptions& options,
-                    Result* r) const {
-    r->aggregate = core::ExecuteAggregate(*state_, spec.agg, spec.attr,
-                                          options.bound, options.mode);
-    r->bound.epsilon_achieved = r->aggregate.stats.achieved_epsilon;
-    r->bound.hr_level = r->aggregate.stats.hr_level;
-  }
-  void BaselineSpec(const CountSpec& spec, const ExecOptions& options,
-                    Result* r) const {
-    const core::CountAnswer answer =
-        core::ExecuteCount(*state_, spec.poly, options.bound);
-    r->range = answer.range;
-    r->bound.epsilon_achieved = answer.stats.achieved_epsilon;
-    r->bound.hr_level = answer.stats.hr_level;
-  }
-  void BaselineSpec(const SelectSpec& spec, const ExecOptions& options,
-                    Result* r) const {
-    core::SelectAnswer answer = core::ExecuteSelect(*state_, spec.poly, options.bound);
-    r->ids = std::move(answer.ids);
-    r->bound.epsilon_achieved = answer.stats.achieved_epsilon;
-    r->bound.hr_level = answer.stats.hr_level;
-  }
-
   static void ExpectIdentical(const Result& got, const Result& want,
                               const std::string& label) {
-    ASSERT_TRUE(got.ok()) << label << ": " << got.status.ToString();
-    ASSERT_EQ(got.kind, want.kind) << label;
-    switch (want.kind) {
-      case QueryKind::kAggregate: {
-        ASSERT_EQ(got.aggregate.rows.size(), want.aggregate.rows.size()) << label;
-        for (size_t r = 0; r < want.aggregate.rows.size(); ++r) {
-          EXPECT_EQ(got.aggregate.rows[r].region, want.aggregate.rows[r].region)
-              << label << " region " << r;
-          EXPECT_EQ(got.aggregate.rows[r].value, want.aggregate.rows[r].value)
-              << label << " region " << r;
-          EXPECT_EQ(got.aggregate.rows[r].lo, want.aggregate.rows[r].lo)
-              << label << " region " << r;
-          EXPECT_EQ(got.aggregate.rows[r].hi, want.aggregate.rows[r].hi)
-              << label << " region " << r;
-        }
-        break;
-      }
-      case QueryKind::kCount:
-        EXPECT_EQ(got.range.estimate, want.range.estimate) << label;
-        EXPECT_EQ(got.range.lo, want.range.lo) << label;
-        EXPECT_EQ(got.range.hi, want.range.hi) << label;
-        break;
-      case QueryKind::kSelect:
-        ASSERT_EQ(got.ids, want.ids) << label;
-        break;
-    }
+    dbsa::testing::ExpectSamePayload(got, want, label);
     // The achieved contract is part of the payload identity: every path
     // must report the same served bound.
     EXPECT_EQ(got.bound.epsilon_achieved, want.bound.epsilon_achieved) << label;
@@ -175,7 +109,10 @@ TEST_F(QueryEnvelopeTest, EveryKindByteIdenticalOnAllFourPaths) {
   const std::vector<Submission> workload = Workload();
   std::vector<Result> baseline;
   baseline.reserve(workload.size());
-  for (const Submission& sub : workload) baseline.push_back(Baseline(sub));
+  // Path 1: the single-threaded engine — the core executors, no service.
+  for (const Submission& sub : workload) {
+    baseline.push_back(dbsa::testing::Reference(*state_, sub));
+  }
 
   struct PathConfig {
     std::string name;
@@ -201,6 +138,10 @@ TEST_F(QueryEnvelopeTest, EveryKindByteIdenticalOnAllFourPaths) {
     seam.options.num_shards = 7;
     seam.options.use_transport = true;
     seam.expected_path = ExecPath::kTransport;
+    paths.push_back(seam);
+    // One shard server: the remote source's single-shard gather.
+    seam.name = "transport k=1";
+    seam.options.num_shards = 1;
     paths.push_back(seam);
   }
 
@@ -236,23 +177,31 @@ TEST_F(QueryEnvelopeTest, EveryKindByteIdenticalOnAllFourPaths) {
 TEST_F(QueryEnvelopeTest, CountAndSelectReportConsistentProvenance) {
   // cells_touched uses per-shard-slice accounting on every scattered path
   // and for every query kind (regression: selects used to report the raw
-  // approximation cell count while counts reported slice cells).
+  // approximation cell count while counts reported slice cells). The
+  // unsharded path probes no shards and counts the approximation's cells.
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   ExecOptions options;
   options.bound = ErrorBound::Absolute(4.0);
-  for (const bool transport : {false, true}) {
+  for (const ExecPath path :
+       {ExecPath::kLocal, ExecPath::kSharded, ExecPath::kTransport}) {
     ServiceOptions service_options;
     service_options.num_threads = 4;
-    service_options.num_shards = 7;
-    service_options.use_transport = transport;
+    service_options.num_shards = path == ExecPath::kLocal ? 1 : 7;
+    service_options.use_transport = path == ExecPath::kTransport;
     QueryService service(state_, service_options);
+    ASSERT_EQ(service.exec_path(), path);
+    const std::string name = ExecPathName(path);
     const Result count = service.Execute(Query::Count(star), options).get();
     const Result select = service.Execute(Query::Select(star), options).get();
-    ASSERT_TRUE(count.ok() && select.ok()) << transport;
-    EXPECT_EQ(count.bound.cells_touched, select.bound.cells_touched) << transport;
-    EXPECT_EQ(count.bound.shards_probed, select.bound.shards_probed) << transport;
-    EXPECT_GT(select.bound.cells_touched, 0u) << transport;
-    EXPECT_GT(select.bound.shards_probed, 0u) << transport;
+    ASSERT_TRUE(count.ok() && select.ok()) << name;
+    EXPECT_EQ(count.bound.cells_touched, select.bound.cells_touched) << name;
+    EXPECT_EQ(count.bound.shards_probed, select.bound.shards_probed) << name;
+    EXPECT_GT(select.bound.cells_touched, 0u) << name;
+    if (path == ExecPath::kLocal) {
+      EXPECT_EQ(select.bound.shards_probed, 0u) << name;
+    } else {
+      EXPECT_GT(select.bound.shards_probed, 0u) << name;
+    }
   }
 }
 
@@ -456,6 +405,27 @@ TEST_F(QueryEnvelopeTest, MalformedQueriesAnswerInvalidArgument) {
   bad_level.bound = ErrorBound::AtLevel(-1);
   r = service.Execute(Query::Count(star), bad_level).get();
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  // A non-finite vertex, in the outer ring or in a hole: rejected at
+  // admission, before any rasterization.
+  const geom::Polygon holed = dbsa::testing::MakeStarPolygonWithHole(
+      {2000, 2000}, 400, 900, 16, 11);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    geom::Ring outer = holed.outer();
+    outer[3].x = bad;
+    geom::Ring hole = holed.holes()[0];
+    hole[1].y = bad;
+    for (const geom::Polygon& poly :
+         {geom::Polygon(outer, holed.holes()), geom::Polygon(holed.outer(), {hole})}) {
+      for (const Query& query : {Query::Count(poly), Query::Select(poly)}) {
+        r = service.Execute(query, ok_bound).get();
+        EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+            << QueryKindName(query.kind()) << " vertex " << bad;
+        EXPECT_NE(r.status.message().find("non-finite"), std::string::npos);
+      }
+    }
+  }
 
   // A poisoned ticket mid-batch keeps its slot and its typed status.
   service.Submit(Query::Count(star), ok_bound);
@@ -467,20 +437,6 @@ TEST_F(QueryEnvelopeTest, MalformedQueriesAnswerInvalidArgument) {
   EXPECT_EQ(drained[1].status.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(drained[2].ok());
   EXPECT_EQ(drained[0].range.estimate, drained[2].range.estimate);
-}
-
-TEST_F(QueryEnvelopeTest, V1TypedFuturesKeepThrowingInvalidArgument) {
-  // The frozen v1 contract: validation failures surfaced as
-  // std::invalid_argument from future.get(). The shims must preserve the
-  // exception TYPE, not just the message — v1 catch handlers written
-  // against std::invalid_argument must keep firing.
-  QueryService service(state_, {});
-  std::future<core::AggregateAnswer> bad =
-      service.Aggregate(join::AggKind::kSum, core::Attr::kNone, 8.0);
-  EXPECT_THROW(bad.get(), std::invalid_argument);
-  const geom::Polygon degenerate(geom::Ring{{0, 0}, {10, 10}});
-  std::future<join::ResultRange> bad_count = service.CountInPolygon(degenerate, 8.0);
-  EXPECT_THROW(bad_count.get(), std::invalid_argument);
 }
 
 // ---- telemetry: observe-only tracing, slow-query log, metrics ----------
@@ -620,45 +576,6 @@ TEST_F(QueryEnvelopeTest, RegistryCoversTheWholeServingStack) {
             std::string::npos);
   EXPECT_NE(text.find("dbsa_stage_ms_count{stage=\"shard_roundtrip\"}"),
             std::string::npos);
-}
-
-// ---- the frozen v1 shim ------------------------------------------------
-
-TEST_F(QueryEnvelopeTest, V1ShimMatchesNativeEnvelope) {
-  const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
-  std::vector<Request> v1;
-  for (const double eps : {4.0, 16.0}) {
-    v1.push_back(Request::MakeAggregate(join::AggKind::kSum, core::Attr::kFare,
-                                        eps, core::Mode::kPointIndex));
-    v1.push_back(Request::MakeCount(star, eps));
-    v1.push_back(Request::MakeSelect(star, eps));
-  }
-
-  ServiceOptions options;
-  options.num_threads = 4;
-  QueryService via_shim(state_, options);
-  QueryService native(state_, options);
-  for (const Request& req : v1) via_shim.Submit(req);
-  for (const Request& req : v1) {
-    native.Submit(QueryFromV1(req), OptionsFromV1(req));
-  }
-  const std::vector<Response> shim_responses = via_shim.DrainResponses();
-  const std::vector<Result> native_results = native.Drain();
-  ASSERT_EQ(shim_responses.size(), v1.size());
-  ASSERT_EQ(native_results.size(), v1.size());
-  for (size_t i = 0; i < v1.size(); ++i) {
-    const Response& s = shim_responses[i];
-    const Result& n = native_results[i];
-    ASSERT_TRUE(s.ok() && n.ok()) << i;
-    ASSERT_EQ(s.aggregate.rows.size(), n.aggregate.rows.size()) << i;
-    for (size_t r = 0; r < n.aggregate.rows.size(); ++r) {
-      EXPECT_EQ(s.aggregate.rows[r].value, n.aggregate.rows[r].value) << i;
-    }
-    EXPECT_EQ(s.range.estimate, n.range.estimate) << i;
-    EXPECT_EQ(s.range.lo, n.range.lo) << i;
-    EXPECT_EQ(s.range.hi, n.range.hi) << i;
-    EXPECT_EQ(s.ids, n.ids) << i;
-  }
 }
 
 }  // namespace

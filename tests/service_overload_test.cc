@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,19 +37,15 @@ class ServiceOverloadTest : public ::testing::Test {
   void SetUp() override {
     data::TaxiConfig taxi_config;
     taxi_config.universe = geom::Box(0, 0, 4096, 4096);
-    points_ = data::GenerateTaxiPoints(20000, taxi_config);
-
     data::RegionConfig region_config;
     region_config.universe = taxi_config.universe;
     region_config.num_polygons = 8;
     region_config.target_avg_vertices = 24;
-    regions_ = data::GenerateRegions(region_config);
-
-    engine_.SetPoints(points_);
-    engine_.SetRegions(regions_);
+    state_ = core::BuildEngineState(data::GenerateTaxiPoints(20000, taxi_config),
+                                    data::GenerateRegions(region_config));
 
     poly_ = dbsa::testing::MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
-    want_ = engine_.CountInPolygon(poly_, 8.0);
+    want_ = core::ExecuteCount(*state_, poly_, Bound8().bound).range;
   }
 
   Query CountQuery() const { return Query::Count(poly_); }
@@ -58,9 +55,7 @@ class ServiceOverloadTest : public ::testing::Test {
     return options;
   }
 
-  data::PointSet points_;
-  data::RegionSet regions_;
-  core::SpatialEngine engine_;
+  std::shared_ptr<const core::EngineState> state_;
   geom::Polygon poly_;
   join::ResultRange want_;
 };
@@ -69,7 +64,7 @@ TEST_F(ServiceOverloadTest, SaturationShedsTypedAndNeverLosesATicket) {
   ServiceOptions options;
   options.num_threads = 1;  // One worker: submission outruns execution.
   options.shed_inflight_threshold = 3;
-  QueryService service(engine_.Snapshot(), options);
+  QueryService service(state_, options);
 
   constexpr size_t kQueries = 32;
   std::vector<uint64_t> tickets;
@@ -125,7 +120,7 @@ TEST_F(ServiceOverloadTest, ExecuteShedsImmediatelyWhileSaturated) {
   ServiceOptions options;
   options.num_threads = 1;
   options.shed_inflight_threshold = 2;
-  QueryService service(engine_.Snapshot(), options);
+  QueryService service(state_, options);
 
   // Fill the admission window, then probe with Execute: the shed future
   // must be ready at once (no pool trip) and typed.
@@ -144,7 +139,7 @@ TEST_F(ServiceOverloadTest, BoundedInflightClosedLoopCompletesEverything) {
   ServiceOptions options;
   options.num_threads = 2;
   options.max_inflight = 2;  // Backpressure: callers block at the cap.
-  QueryService service(engine_.Snapshot(), options);
+  QueryService service(state_, options);
 
   constexpr size_t kClients = 4;
   constexpr size_t kPerClient = 8;

@@ -1,17 +1,19 @@
 // Tests for the concurrent query service: thread-pool basics, the
 // batched Submit/Drain API, cache warm-up, and the load-bearing guarantee
 // that a service run with many threads returns results BYTE-IDENTICAL to
-// the single-threaded SpatialEngine on the same workload.
+// the single-threaded core executors on the same workload.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/dbsa.h"
+#include "envelope_util.h"
 #include "service/query_service.h"
 #include "service/thread_pool.h"
 #include "test_util.h"
@@ -122,29 +124,35 @@ TEST(ThreadPoolTest, ZeroAndOneIterationLoops) {
 
 // ----------------------------------------------------------- the service
 
+using dbsa::testing::AggregateAt;
+using dbsa::testing::CountAt;
+using dbsa::testing::Options;
+using dbsa::testing::Reference;
+using dbsa::testing::SelectAt;
+using dbsa::testing::Submission;
+using query::ErrorBound;
+
 class QueryServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     data::TaxiConfig taxi_config;
     taxi_config.universe = geom::Box(0, 0, 4096, 4096);
-    points_ = data::GenerateTaxiPoints(20000, taxi_config);
+    data::PointSet points = data::GenerateTaxiPoints(20000, taxi_config);
 
     data::RegionConfig region_config;
     region_config.universe = taxi_config.universe;
     region_config.num_polygons = 16;
     region_config.target_avg_vertices = 24;
     region_config.multi_fraction = 0.2;  // Exercise multi-part regions.
-    regions_ = data::GenerateRegions(region_config);
-
-    engine_.SetPoints(points_);
-    engine_.SetRegions(regions_);
+    state_ = core::BuildEngineState(std::move(points),
+                                    data::GenerateRegions(region_config));
   }
 
   /// The mixed workload both executors run. Explicit modes (not kAuto):
   /// the service advertises its HR cache to the optimizer, so kAuto may
   /// legitimately pick different plans than the engine.
-  std::vector<Request> MixedWorkload() const {
-    std::vector<Request> reqs;
+  std::vector<Submission> MixedWorkload() const {
+    std::vector<Submission> subs;
     const geom::Polygon star1 =
         dbsa::testing::MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
     const geom::Polygon star2 =
@@ -152,75 +160,29 @@ class QueryServiceTest : public ::testing::Test {
     for (const double eps : {4.0, 8.0, 16.0}) {
       for (const core::Mode mode :
            {core::Mode::kAct, core::Mode::kPointIndex, core::Mode::kCanvasBrj}) {
-        reqs.push_back(Request::MakeAggregate(join::AggKind::kCount,
-                                              core::Attr::kNone, eps, mode));
-        reqs.push_back(Request::MakeAggregate(join::AggKind::kSum, core::Attr::kFare,
-                                              eps, mode));
-        reqs.push_back(Request::MakeAggregate(join::AggKind::kAvg,
-                                              core::Attr::kPassengers, eps, mode));
+        subs.push_back(AggregateAt(join::AggKind::kCount, core::Attr::kNone, eps, mode));
+        subs.push_back(AggregateAt(join::AggKind::kSum, core::Attr::kFare, eps, mode));
+        subs.push_back(
+            AggregateAt(join::AggKind::kAvg, core::Attr::kPassengers, eps, mode));
       }
-      reqs.push_back(Request::MakeCount(star1, eps));
-      reqs.push_back(Request::MakeCount(star2, eps));
-      reqs.push_back(Request::MakeSelect(star1, eps));
+      subs.push_back(CountAt(star1, eps));
+      subs.push_back(CountAt(star2, eps));
+      subs.push_back(SelectAt(star1, eps));
     }
-    reqs.push_back(Request::MakeAggregate(join::AggKind::kCount, core::Attr::kNone,
-                                          /*epsilon=*/0.0, core::Mode::kExact));
-    return reqs;
+    subs.push_back({Query::Aggregate(join::AggKind::kCount),
+                    Options(ErrorBound::Exact(), core::Mode::kExact), "exact"});
+    return subs;
   }
 
-  /// Single-threaded reference execution through the engine façade.
-  Response Baseline(const Request& req) {
-    Response r;
-    r.kind = req.kind;
-    switch (req.kind) {
-      case Request::Kind::kAggregate:
-        r.aggregate = engine_.Aggregate(req.agg, req.attr, req.epsilon, req.mode);
-        break;
-      case Request::Kind::kCountInPolygon:
-        r.range = engine_.CountInPolygon(req.poly, req.epsilon);
-        break;
-      case Request::Kind::kSelectInPolygon:
-        r.ids = engine_.SelectInPolygon(req.poly, req.epsilon);
-        break;
-    }
-    return r;
+  core::AggregateAnswer PointIndexCount(QueryService& service) const {
+    return service
+        .Execute(Query::Aggregate(join::AggKind::kCount),
+                 Options(ErrorBound::Absolute(8.0), core::Mode::kPointIndex))
+        .get()
+        .aggregate;
   }
 
-  /// Byte-exact comparison of the query payloads (== on doubles, no
-  /// tolerance: the determinism contract).
-  static void ExpectIdentical(const Response& got, const Response& want,
-                              size_t index) {
-    ASSERT_EQ(got.kind, want.kind) << "request " << index;
-    switch (want.kind) {
-      case Request::Kind::kAggregate: {
-        ASSERT_EQ(got.aggregate.rows.size(), want.aggregate.rows.size())
-            << "request " << index;
-        for (size_t r = 0; r < want.aggregate.rows.size(); ++r) {
-          EXPECT_EQ(got.aggregate.rows[r].region, want.aggregate.rows[r].region)
-              << "request " << index << " region " << r;
-          EXPECT_EQ(got.aggregate.rows[r].value, want.aggregate.rows[r].value)
-              << "request " << index << " region " << r;
-          EXPECT_EQ(got.aggregate.rows[r].lo, want.aggregate.rows[r].lo)
-              << "request " << index << " region " << r;
-          EXPECT_EQ(got.aggregate.rows[r].hi, want.aggregate.rows[r].hi)
-              << "request " << index << " region " << r;
-        }
-        break;
-      }
-      case Request::Kind::kCountInPolygon:
-        EXPECT_EQ(got.range.estimate, want.range.estimate) << "request " << index;
-        EXPECT_EQ(got.range.lo, want.range.lo) << "request " << index;
-        EXPECT_EQ(got.range.hi, want.range.hi) << "request " << index;
-        break;
-      case Request::Kind::kSelectInPolygon:
-        ASSERT_EQ(got.ids, want.ids) << "request " << index;
-        break;
-    }
-  }
-
-  data::PointSet points_;
-  data::RegionSet regions_;
-  core::SpatialEngine engine_;
+  std::shared_ptr<const core::EngineState> state_;
 };
 
 TEST_F(QueryServiceTest, EightThreadsByteMatchSingleThreadedEngine) {
@@ -228,29 +190,32 @@ TEST_F(QueryServiceTest, EightThreadsByteMatchSingleThreadedEngine) {
   // cached approximations must not change a single bit of any answer.
   // (Via an explicit copy: self-range insert invalidates the source
   // iterators on reallocation and used to corrupt the duplicated half.)
-  std::vector<Request> workload = MixedWorkload();
-  const std::vector<Request> first_pass = workload;
+  std::vector<Submission> workload = MixedWorkload();
+  const std::vector<Submission> first_pass = workload;
   workload.insert(workload.end(), first_pass.begin(), first_pass.end());
 
-  std::vector<Response> expected;
+  std::vector<Result> expected;
   expected.reserve(workload.size());
-  for (const Request& req : workload) expected.push_back(Baseline(req));
+  for (const Submission& sub : workload) expected.push_back(Reference(*state_, sub));
 
   ServiceOptions options;
   options.num_threads = 8;
   options.cache_budget_bytes = size_t{32} << 20;
-  QueryService service(engine_.Snapshot(), options);
+  QueryService service(state_, options);
   ASSERT_EQ(service.num_threads(), 8u);
 
   std::vector<uint64_t> tickets;
   tickets.reserve(workload.size());
-  for (const Request& req : workload) tickets.push_back(service.Submit(req));
-  const std::vector<Response> responses = service.DrainResponses();
+  for (const Submission& sub : workload) {
+    tickets.push_back(service.Submit(sub.query, sub.options));
+  }
+  const std::vector<Result> results = service.Drain();
 
-  ASSERT_EQ(responses.size(), workload.size());
-  for (size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(responses[i].ticket, tickets[i]) << "Drain must keep submit order";
-    ExpectIdentical(responses[i], expected[i], i);
+  ASSERT_EQ(results.size(), workload.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].ticket, tickets[i]) << "Drain must keep submit order";
+    dbsa::testing::ExpectSamePayload(results[i], expected[i],
+                                     "request " + std::to_string(i));
   }
 
   // The duplicated half must have found the region approximations in the
@@ -262,142 +227,121 @@ TEST_F(QueryServiceTest, EightThreadsByteMatchSingleThreadedEngine) {
 }
 
 TEST_F(QueryServiceTest, TypedFutureInterface) {
-  QueryService service(engine_.Snapshot(), {});
-  std::future<core::AggregateAnswer> agg = service.Aggregate(
-      join::AggKind::kCount, core::Attr::kNone, 8.0, core::Mode::kPointIndex);
+  QueryService service(state_, {});
   const geom::Polygon star =
       dbsa::testing::MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
-  std::future<join::ResultRange> range = service.CountInPolygon(star, 8.0);
-  std::future<std::vector<uint32_t>> ids = service.SelectInPolygon(star, 8.0);
-
-  const core::AggregateAnswer engine_agg =
-      engine_.Aggregate(join::AggKind::kCount, core::Attr::kNone, 8.0,
-                        core::Mode::kPointIndex);
-  const core::AggregateAnswer service_agg = agg.get();
-  ASSERT_EQ(service_agg.rows.size(), engine_agg.rows.size());
-  for (size_t r = 0; r < engine_agg.rows.size(); ++r) {
-    EXPECT_EQ(service_agg.rows[r].value, engine_agg.rows[r].value);
+  const std::vector<Submission> subs = {
+      AggregateAt(join::AggKind::kCount, core::Attr::kNone, 8.0,
+                  core::Mode::kPointIndex),
+      CountAt(star, 8.0), SelectAt(star, 8.0)};
+  std::vector<std::future<Result>> futures;
+  for (const Submission& sub : subs) {
+    futures.push_back(service.Execute(sub.query, sub.options));
   }
-  const join::ResultRange engine_range = engine_.CountInPolygon(star, 8.0);
-  const join::ResultRange service_range = range.get();
-  EXPECT_EQ(service_range.lo, engine_range.lo);
-  EXPECT_EQ(service_range.hi, engine_range.hi);
-  EXPECT_EQ(ids.get(), engine_.SelectInPolygon(star, 8.0));
+  for (size_t i = 0; i < subs.size(); ++i) {
+    dbsa::testing::ExpectSamePayload(futures[i].get(), Reference(*state_, subs[i]),
+                                     subs[i].label);
+  }
 }
 
 TEST_F(QueryServiceTest, WarmCacheMakesAggregatesMissFree) {
-  QueryService service(engine_.Snapshot(), {});
+  QueryService service(state_, {});
   service.WarmCache(8.0);
   const size_t polys = service.state().regions->NumPolygons();
   EXPECT_EQ(service.cache_stats().misses, polys);
 
-  const core::AggregateAnswer answer =
-      service
-          .Aggregate(join::AggKind::kCount, core::Attr::kNone, 8.0,
-                     core::Mode::kPointIndex)
-          .get();
+  const core::AggregateAnswer answer = PointIndexCount(service);
   EXPECT_EQ(answer.stats.hr_cache_misses, 0u);
   EXPECT_EQ(answer.stats.hr_cache_hits, polys);
 }
 
 TEST_F(QueryServiceTest, ColdAggregateReportsMissesThenHits) {
-  QueryService service(engine_.Snapshot(), {});
+  QueryService service(state_, {});
   const size_t polys = service.state().regions->NumPolygons();
-  const core::AggregateAnswer cold =
-      service
-          .Aggregate(join::AggKind::kCount, core::Attr::kNone, 8.0,
-                     core::Mode::kPointIndex)
-          .get();
+  const core::AggregateAnswer cold = PointIndexCount(service);
   EXPECT_EQ(cold.stats.hr_cache_misses, polys);
-  const core::AggregateAnswer warm =
-      service
-          .Aggregate(join::AggKind::kCount, core::Attr::kNone, 8.0,
-                     core::Mode::kPointIndex)
-          .get();
+  const core::AggregateAnswer warm = PointIndexCount(service);
   EXPECT_EQ(warm.stats.hr_cache_misses, 0u);
   EXPECT_EQ(warm.stats.hr_cache_hits, polys);
 }
 
 TEST_F(QueryServiceTest, DrainSurvivesPoisonedQueriesMidBatch) {
   // Regression: Drain used to call future.get() bare — the first
-  // throwing query aborted the drain, lost every later response and left
+  // throwing query aborted the drain, lost every later result and left
   // the abandoned futures to block elsewhere. Now each failed ticket
-  // surfaces as an error Response in its submission slot and the drain
+  // surfaces as an error Result in its submission slot and the drain
   // completes.
-  QueryService service(engine_.Snapshot(), {});
+  QueryService service(state_, {});
   const geom::Polygon star =
       dbsa::testing::MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   const geom::Polygon degenerate(geom::Ring{{0, 0}, {10, 10}});  // 2 vertices.
 
-  std::vector<Request> workload;
-  workload.push_back(Request::MakeCount(star, 8.0));  // Good.
-  workload.push_back(Request::MakeAggregate(join::AggKind::kSum, core::Attr::kNone,
-                                            8.0));    // Poisoned: SUM w/o column.
-  workload.push_back(Request::MakeCount(star, 8.0));  // Good.
-  workload.push_back(Request::MakeCount(degenerate, 8.0));  // Poisoned: 2 vertices.
-  workload.push_back(Request::MakeSelect(star, 8.0));       // Good.
+  std::vector<Submission> workload;
+  workload.push_back(CountAt(star, 8.0));  // Good.
+  workload.push_back(AggregateAt(join::AggKind::kSum, core::Attr::kNone,
+                                 8.0));    // Poisoned: SUM w/o column.
+  workload.push_back(CountAt(star, 8.0));  // Good.
+  workload.push_back(CountAt(degenerate, 8.0));  // Poisoned: 2 vertices.
+  workload.push_back(SelectAt(star, 8.0));       // Good.
 
   std::vector<uint64_t> tickets;
-  for (const Request& req : workload) tickets.push_back(service.Submit(req));
-  const std::vector<Response> responses = service.DrainResponses();
-
-  ASSERT_EQ(responses.size(), workload.size());  // No ticket lost.
-  for (size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(responses[i].ticket, tickets[i]) << "ticket order kept, slot " << i;
-    EXPECT_EQ(responses[i].kind, workload[i].kind) << "slot " << i;
+  for (const Submission& sub : workload) {
+    tickets.push_back(service.Submit(sub.query, sub.options));
   }
-  EXPECT_TRUE(responses[0].ok());
-  EXPECT_FALSE(responses[1].ok());
-  EXPECT_NE(responses[1].error.find("attribute"), std::string::npos)
-      << responses[1].error;
-  EXPECT_TRUE(responses[2].ok());
-  EXPECT_FALSE(responses[3].ok());
-  EXPECT_NE(responses[3].error.find("vertices"), std::string::npos)
-      << responses[3].error;
-  EXPECT_TRUE(responses[4].ok());
+  const std::vector<Result> results = service.Drain();
 
-  // The good responses are untouched by their poisoned neighbours.
-  const join::ResultRange want = engine_.CountInPolygon(star, 8.0);
+  ASSERT_EQ(results.size(), workload.size());  // No ticket lost.
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].ticket, tickets[i]) << "ticket order kept, slot " << i;
+    EXPECT_EQ(results[i].kind, workload[i].query.kind()) << "slot " << i;
+  }
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_EQ(results[1].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(results[1].status.message().find("attribute"), std::string::npos)
+      << results[1].status.ToString();
+  EXPECT_TRUE(results[2].ok());
+  EXPECT_EQ(results[3].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(results[3].status.message().find("vertices"), std::string::npos)
+      << results[3].status.ToString();
+  EXPECT_TRUE(results[4].ok());
+
+  // The good results are untouched by their poisoned neighbours.
+  const Result want = Reference(*state_, workload[0]);
   for (const size_t good : {size_t{0}, size_t{2}}) {
-    EXPECT_EQ(responses[good].range.lo, want.lo);
-    EXPECT_EQ(responses[good].range.hi, want.hi);
+    EXPECT_EQ(results[good].range.lo, want.range.lo);
+    EXPECT_EQ(results[good].range.hi, want.range.hi);
   }
-  EXPECT_EQ(responses[4].ids, engine_.SelectInPolygon(star, 8.0));
+  EXPECT_EQ(results[4].ids, Reference(*state_, workload[4]).ids);
 
   // And the service stays fully usable after a poisoned batch.
-  service.Submit(Request::MakeCount(star, 8.0));
-  const std::vector<Response> after = service.DrainResponses();
+  service.Submit(workload[0].query, workload[0].options);
+  const std::vector<Result> after = service.Drain();
   ASSERT_EQ(after.size(), 1u);
   EXPECT_TRUE(after[0].ok());
-  EXPECT_EQ(after[0].range.hi, want.hi);
+  EXPECT_EQ(after[0].range.hi, want.range.hi);
 }
 
 TEST_F(QueryServiceTest, SharedSnapshotServesManyServices) {
   // Two services over one snapshot: no copies of the tables or index, and
   // identical answers.
-  const std::shared_ptr<const core::EngineState> snapshot = engine_.Snapshot();
   ServiceOptions options;
   options.num_threads = 2;
-  QueryService a(snapshot, options);
-  QueryService b(snapshot, options);
-  const core::AggregateAnswer ra =
-      a.Aggregate(join::AggKind::kSum, core::Attr::kFare, 8.0, core::Mode::kAct)
-          .get();
-  const core::AggregateAnswer rb =
-      b.Aggregate(join::AggKind::kSum, core::Attr::kFare, 8.0, core::Mode::kAct)
-          .get();
-  ASSERT_EQ(ra.rows.size(), rb.rows.size());
-  for (size_t r = 0; r < ra.rows.size(); ++r) {
-    EXPECT_EQ(ra.rows[r].value, rb.rows[r].value);
-  }
+  QueryService a(state_, options);
+  QueryService b(state_, options);
+  const Submission sum =
+      AggregateAt(join::AggKind::kSum, core::Attr::kFare, 8.0, core::Mode::kAct);
+  const Result ra = a.Execute(sum.query, sum.options).get();
+  const Result rb = b.Execute(sum.query, sum.options).get();
+  dbsa::testing::ExpectSamePayload(ra, rb, "shared snapshot");
 }
 
 TEST_F(QueryServiceTest, AutoModeUsesTheCacheAdvertisement) {
   // Not a determinism check (plans may differ engine-vs-service by
   // design); just that kAuto works end to end and explains itself.
-  QueryService service(engine_.Snapshot(), {});
+  QueryService service(state_, {});
+  const Submission count = AggregateAt(join::AggKind::kCount, core::Attr::kNone, 8.0);
   const core::AggregateAnswer answer =
-      service.Aggregate(join::AggKind::kCount, core::Attr::kNone, 8.0).get();
+      service.Execute(count.query, count.options).get().aggregate;
   EXPECT_FALSE(answer.stats.explain.empty());
   EXPECT_FALSE(answer.rows.empty());
 }

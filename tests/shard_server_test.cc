@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/dbsa.h"
+#include "envelope_util.h"
 #include "service/query_service.h"
 #include "service/shard_server.h"
 #include "service/thread_pool.h"
@@ -24,8 +25,14 @@
 namespace dbsa::service {
 namespace {
 
+using dbsa::testing::AggregateAt;
+using dbsa::testing::CountAt;
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
+using dbsa::testing::Reference;
+using dbsa::testing::SelectAt;
+using dbsa::testing::Submission;
+using query::ErrorBound;
 
 void ExpectRowsIdentical(const core::AggregateAnswer& got,
                          const core::AggregateAnswer& want,
@@ -118,36 +125,40 @@ TEST_F(ShardServerTest, LoopbackByteMatchesInProcessShardedEverywhere) {
       for (const double eps : epsilons) {
         ExpectRowsIdentical(
             ExecuteAggregate(*seam.router, join::AggKind::kCount, core::Attr::kNone,
-                             eps, core::Mode::kPointIndex, hooks),
+                             ErrorBound::Absolute(eps), core::Mode::kPointIndex,
+                             hooks),
             core::ExecuteAggregate(*seam.sharded, join::AggKind::kCount,
-                                   core::Attr::kNone, eps, core::Mode::kPointIndex,
-                                   hooks),
+                                   core::Attr::kNone, ErrorBound::Absolute(eps),
+                                   core::Mode::kPointIndex, hooks),
             label + " count eps=" + std::to_string(eps));
         ExpectRowsIdentical(
             ExecuteAggregate(*seam.router, join::AggKind::kSum, core::Attr::kFare,
-                             eps, core::Mode::kPointIndex, hooks),
+                             ErrorBound::Absolute(eps), core::Mode::kPointIndex,
+                             hooks),
             core::ExecuteAggregate(*seam.sharded, join::AggKind::kSum,
-                                   core::Attr::kFare, eps, core::Mode::kPointIndex,
-                                   hooks),
+                                   core::Attr::kFare, ErrorBound::Absolute(eps),
+                                   core::Mode::kPointIndex, hooks),
             label + " sum eps=" + std::to_string(eps));
         ExpectRowsIdentical(
             ExecuteAggregate(*seam.router, join::AggKind::kAvg, core::Attr::kFare,
-                             eps, core::Mode::kPointIndex, hooks),
+                             ErrorBound::Absolute(eps), core::Mode::kPointIndex,
+                             hooks),
             core::ExecuteAggregate(*seam.sharded, join::AggKind::kAvg,
-                                   core::Attr::kFare, eps, core::Mode::kPointIndex,
-                                   hooks),
+                                   core::Attr::kFare, ErrorBound::Absolute(eps),
+                                   core::Mode::kPointIndex, hooks),
             label + " avg eps=" + std::to_string(eps));
 
         for (size_t p = 0; p < polys.size(); ++p) {
+          const ErrorBound bound = ErrorBound::Absolute(eps);
           const join::ResultRange got =
-              ExecuteCountInPolygon(*seam.router, polys[p], eps, hooks);
+              ExecuteCount(*seam.router, polys[p], bound, hooks).range;
           const join::ResultRange want =
-              core::ExecuteCountInPolygon(*seam.sharded, polys[p], eps, hooks);
+              core::ExecuteCount(*seam.sharded, polys[p], bound, hooks).range;
           EXPECT_EQ(got.estimate, want.estimate) << label << " poly " << p;
           EXPECT_EQ(got.lo, want.lo) << label << " poly " << p;
           EXPECT_EQ(got.hi, want.hi) << label << " poly " << p;
-          EXPECT_EQ(ExecuteSelectInPolygon(*seam.router, polys[p], eps, hooks),
-                    core::ExecuteSelectInPolygon(*seam.sharded, polys[p], eps, hooks))
+          EXPECT_EQ(ExecuteSelect(*seam.router, polys[p], bound, hooks).ids,
+                    core::ExecuteSelect(*seam.sharded, polys[p], bound, hooks).ids)
               << label << " poly " << p;
         }
       }
@@ -155,15 +166,17 @@ TEST_F(ShardServerTest, LoopbackByteMatchesInProcessShardedEverywhere) {
       // Non-point-index plans delegate beneath the seam unchanged.
       ExpectRowsIdentical(
           ExecuteAggregate(*seam.router, join::AggKind::kSum, core::Attr::kFare,
-                           8.0, core::Mode::kAct, hooks),
+                           ErrorBound::Absolute(8.0), core::Mode::kAct, hooks),
           core::ExecuteAggregate(*seam.sharded, join::AggKind::kSum,
-                                 core::Attr::kFare, 8.0, core::Mode::kAct, hooks),
+                                 core::Attr::kFare, ErrorBound::Absolute(8.0),
+                                 core::Mode::kAct, hooks),
           label + " delegated ACT");
       ExpectRowsIdentical(
           ExecuteAggregate(*seam.router, join::AggKind::kCount, core::Attr::kNone,
-                           0.0, core::Mode::kExact, hooks),
+                           ErrorBound::Exact(), core::Mode::kExact, hooks),
           core::ExecuteAggregate(*seam.sharded, join::AggKind::kCount,
-                                 core::Attr::kNone, 0.0, core::Mode::kExact, hooks),
+                                 core::Attr::kNone, ErrorBound::Exact(),
+                                 core::Mode::kExact, hooks),
           label + " delegated exact");
     }
   }
@@ -188,13 +201,14 @@ TEST_F(ShardServerTest, ZeroSurvivingShardsAnswersZeroAcrossTheSeam) {
       raster::HierarchicalRaster::BuildEpsilon(far_poly, base->grid, 8.0);
   ASSERT_TRUE(seam.sharded->SurvivingShards(hr).empty());
 
-  const join::ResultRange got = ExecuteCountInPolygon(*seam.router, far_poly, 8.0);
-  const join::ResultRange want = core::ExecuteCountInPolygon(*base, far_poly, 8.0);
+  const ErrorBound bound = ErrorBound::Absolute(8.0);
+  const join::ResultRange got = ExecuteCount(*seam.router, far_poly, bound).range;
+  const join::ResultRange want = core::ExecuteCount(*base, far_poly, bound).range;
   EXPECT_EQ(got.estimate, want.estimate);
   EXPECT_EQ(got.lo, want.lo);
   EXPECT_EQ(got.hi, want.hi);
   EXPECT_EQ(got.estimate, 0.0);
-  EXPECT_TRUE(ExecuteSelectInPolygon(*seam.router, far_poly, 8.0).empty());
+  EXPECT_TRUE(ExecuteSelect(*seam.router, far_poly, bound).ids.empty());
   // No messages at all crossed the transport for the empty scatter set.
   EXPECT_EQ(seam.transport->stats().messages, 0u);
 }
@@ -203,65 +217,40 @@ TEST_F(ShardServerTest, TransportServiceByteMatchesUnshardedEngine) {
   // End-to-end through QueryService with the seam on: 8 shard servers x
   // 8 threads, workload duplicated so the second half runs on warm
   // central + per-shard caches (reference requests).
-  core::SpatialEngine engine;
-  engine.SetPoints(data::PointSet(*base_->points));
-  engine.SetRegions(data::RegionSet(*base_->regions));
-
-  std::vector<Request> workload;
+  std::vector<Submission> workload;
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);
   for (const double eps : {4.0, 8.0}) {
-    workload.push_back(Request::MakeAggregate(join::AggKind::kCount,
-                                              core::Attr::kNone, eps,
-                                              core::Mode::kPointIndex));
-    workload.push_back(Request::MakeAggregate(join::AggKind::kSum, core::Attr::kFare,
-                                              eps, core::Mode::kPointIndex));
-    workload.push_back(Request::MakeCount(star, eps));
-    workload.push_back(Request::MakeCount(corner, eps));
-    workload.push_back(Request::MakeSelect(star, eps));
+    workload.push_back(AggregateAt(join::AggKind::kCount, core::Attr::kNone, eps,
+                                   core::Mode::kPointIndex));
+    workload.push_back(AggregateAt(join::AggKind::kSum, core::Attr::kFare, eps,
+                                   core::Mode::kPointIndex));
+    workload.push_back(CountAt(star, eps));
+    workload.push_back(CountAt(corner, eps));
+    workload.push_back(SelectAt(star, eps));
   }
   // Duplicate through an explicit copy: self-range insert invalidates the
   // source iterators when the vector reallocates (it silently corrupted
   // the duplicated half of earlier versions of this idiom).
-  const std::vector<Request> first_pass = workload;
+  const std::vector<Submission> first_pass = workload;
   workload.insert(workload.end(), first_pass.begin(), first_pass.end());
 
   ServiceOptions options;
   options.num_threads = 8;
   options.num_shards = 8;
   options.use_transport = true;
-  QueryService service(engine.Snapshot(), options);
+  QueryService service(base_, options);
   ASSERT_NE(service.sharded(), nullptr);
   ASSERT_EQ(service.num_shard_servers(), 8u);
 
-  for (const Request& req : workload) service.Submit(req);
-  const std::vector<Response> responses = service.DrainResponses();
-  ASSERT_EQ(responses.size(), workload.size());
+  for (const Submission& sub : workload) service.Submit(sub.query, sub.options);
+  const std::vector<Result> results = service.Drain();
+  ASSERT_EQ(results.size(), workload.size());
   EXPECT_GT(service.transport_stats().messages, 0u);
 
-  for (size_t i = 0; i < responses.size(); ++i) {
-    const Request& req = workload[i];
-    const Response& got = responses[i];
-    ASSERT_TRUE(got.ok()) << got.error;
-    switch (req.kind) {
-      case Request::Kind::kAggregate: {
-        const core::AggregateAnswer want =
-            engine.Aggregate(req.agg, req.attr, req.epsilon, req.mode);
-        ExpectRowsIdentical(got.aggregate, want, "request " + std::to_string(i));
-        break;
-      }
-      case Request::Kind::kCountInPolygon: {
-        const join::ResultRange want = engine.CountInPolygon(req.poly, req.epsilon);
-        EXPECT_EQ(got.range.estimate, want.estimate) << "request " << i;
-        EXPECT_EQ(got.range.lo, want.lo) << "request " << i;
-        EXPECT_EQ(got.range.hi, want.hi) << "request " << i;
-        break;
-      }
-      case Request::Kind::kSelectInPolygon:
-        EXPECT_EQ(got.ids, engine.SelectInPolygon(req.poly, req.epsilon))
-            << "request " << i;
-        break;
-    }
+  for (size_t i = 0; i < results.size(); ++i) {
+    dbsa::testing::ExpectSamePayload(results[i], Reference(*base_, workload[i]),
+                                     "request " + std::to_string(i));
   }
 
   // The duplicated half was served by reference: at least one shard
@@ -507,16 +496,15 @@ TEST_F(ShardServerTest, WarmCacheWarmsOnlyRoutedRegionsPerShard) {
 }
 
 TEST_F(ShardServerTest, WarmAndColdResultsByteIdentical) {
-  std::vector<Request> workload;
+  std::vector<Submission> workload;
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   for (const double eps : {4.0, 8.0}) {
-    workload.push_back(Request::MakeAggregate(join::AggKind::kCount,
-                                              core::Attr::kNone, eps,
-                                              core::Mode::kPointIndex));
-    workload.push_back(Request::MakeAggregate(join::AggKind::kSum, core::Attr::kFare,
-                                              eps, core::Mode::kPointIndex));
-    workload.push_back(Request::MakeCount(star, eps));
-    workload.push_back(Request::MakeSelect(star, eps));
+    workload.push_back(AggregateAt(join::AggKind::kCount, core::Attr::kNone, eps,
+                                   core::Mode::kPointIndex));
+    workload.push_back(AggregateAt(join::AggKind::kSum, core::Attr::kFare, eps,
+                                   core::Mode::kPointIndex));
+    workload.push_back(CountAt(star, eps));
+    workload.push_back(SelectAt(star, eps));
   }
 
   for (const size_t k : {size_t{1}, size_t{2}, size_t{7}}) {
@@ -531,26 +519,21 @@ TEST_F(ShardServerTest, WarmAndColdResultsByteIdentical) {
       warm.WarmCache(4.0);
       warm.WarmCache(8.0);
 
-      for (const Request& req : workload) {
-        cold.Submit(req);
-        warm.Submit(req);
+      for (const Submission& sub : workload) {
+        cold.Submit(sub.query, sub.options);
+        warm.Submit(sub.query, sub.options);
       }
-      const std::vector<Response> cold_responses = cold.DrainResponses();
-      const std::vector<Response> warm_responses = warm.DrainResponses();
-      ASSERT_EQ(cold_responses.size(), workload.size());
-      ASSERT_EQ(warm_responses.size(), workload.size());
+      const std::vector<Result> cold_results = cold.Drain();
+      const std::vector<Result> warm_results = warm.Drain();
+      ASSERT_EQ(cold_results.size(), workload.size());
+      ASSERT_EQ(warm_results.size(), workload.size());
       const std::string label =
           "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
       for (size_t i = 0; i < workload.size(); ++i) {
-        const Response& c = cold_responses[i];
-        const Response& w = warm_responses[i];
-        ASSERT_TRUE(c.ok() && w.ok()) << label << " " << c.error << w.error;
-        ExpectRowsIdentical(w.aggregate, c.aggregate,
-                            label + " request " + std::to_string(i));
-        EXPECT_EQ(w.range.estimate, c.range.estimate) << label << " request " << i;
-        EXPECT_EQ(w.range.lo, c.range.lo) << label << " request " << i;
-        EXPECT_EQ(w.range.hi, c.range.hi) << label << " request " << i;
-        EXPECT_EQ(w.ids, c.ids) << label << " request " << i;
+        ASSERT_TRUE(cold_results[i].ok())
+            << label << " " << cold_results[i].status.ToString();
+        dbsa::testing::ExpectSamePayload(warm_results[i], cold_results[i],
+                                         label + " request " + std::to_string(i));
       }
       // The warm service's aggregates found every region HR in the
       // central cache and (for point-index plans) the routed slices in

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/dbsa.h"
+#include "envelope_util.h"
 #include "service/query_service.h"
 #include "service/thread_pool.h"
 #include "test_util.h"
@@ -24,8 +25,13 @@
 namespace dbsa::core {
 namespace {
 
+using dbsa::testing::AggregateAt;
+using dbsa::testing::CountAt;
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
+using dbsa::testing::SelectAt;
+using dbsa::testing::Submission;
+using query::ErrorBound;
 
 /// Bitwise row comparison (== on doubles — the determinism contract).
 void ExpectRowsIdentical(const AggregateAnswer& got, const AggregateAnswer& want,
@@ -115,48 +121,59 @@ TEST_F(ShardedStateTest, ScatterGatherByteMatchesUnshardedEverywhere) {
       for (const double eps : epsilons) {
         // Region aggregations, all three aggregate kinds.
         ExpectRowsIdentical(
-            ExecuteAggregate(*sharded, join::AggKind::kCount, Attr::kNone, eps,
+            ExecuteAggregate(*sharded, join::AggKind::kCount, Attr::kNone,
+                             ErrorBound::Absolute(eps),
                              Mode::kPointIndex, hooks),
-            ExecuteAggregate(*base_, join::AggKind::kCount, Attr::kNone, eps,
+            ExecuteAggregate(*base_, join::AggKind::kCount, Attr::kNone,
+                             ErrorBound::Absolute(eps),
                              Mode::kPointIndex),
             label + " count eps=" + std::to_string(eps));
         ExpectRowsIdentical(
-            ExecuteAggregate(*sharded, join::AggKind::kSum, Attr::kFare, eps,
+            ExecuteAggregate(*sharded, join::AggKind::kSum, Attr::kFare,
+                             ErrorBound::Absolute(eps),
                              Mode::kPointIndex, hooks),
-            ExecuteAggregate(*base_, join::AggKind::kSum, Attr::kFare, eps,
+            ExecuteAggregate(*base_, join::AggKind::kSum, Attr::kFare,
+                             ErrorBound::Absolute(eps),
                              Mode::kPointIndex),
             label + " sum eps=" + std::to_string(eps));
         ExpectRowsIdentical(
-            ExecuteAggregate(*sharded, join::AggKind::kAvg, Attr::kFare, eps,
+            ExecuteAggregate(*sharded, join::AggKind::kAvg, Attr::kFare,
+                             ErrorBound::Absolute(eps),
                              Mode::kPointIndex, hooks),
-            ExecuteAggregate(*base_, join::AggKind::kAvg, Attr::kFare, eps,
+            ExecuteAggregate(*base_, join::AggKind::kAvg, Attr::kFare,
+                             ErrorBound::Absolute(eps),
                              Mode::kPointIndex),
             label + " avg eps=" + std::to_string(eps));
 
         // Ad-hoc counts and selections.
         for (size_t p = 0; p < polys.size(); ++p) {
           const join::ResultRange got =
-              ExecuteCountInPolygon(*sharded, polys[p], eps, hooks);
-          const join::ResultRange want = ExecuteCountInPolygon(*base_, polys[p], eps);
+              ExecuteCount(*sharded, polys[p], ErrorBound::Absolute(eps), hooks).range;
+          const join::ResultRange want = ExecuteCount(*base_, polys[p],
+                                                      ErrorBound::Absolute(eps)).range;
           EXPECT_EQ(got.estimate, want.estimate) << label << " poly " << p;
           EXPECT_EQ(got.lo, want.lo) << label << " poly " << p;
           EXPECT_EQ(got.hi, want.hi) << label << " poly " << p;
-          EXPECT_EQ(ExecuteSelectInPolygon(*sharded, polys[p], eps, hooks),
-                    ExecuteSelectInPolygon(*base_, polys[p], eps))
+          EXPECT_EQ(ExecuteSelect(*sharded, polys[p], ErrorBound::Absolute(eps),
+                                  hooks).ids,
+                    ExecuteSelect(*base_, polys[p], ErrorBound::Absolute(eps)).ids)
               << label << " poly " << p;
         }
       }
 
       // Delegated (non-point-index) plans flow through unchanged.
       ExpectRowsIdentical(ExecuteAggregate(*sharded, join::AggKind::kSum,
-                                           Attr::kFare, 8.0, Mode::kAct, hooks),
+                                           Attr::kFare, ErrorBound::Absolute(8.0),
+                                               Mode::kAct, hooks),
                           ExecuteAggregate(*base_, join::AggKind::kSum, Attr::kFare,
-                                           8.0, Mode::kAct),
+                                           ErrorBound::Absolute(8.0), Mode::kAct),
                           label + " delegated ACT");
       ExpectRowsIdentical(ExecuteAggregate(*sharded, join::AggKind::kCount,
-                                           Attr::kNone, 0.0, Mode::kExact, hooks),
+                                           Attr::kNone, ErrorBound::Exact(),
+                                               Mode::kExact, hooks),
                           ExecuteAggregate(*base_, join::AggKind::kCount,
-                                           Attr::kNone, 0.0, Mode::kExact),
+                                           Attr::kNone, ErrorBound::Exact(),
+                                               Mode::kExact),
                           label + " delegated exact");
     }
   }
@@ -174,7 +191,8 @@ TEST_F(ShardedStateTest, SelectivePolygonPrunesShards) {
 
   // The aggregate stats report how many shards were actually probed.
   const AggregateAnswer answer = ExecuteAggregate(
-      *sharded, join::AggKind::kCount, Attr::kNone, 8.0, Mode::kPointIndex);
+      *sharded, join::AggKind::kCount, Attr::kNone, ErrorBound::Absolute(8.0),
+          Mode::kPointIndex);
   EXPECT_GT(answer.stats.shards_probed, 0u);
   EXPECT_LE(answer.stats.shards_probed, 16u);
 }
@@ -198,72 +216,52 @@ TEST_F(ShardedStateTest, QueryOutsideEveryShardPrunesToZero) {
       raster::HierarchicalRaster::BuildEpsilon(far_poly, base->grid, 8.0);
   EXPECT_TRUE(sharded->SurvivingShards(hr).empty());
 
-  const join::ResultRange got = ExecuteCountInPolygon(*sharded, far_poly, 8.0);
-  const join::ResultRange want = ExecuteCountInPolygon(*base, far_poly, 8.0);
+  const join::ResultRange got = ExecuteCount(*sharded, far_poly,
+                                             ErrorBound::Absolute(8.0)).range;
+  const join::ResultRange want = ExecuteCount(*base, far_poly,
+                                              ErrorBound::Absolute(8.0)).range;
   EXPECT_EQ(got.estimate, want.estimate);
   EXPECT_EQ(got.lo, want.lo);
   EXPECT_EQ(got.hi, want.hi);
   EXPECT_EQ(got.estimate, 0.0);
-  EXPECT_TRUE(ExecuteSelectInPolygon(*sharded, far_poly, 8.0).empty());
+  EXPECT_TRUE(ExecuteSelect(*sharded, far_poly, ErrorBound::Absolute(8.0)).ids.empty());
 }
 
 TEST_F(ShardedStateTest, ShardedQueryServiceByteMatchesUnshardedEngine) {
   // End-to-end through the serving layer: 8 shards x 8 threads, workload
   // duplicated so the second half exercises the warm HR cache.
-  SpatialEngine engine;
-  engine.SetPoints(data::PointSet(*base_->points));
-  engine.SetRegions(data::RegionSet(*base_->regions));
-
-  std::vector<service::Request> workload;
+  std::vector<Submission> workload;
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);
   for (const double eps : {4.0, 8.0}) {
-    workload.push_back(service::Request::MakeAggregate(
-        join::AggKind::kCount, Attr::kNone, eps, Mode::kPointIndex));
-    workload.push_back(service::Request::MakeAggregate(
-        join::AggKind::kSum, Attr::kFare, eps, Mode::kPointIndex));
-    workload.push_back(service::Request::MakeCount(star, eps));
-    workload.push_back(service::Request::MakeCount(corner, eps));
-    workload.push_back(service::Request::MakeSelect(star, eps));
+    workload.push_back(
+        AggregateAt(join::AggKind::kCount, Attr::kNone, eps, Mode::kPointIndex));
+    workload.push_back(
+        AggregateAt(join::AggKind::kSum, Attr::kFare, eps, Mode::kPointIndex));
+    workload.push_back(CountAt(star, eps));
+    workload.push_back(CountAt(corner, eps));
+    workload.push_back(SelectAt(star, eps));
   }
   // Explicit copy: self-range insert invalidates the source iterators on
   // reallocation and used to corrupt the duplicated half.
-  const std::vector<service::Request> first_pass = workload;
+  const std::vector<Submission> first_pass = workload;
   workload.insert(workload.end(), first_pass.begin(), first_pass.end());
 
   service::ServiceOptions options;
   options.num_threads = 8;
   options.num_shards = 8;
-  service::QueryService service(engine.Snapshot(), options);
+  service::QueryService service(base_, options);
   ASSERT_NE(service.sharded(), nullptr);
   ASSERT_EQ(service.sharded()->num_shards(), 8u);
 
-  for (const service::Request& req : workload) service.Submit(req);
-  const std::vector<service::Response> responses = service.DrainResponses();
-  ASSERT_EQ(responses.size(), workload.size());
+  for (const Submission& sub : workload) service.Submit(sub.query, sub.options);
+  const std::vector<service::Result> results = service.Drain();
+  ASSERT_EQ(results.size(), workload.size());
 
-  for (size_t i = 0; i < responses.size(); ++i) {
-    const service::Request& req = workload[i];
-    const service::Response& got = responses[i];
-    switch (req.kind) {
-      case service::Request::Kind::kAggregate: {
-        const AggregateAnswer want =
-            engine.Aggregate(req.agg, req.attr, req.epsilon, req.mode);
-        ExpectRowsIdentical(got.aggregate, want, "request " + std::to_string(i));
-        break;
-      }
-      case service::Request::Kind::kCountInPolygon: {
-        const join::ResultRange want = engine.CountInPolygon(req.poly, req.epsilon);
-        EXPECT_EQ(got.range.estimate, want.estimate) << "request " << i;
-        EXPECT_EQ(got.range.lo, want.lo) << "request " << i;
-        EXPECT_EQ(got.range.hi, want.hi) << "request " << i;
-        break;
-      }
-      case service::Request::Kind::kSelectInPolygon:
-        EXPECT_EQ(got.ids, engine.SelectInPolygon(req.poly, req.epsilon))
-            << "request " << i;
-        break;
-    }
+  for (size_t i = 0; i < results.size(); ++i) {
+    dbsa::testing::ExpectSamePayload(results[i],
+                                     dbsa::testing::Reference(*base_, workload[i]),
+                                     "request " + std::to_string(i));
   }
 }
 
@@ -314,15 +312,19 @@ TEST(ShardedNonDyadicSumTest, AdversarialAttributesByteIdenticalAtEveryK) {
           "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
       for (const double eps : {4.0, 16.0}) {
         ExpectRowsIdentical(
-            ExecuteAggregate(*sharded, join::AggKind::kSum, Attr::kFare, eps,
+            ExecuteAggregate(*sharded, join::AggKind::kSum, Attr::kFare,
+                             ErrorBound::Absolute(eps),
                              Mode::kPointIndex, hooks),
-            ExecuteAggregate(*base, join::AggKind::kSum, Attr::kFare, eps,
+            ExecuteAggregate(*base, join::AggKind::kSum, Attr::kFare,
+                             ErrorBound::Absolute(eps),
                              Mode::kPointIndex),
             label + " adversarial sum eps=" + std::to_string(eps));
         ExpectRowsIdentical(
-            ExecuteAggregate(*sharded, join::AggKind::kAvg, Attr::kFare, eps,
+            ExecuteAggregate(*sharded, join::AggKind::kAvg, Attr::kFare,
+                             ErrorBound::Absolute(eps),
                              Mode::kPointIndex, hooks),
-            ExecuteAggregate(*base, join::AggKind::kAvg, Attr::kFare, eps,
+            ExecuteAggregate(*base, join::AggKind::kAvg, Attr::kFare,
+                             ErrorBound::Absolute(eps),
                              Mode::kPointIndex),
             label + " adversarial avg eps=" + std::to_string(eps));
       }
@@ -346,7 +348,7 @@ TEST(ShardedNonDyadicSumTest, AdversarialAttributesByteIdenticalAtEveryK) {
             .aggregate;
     ExpectRowsIdentical(via_seam,
                         ExecuteAggregate(*base, join::AggKind::kSum, Attr::kFare,
-                                         4.0, Mode::kPointIndex),
+                                         ErrorBound::Absolute(4.0), Mode::kPointIndex),
                         "seam k=" + std::to_string(k) + " adversarial sum");
   }
 }

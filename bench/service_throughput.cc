@@ -27,8 +27,8 @@
 // A fourth section measures the socket transport: the same workload with
 // every shard probe crossing localhost TCP (in-process listeners on
 // ephemeral ports — real kernel sockets, real connection management) vs
-// the loopback seam. The qps gap is the per-message cost the optimizer
-// charges as transport_overhead.
+// the loopback seam. The qps gap is the per-message cost of a real
+// network hop.
 //
 // A fifth section measures the serialized size of wire messages (the
 // envelope's bound fields and typed status codes cost a handful of bytes
@@ -397,10 +397,8 @@ void RunTransport(size_t n_points, size_t n_regions, size_t threads,
 /// crossing localhost TCP sockets — in-process ShardListeners on
 /// ephemeral ports, so the kernel loopback interface, the framing and
 /// the connection management are all real — vs the loopback seam. The
-/// socket/loopback qps ratio is the honest per-message cost the
-/// optimizer charges as QueryProfile::transport_overhead
-/// (SocketTransport::kDefaultCostPerMessage vs
-/// LoopbackTransport::kCostPerMessage).
+/// socket/loopback qps ratio is the honest per-message cost of a real
+/// network hop.
 void RunSocket(size_t n_points, size_t n_regions, size_t threads,
                size_t max_shards, size_t num_viewports) {
   PrintBanner("Socket transport: localhost TCP vs loopback seam");
@@ -472,8 +470,8 @@ void RunSocket(size_t n_points, size_t n_regions, size_t threads,
   }
   table.Print();
   PrintNote("socket/loopback < 1 is the real per-message cost (syscalls,");
-  PrintNote("kernel TCP) that transport_overhead charges the planner; dials");
-  PrintNote("staying ~ shards x threads shows connections persist and pool.");
+  PrintNote("kernel TCP); dials staying ~ shards x threads shows connections");
+  PrintNote("persist and pool.");
 }
 
 /// The multiplexing section: closed-loop concurrency over ONE shard

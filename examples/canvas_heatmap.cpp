@@ -2,7 +2,8 @@
 // point table into a rasterized canvas whose pixel size follows a
 // distance bound, mask it with a district polygon (blend + mask
 // composition), and print both heatmaps as ASCII art. This is the
-// operator pipeline the BRJ plan composes internally.
+// operator pipeline the bounded raster join (canvas/brj.h) composes
+// internally.
 //
 // Build & run:  ./build/examples/canvas_heatmap
 
@@ -76,7 +77,8 @@ int main() {
   }
   PrintHeatmap(masked, "district-of-interest pickups (blend+mask composition)");
 
-  // Reduce: the aggregation the BRJ plan would emit for this district.
+  // Reduce: the aggregation the bounded raster join would emit for this
+  // district.
   const canvas::Rgba totals = canvas::Reduce(masked);
   std::printf("district aggregate: %.0f pickups, $%.0f total fares "
               "(within %.0fm of the true boundary)\n",

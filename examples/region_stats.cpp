@@ -1,7 +1,8 @@
 // region_stats: operational-planning analytics over regions (the taxi
 // provider scenario of Section 2.2) — AVG fare and trip counts per
-// region, computed approximately with result ranges, and the trade-off
-// between the distance bound and accuracy, measured against exact.
+// region, computed approximately with guaranteed result ranges, and the
+// trade-off between the distance bound and accuracy, measured against
+// exact.
 //
 // Build & run:  ./build/examples/region_stats
 
@@ -39,16 +40,16 @@ int main() {
   const core::AggregateAnswer exact_avg =
       aggregate(join::AggKind::kAvg, core::Attr::kFare, ErrorBound::Exact());
 
-  std::printf("accuracy vs distance bound (ACT plan, no exact tests)\n");
+  std::printf("accuracy vs distance bound (point-index plan, no exact tests)\n");
   std::printf("eps (m) | elapsed (ms) | mean |count err| %% | mean |avg-fare err| %%\n");
   std::printf("--------+--------------+-------------------+---------------------\n");
   for (const double eps : {64.0, 16.0, 4.0, 1.0}) {
     const core::AggregateAnswer count = aggregate(
         join::AggKind::kCount, core::Attr::kNone, ErrorBound::Absolute(eps),
-        core::Mode::kAct);
+        core::Mode::kPointIndex);
     const core::AggregateAnswer avg = aggregate(
         join::AggKind::kAvg, core::Attr::kFare, ErrorBound::Absolute(eps),
-        core::Mode::kAct);
+        core::Mode::kPointIndex);
     RunningStats count_err, avg_err;
     for (size_t r = 0; r < regions.num_regions; ++r) {
       if (exact_count.rows[r].value > 0) {
@@ -66,19 +67,20 @@ int main() {
                 avg_err.mean());
   }
 
-  // The report itself, at a 4 m bound with guaranteed count ranges.
+  // The report itself, at a 4 m bound with guaranteed ranges.
   std::printf("\nregional report (eps=4m, point-index plan with ranges)\n");
   const core::AggregateAnswer report =
       aggregate(join::AggKind::kCount, core::Attr::kNone, ErrorBound::Absolute(4.0),
                 core::Mode::kPointIndex);
   const core::AggregateAnswer fares =
       aggregate(join::AggKind::kAvg, core::Attr::kFare, ErrorBound::Absolute(4.0),
-                core::Mode::kAct);
-  std::printf("region | trips (range)            | avg fare\n");
-  std::printf("-------+--------------------------+---------\n");
+                core::Mode::kPointIndex);
+  std::printf("region | trips (range)            | avg fare (range)\n");
+  std::printf("-------+--------------------------+-------------------------\n");
   for (size_t r = 0; r < 10 && r < regions.num_regions; ++r) {
-    std::printf("%6zu | %8.0f [%8.0f,%8.0f] | $%.2f\n", r, report.rows[r].value,
-                report.rows[r].lo, report.rows[r].hi, fares.rows[r].value);
+    std::printf("%6zu | %8.0f [%8.0f,%8.0f] | $%.2f [$%.2f,$%.2f]\n", r,
+                report.rows[r].value, report.rows[r].lo, report.rows[r].hi,
+                fares.rows[r].value, fares.rows[r].lo, fares.rows[r].hi);
   }
   std::printf("... (%zu regions total)\n", regions.num_regions);
   return 0;

@@ -46,10 +46,9 @@ std::vector<uint64_t> SubmitWorkload(dbsa::service::QueryService& service,
   std::vector<uint64_t> tickets;
   service::ExecOptions within_8;
   within_8.bound = query::ErrorBound::Absolute(8.0);
-  within_8.mode = core::Mode::kPointIndex;  // Pin the plan: the socket and
-  // loopback transports charge different per-message costs, and under
-  // kAuto the optimizer may legitimately pick different plans — pinning
-  // isolates the byte-identity comparison (see docs/architecture.md).
+  // Pin the point index so every aggregate crosses the shard seam (kAuto
+  // may resolve to the exact plan, which never leaves the client).
+  within_8.mode = core::Mode::kPointIndex;
   service::ExecOptions at_level = within_8;
   at_level.bound = query::ErrorBound::AtLevel(6);
   service::ExecOptions exact;

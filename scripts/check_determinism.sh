@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Determinism gate for the byte-identity invariant (docs/architecture.md,
-# "Invariants"): with the plan pinned, payloads are byte-identical across
-# the engine / pooled / sharded / loopback / TCP paths. Two bug classes
-# break that silently — correct output every run, different bytes across
-# runs — so no test and no sanitizer catches them. This lint does:
+# "Invariants"): payloads are byte-identical across the engine / pooled /
+# sharded / loopback / TCP paths. Two bug classes break that silently —
+# correct output every run, different bytes across runs — so no test and
+# no sanitizer catches them. This lint does:
 #
 #   1. HASH-ORDER ITERATION — a range-for / .begin() walk over a
 #      std::unordered_map / std::unordered_set feeding a merge, a gather

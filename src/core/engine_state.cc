@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "canvas/brj.h"
-#include "join/act_join.h"
 #include "join/exact_join.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -107,56 +105,39 @@ void RunMaybeParallel(const ExecHooks& hooks, size_t n,
 
 namespace {
 
-/// The optimizer's plan for a region aggregation over `source` (costed
-/// with the source's fan-out and transport terms), then the mode
-/// override, the epsilon==0 exactness requirement, and the kPassengers
-/// reroute (the point index carries fare prefix sums only).
-query::PlanKind ResolveAggregatePlan(const ShardSource& source, join::AggKind agg,
+/// True when the point index answers `agg` over `attr`: COUNT, and
+/// SUM/AVG over fare, the one column it keeps prefix sums of.
+bool PointIndexAnswers(join::AggKind agg, Attr attr) {
+  return agg == join::AggKind::kCount ||
+         ((agg == join::AggKind::kSum || agg == join::AggKind::kAvg) &&
+          attr == Attr::kFare);
+}
+
+/// The plan of a region aggregation. An exact mode or bound runs exact; so
+/// does every aggregate the point index cannot answer, under every mode.
+/// Otherwise kPointIndex pins the index and kAuto takes the optimizer's
+/// choice over the base tables and the bound. Nothing here depends on the
+/// source's deployment, so every path resolves a query to the same plan.
+query::PlanKind ResolveAggregatePlan(const EngineState& base, join::AggKind agg,
                                      Attr attr, double epsilon, Mode mode,
-                                     const ExecHooks& hooks, std::string* explain) {
-  const EngineState& base = source.base();
+                                     std::string* explain) {
   query::QueryProfile profile;
   profile.num_points = base.points->size();
   profile.num_polygons = base.regions->NumPolygons();
   profile.avg_vertices = base.regions->AvgVertices();
   profile.epsilon = epsilon;
-  profile.universe_extent = base.grid.side();
   profile.total_perimeter = base.regions->TotalPerimeter();
   profile.total_polygon_area = base.regions->TotalArea();
-  profile.point_index_available = base.point_index.has_value();
-  profile.hr_cache_available = static_cast<bool>(hooks.hr_provider);
-  profile.parallel_shards =
-      std::max(1.0, static_cast<double>(source.num_shards()));
-  profile.transport_overhead = source.transport_overhead();
   query::PlanChoice choice = query::ChoosePlan(profile);
   *explain = std::move(choice.explain);
 
-  query::PlanKind plan = choice.kind;
-  switch (mode) {
-    case Mode::kAuto:
-      break;
-    case Mode::kAct:
-      plan = query::PlanKind::kActJoin;
-      break;
-    case Mode::kPointIndex:
-      plan = query::PlanKind::kPointIndexJoin;
-      break;
-    case Mode::kCanvasBrj:
-      plan = query::PlanKind::kCanvasBrj;
-      break;
-    case Mode::kExact:
-      plan = query::PlanKind::kExactRStar;
-      break;
+  if (mode == Mode::kExact || epsilon <= 0.0) return query::PlanKind::kExactRStar;
+  if (!PointIndexAnswers(agg, attr)) {
+    *explain += "; the point index answers COUNT and SUM/AVG(fare) only -> ";
+    *explain += query::PlanKindName(query::PlanKind::kExactRStar);
+    return query::PlanKind::kExactRStar;
   }
-  if (epsilon <= 0.0) plan = query::PlanKind::kExactRStar;
-  // The point index stores prefix sums of one attribute column (fare); a
-  // SUM/AVG over another column cannot be answered from it. Reroute to the
-  // ACT join, which aggregates any column at the same distance bound.
-  if (plan == query::PlanKind::kPointIndexJoin && agg != join::AggKind::kCount &&
-      attr == Attr::kPassengers) {
-    plan = query::PlanKind::kActJoin;
-  }
-  return plan;
+  return mode == Mode::kPointIndex ? query::PlanKind::kPointIndexJoin : choice.kind;
 }
 
 /// Builds the per-region answer rows (value + Section 6 range) from the
@@ -166,22 +147,10 @@ void RowsFromRegionAggregates(const std::vector<join::CellAggregate>& per_region
   rows->resize(per_region.size());
   for (size_t r = 0; r < per_region.size(); ++r) {
     const join::CellAggregate& a = per_region[r];
-    double value = 0.0, lo = 0.0, hi = 0.0;
-    if (agg == join::AggKind::kCount) {
-      const join::ResultRange range = join::CountRange(a);
-      value = range.estimate;
-      lo = range.lo;
-      hi = range.hi;
-    } else if (agg == join::AggKind::kSum) {
-      const join::ResultRange range = join::SumRange(a);
-      value = range.estimate;
-      lo = range.lo;
-      hi = range.hi;
-    } else {  // AVG
-      value = a.count > 0 ? a.SumValue() / a.count : 0.0;
-      lo = hi = value;
-    }
-    (*rows)[r] = {static_cast<uint32_t>(r), value, lo, hi};
+    const join::ResultRange range = agg == join::AggKind::kCount ? join::CountRange(a)
+                                    : agg == join::AggKind::kSum ? join::SumRange(a)
+                                                                 : join::AvgRange(a);
+    (*rows)[r] = {static_cast<uint32_t>(r), range.estimate, range.lo, range.hi};
   }
 }
 
@@ -257,102 +226,51 @@ AggregateAnswer ExecuteAggregate(const ShardSource& source, join::AggKind agg,
   DBSA_CHECK(!base.regions->polys.empty());
   const double epsilon = bound.EffectiveEpsilon(base.grid);
   AggregateAnswer answer;
-  // An exact bound resolves to the exact plan through epsilon 0 as well;
-  // pinning the mode makes the contract explicit in the EXPLAIN output.
+  // An exact bound has epsilon 0, which resolves to the exact plan.
   const query::PlanKind plan =
-      ResolveAggregatePlan(source, agg, attr, epsilon,
-                           bound.exact() ? Mode::kExact : mode, hooks,
-                           &answer.stats.explain);
+      ResolveAggregatePlan(base, agg, attr, epsilon, mode, &answer.stats.explain);
   answer.stats.plan = plan;
-  const join::JoinInput in = base.MakeInput(attr);
 
   Timer timer;
-  switch (plan) {
-    case query::PlanKind::kActJoin: {
-      join::ActJoinOptions opts;
-      opts.epsilon = epsilon;
-      const join::JoinStats stats = join::ActJoin(in, agg, base.grid, opts);
-      answer.stats.pip_tests = stats.pip_tests;
-      answer.stats.index_bytes = stats.index_bytes;
-      answer.stats.hr_level = base.grid.LevelForEpsilon(epsilon);
-      answer.stats.achieved_epsilon =
-          base.grid.AchievedEpsilon(answer.stats.hr_level);
-      answer.rows.resize(stats.value.size());
-      for (size_t r = 0; r < stats.value.size(); ++r) {
-        answer.rows[r] = {static_cast<uint32_t>(r), stats.value[r], stats.value[r],
-                          stats.value[r]};
-      }
-      break;
+  if (plan == query::PlanKind::kExactRStar) {
+    const join::JoinStats stats = join::RStarMbrJoin(base.MakeInput(attr), agg);
+    answer.stats.pip_tests = stats.pip_tests;
+    answer.stats.index_bytes = stats.index_bytes;
+    answer.stats.achieved_epsilon = 0.0;
+    answer.rows.resize(stats.value.size());
+    for (size_t r = 0; r < stats.value.size(); ++r) {
+      answer.rows[r] = {static_cast<uint32_t>(r), stats.value[r], stats.value[r],
+                        stats.value[r]};
     }
-    case query::PlanKind::kPointIndexJoin: {
-      DBSA_CHECK(agg == join::AggKind::kCount || agg == join::AggKind::kSum ||
-                 agg == join::AggKind::kAvg);
-      const int level = base.grid.LevelForEpsilon(epsilon);
-      answer.stats.hr_level = level;
-      answer.stats.achieved_epsilon = base.grid.AchievedEpsilon(level);
-      // Stage 1 — independent per polygon (HR lookup + the source's
-      // probe), so the hook may fan it out across threads. A sharded
-      // source gathers each polygon's shard partials in ascending shard
-      // order, so scheduling never changes a merge order.
-      const std::vector<geom::Polygon>& polys = base.regions->polys;
-      std::vector<join::CellAggregate> per_poly(polys.size());
-      ShardFlags touched(source.num_shards());
-      RunMaybeParallel(hooks, polys.size(), [&](size_t j) {
-        const std::shared_ptr<const raster::HierarchicalRaster> hr =
-            HrForPolygon(base, hooks, j, polys[j], epsilon);
-        per_poly[j] = source.ProbeCells(
-            Probe{*hr, j, polys[j], bound, level, touched.data()}, hooks);
-      });
-      // Stage 2 — combine into regions serially in polygon order, keeping
-      // floating-point accumulation order independent of the scheduling
-      // above (the service's determinism guarantee). The boundary partials
-      // give the Section 6 result range.
-      std::vector<join::CellAggregate> per_region(base.regions->num_regions);
-      for (size_t j = 0; j < polys.size(); ++j) {
-        answer.stats.query_cells += per_poly[j].query_cells;
-        per_region[base.regions->region_of[j]].Merge(per_poly[j]);
-      }
-      answer.stats.index_bytes = source.IndexBytes();
-      answer.stats.shards_probed = CountTouched(touched);
-      RowsFromRegionAggregates(per_region, agg, &answer.rows);
-      break;
+  } else {
+    const int level = base.grid.LevelForEpsilon(epsilon);
+    answer.stats.hr_level = level;
+    answer.stats.achieved_epsilon = base.grid.AchievedEpsilon(level);
+    // Stage 1 — independent per polygon (HR lookup + the source's
+    // probe), so the hook may fan it out across threads. A sharded
+    // source gathers each polygon's shard partials in ascending shard
+    // order, so scheduling never changes a merge order.
+    const std::vector<geom::Polygon>& polys = base.regions->polys;
+    std::vector<join::CellAggregate> per_poly(polys.size());
+    ShardFlags touched(source.num_shards());
+    RunMaybeParallel(hooks, polys.size(), [&](size_t j) {
+      const std::shared_ptr<const raster::HierarchicalRaster> hr =
+          HrForPolygon(base, hooks, j, polys[j], epsilon);
+      per_poly[j] = source.ProbeCells(
+          Probe{*hr, j, polys[j], bound, level, touched.data()}, hooks);
+    });
+    // Stage 2 — combine into regions serially in polygon order, keeping
+    // floating-point accumulation order independent of the scheduling
+    // above (the service's determinism guarantee). The boundary partials
+    // give the Section 6 result range.
+    std::vector<join::CellAggregate> per_region(base.regions->num_regions);
+    for (size_t j = 0; j < polys.size(); ++j) {
+      answer.stats.query_cells += per_poly[j].query_cells;
+      per_region[base.regions->region_of[j]].Merge(per_poly[j]);
     }
-    case query::PlanKind::kCanvasBrj: {
-      canvas::BrjOptions opts;
-      opts.epsilon = epsilon;
-      const canvas::BrjResult brj = canvas::BoundedRasterJoin(
-          in.points, in.attrs, in.num_points, base.regions->polys,
-          base.regions->region_of, base.regions->num_regions,
-          base.grid.universe(), opts);
-      answer.stats.achieved_epsilon = epsilon;
-      answer.rows.resize(base.regions->num_regions);
-      for (size_t r = 0; r < base.regions->num_regions; ++r) {
-        double value = 0.0;
-        if (agg == join::AggKind::kCount) {
-          value = brj.count[r];
-        } else if (agg == join::AggKind::kSum) {
-          value = brj.sum[r];
-        } else if (agg == join::AggKind::kAvg) {
-          value = brj.count[r] > 0 ? brj.sum[r] / brj.count[r] : 0.0;
-        } else {
-          DBSA_CHECK(false);  // MIN/MAX not supported on the count canvas.
-        }
-        answer.rows[r] = {static_cast<uint32_t>(r), value, value, value};
-      }
-      break;
-    }
-    case query::PlanKind::kExactRStar: {
-      const join::JoinStats stats = join::RStarMbrJoin(in, agg);
-      answer.stats.pip_tests = stats.pip_tests;
-      answer.stats.index_bytes = stats.index_bytes;
-      answer.stats.achieved_epsilon = 0.0;
-      answer.rows.resize(stats.value.size());
-      for (size_t r = 0; r < stats.value.size(); ++r) {
-        answer.rows[r] = {static_cast<uint32_t>(r), stats.value[r], stats.value[r],
-                          stats.value[r]};
-      }
-      break;
-    }
+    answer.stats.index_bytes = source.IndexBytes();
+    answer.stats.shards_probed = CountTouched(touched);
+    RowsFromRegionAggregates(per_region, agg, &answer.rows);
   }
   answer.stats.elapsed_ms = timer.Millis();
   return answer;

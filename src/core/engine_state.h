@@ -34,8 +34,9 @@ namespace dbsa::core {
 struct AggregateRow {
   uint32_t region = 0;
   double value = 0.0;
-  /// Guaranteed range (conservative plans only; lo == hi == value
-  /// otherwise).
+  /// Guaranteed range containing the exact answer: the Section 6 range
+  /// on the point-index plan (for SUM/AVG, over a non-negative column),
+  /// lo == hi == value on the exact plan.
   double lo = 0.0;
   double hi = 0.0;
 };
@@ -47,7 +48,7 @@ struct ExecStats {
   double elapsed_ms = 0.0;
   double achieved_epsilon = 0.0;
   /// Hierarchical-raster level actually served (-1: no raster was
-  /// involved — exact plans, canvas plans).
+  /// involved — the exact plan).
   int hr_level = -1;
   /// Approximation cells probed. Sharded executions count each cell once
   /// per shard slice it was routed to (honest scatter accounting), so the
@@ -83,8 +84,10 @@ struct SelectAnswer {
 /// Which attribute of the point table to aggregate.
 enum class Attr { kNone, kFare, kPassengers };
 
-/// Execution-mode override (kAuto defers to the optimizer).
-enum class Mode { kAuto, kAct, kPointIndex, kCanvasBrj, kExact };
+/// Execution-mode override for aggregations (kAuto defers to the
+/// optimizer). Aggregates the point index cannot answer run the exact
+/// plan under every mode.
+enum class Mode { kAuto, kPointIndex, kExact };
 
 /// poly_index value passed to an HrProvider for polygons that are not part
 /// of the registered region table (ad-hoc query polygons).
@@ -139,9 +142,10 @@ void RunMaybeParallel(const ExecHooks& hooks, size_t n,
 //   ShardRouter   K shard servers behind a Transport
 //                 (service/shard_server.h).
 //
-// Per pinned plan every source answers byte-identically: a sharded source
-// gathers its per-shard partials in ascending shard order and re-sorts
-// its selection to the index's canonical (leaf key, row id) order.
+// Every source answers byte-identically: plans resolve against base()
+// alone, a sharded source gathers its per-shard partials in ascending
+// shard order and re-sorts its selection to the index's canonical
+// (leaf key, row id) order.
 
 struct EngineState;
 
@@ -168,13 +172,10 @@ class ShardSource {
   virtual ~ShardSource() = default;
 
   /// The snapshot plans resolve against: grid, region table, and the
-  /// points that exact and non-point-index plans read.
+  /// points the exact plan reads.
   virtual const EngineState& base() const = 0;
-  /// Shards a probe scatters over; 0 for the whole state. The cost
-  /// model's QueryProfile::parallel_shards is max(1, num_shards()).
+  /// Shards a probe scatters over; 0 for the whole state.
   virtual size_t num_shards() const = 0;
-  /// QueryProfile::transport_overhead: cost units per shard message.
-  virtual double transport_overhead() const { return 0.0; }
   /// Bytes of the point index(es) probed (ExecStats::index_bytes).
   virtual size_t IndexBytes() const = 0;
 
@@ -231,18 +232,20 @@ std::shared_ptr<const EngineState> BuildEngineState(data::PointSet points,
 // ---- the executors: one per query kind, over any ShardSource -----------
 // The typed ErrorBound is the contract: kAbsoluteDistance snaps through
 // Grid::LevelForEpsilon, kGridLevel pins the HR level exactly, kExact
-// bypasses approximation and never reaches the source's probes (exact
-// plans for aggregations, brute-force point-in-polygon over the base
+// bypasses approximation and never reaches the source's probes (the exact
+// plan for aggregations, brute-force point-in-polygon over the base
 // points for ad-hoc queries), so every deployment path answers exact
 // queries identically by construction.
 //
-// Under Mode::kAuto the plan is chosen against the source's cost terms,
-// so a sharded or remote source may legitimately pick a different plan
-// than the whole state would; pin the mode to compare executions.
+// An aggregation runs one of two plans, both with a guaranteed range: the
+// point-index join or the exact join. Under Mode::kAuto the optimizer
+// chooses from source.base() and the bound alone, so every source
+// resolves a query to the same plan and answers it byte-identically.
 
 /// SELECT AGG(attr) FROM P, R WHERE P.loc INSIDE R.geometry GROUP BY R.id.
-/// Only the point-index plan probes the source; ACT, canvas BRJ and exact
-/// plans run against source.base().
+/// The point-index plan probes the source; it answers COUNT and SUM/AVG
+/// over fare. Every other aggregate, and every exact bound, runs the exact
+/// plan against source.base().
 AggregateAnswer ExecuteAggregate(const ShardSource& source, join::AggKind agg,
                                  Attr attr, const query::ErrorBound& bound,
                                  Mode mode = Mode::kAuto,

@@ -295,8 +295,7 @@ join::CellAggregate ShardedState::ProbeCells(const Probe& probe,
   const raster::HierarchicalRaster& hr = probe.hr;
   const Scatter scatter = PlanScatter(hr, probe.touched);
   // Each surviving shard answers its pruned cell subset from its local
-  // index — in parallel when the cell volume warrants it (the wall-clock
-  // division the optimizer's parallel_shards discount models).
+  // index — in parallel when the cell volume warrants it.
   std::vector<join::CellAggregate> partials(scatter.shards.size());
   const auto one_shard = [&](size_t t) {
     const size_t s = scatter.shards[t];

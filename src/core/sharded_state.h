@@ -22,25 +22,20 @@
 //            CellAggregate::Merge (GatherCells), and the executor combines
 //            regions exactly like the unsharded point-index plan.
 //
-// Merge identity (per pinned plan): shards partition the points, every
-// point's home cell survives pruning for its own shard, and the gather
-// order is canonical — so COUNT aggregates, result ranges and selections
-// are byte-identical to the unsharded engine for any shard count and any
-// thread count. SUM/AVG aggregates match bit-for-bit as well: range sums
-// travel as Neumaier-compensated (error-free transformation) pairs from
-// the prefix arrays through CellAggregate::Merge (util/compensated.h),
-// so partial sums are exact — association order never rounds — for any
-// attribute column whose running sums fit the pair's ~106-bit window
-// (every realistic column; previously the contract required dyadic
-// values). Tested with adversarial non-dyadic attributes at
-// K in {1,7,16} in sharded_state_test.cc.
-// Under Mode::kAuto the identity covers the EXECUTION of whichever plan
-// is chosen, not the choice itself: the shard-aware cost model (see
-// QueryProfile::parallel_shards) may legitimately pick a different plan
-// than an unsharded engine would — exactly as the serving layer's
-// hr_cache_available advertisement already does — and different plans
-// answer within the same distance bound but not bit-identically. Pin the
-// plan with an explicit Mode to compare executions across shard counts.
+// Merge identity: shards partition the points, every point's home cell
+// survives pruning for its own shard, and the gather order is canonical
+// — so COUNT aggregates, result ranges and selections are byte-identical
+// to the unsharded engine for any shard count and any thread count.
+// SUM/AVG aggregates match bit-for-bit as well: range sums travel as
+// Neumaier-compensated (error-free transformation) pairs from the prefix
+// arrays through CellAggregate::Merge (util/compensated.h), so partial
+// sums are exact — association order never rounds — for any attribute
+// column whose running sums fit the pair's ~106-bit window (every
+// realistic column; previously the contract required dyadic values).
+// Tested with adversarial non-dyadic attributes at K in {1,7,16} in
+// sharded_state_test.cc. The identity holds under Mode::kAuto too: plans
+// resolve against the base state and the bound alone, never the shard
+// count.
 
 #ifndef DBSA_CORE_SHARDED_STATE_H_
 #define DBSA_CORE_SHARDED_STATE_H_
@@ -118,8 +113,8 @@ class ShardedState : public ShardSource {
   };
 
   /// Partitions the base snapshot's points into `options.num_shards`
-  /// Hilbert-contiguous shards. The base state is retained: non-sharded
-  /// plans (ACT, canvas BRJ, exact) execute against it unchanged.
+  /// Hilbert-contiguous shards. The base state is retained: the exact
+  /// plan executes against it unchanged.
   static std::shared_ptr<const ShardedState> Build(
       std::shared_ptr<const EngineState> base, const ShardingOptions& options = {});
 
@@ -239,11 +234,10 @@ join::CellAggregate GatherCells(const std::vector<join::CellAggregate>& partials
 std::vector<uint32_t> GatherIds(std::vector<std::pair<uint64_t, uint32_t>> keyed);
 
 /// The sharded entry points (forwards to the ShardSource executors in
-/// core/engine_state.h). Per pinned plan, results are byte-identical to
-/// the whole state's (see the merge identity above — Mode::kAuto may
-/// resolve to a different plan); only the ExecStats bookkeeping fields
-/// (shards_probed, index_bytes, query-cell counters) reflect the sharded
-/// execution.
+/// core/engine_state.h). Results are byte-identical to the whole state's
+/// under every mode (see the merge identity above); only the ExecStats
+/// bookkeeping fields (shards_probed, index_bytes, query-cell counters)
+/// reflect the sharded execution.
 AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
                                  Attr attr, const query::ErrorBound& bound,
                                  Mode mode = Mode::kAuto,

@@ -23,4 +23,16 @@ ResultRange SumRange(const CellAggregate& agg, double beta) {
   return MakeResultRange(agg.SumValue(), agg.BoundarySumValue(), beta);
 }
 
+ResultRange AvgRange(const CellAggregate& agg) {
+  // The exact set keeps every interior point and loses at most the
+  // boundary ones: its sum is in [S - S_b, S] and its size in [C - C_b, C].
+  const double sum = agg.SumValue();
+  const double interior = agg.count - agg.boundary_count;
+  ResultRange r;
+  r.approx = r.estimate = agg.count > 0 ? sum / agg.count : 0.0;
+  r.lo = agg.count > 0 ? (sum - agg.BoundarySumValue()) / agg.count : 0.0;
+  r.hi = interior > 0 ? sum / interior : agg.BoundarySumValue();
+  return r;
+}
+
 }  // namespace dbsa::join

@@ -34,6 +34,12 @@ ResultRange MakeResultRange(double total, double boundary_partial, double beta =
 ResultRange CountRange(const CellAggregate& agg, double beta = 0.5);
 ResultRange SumRange(const CellAggregate& agg, double beta = 0.5);
 
+/// Interval for the average of a conservative query, from its count C,
+/// boundary count C_b, sum S and boundary sum S_b: the exact average lies
+/// in [(S - S_b) / C, S / (C - C_b)] (S_b when C == C_b). The estimate is
+/// S / C. Like SumRange, it holds for non-negative attribute columns.
+ResultRange AvgRange(const CellAggregate& agg);
+
 }  // namespace dbsa::join
 
 #endif  // DBSA_JOIN_RESULT_RANGE_H_

@@ -8,12 +8,8 @@ namespace dbsa::query {
 
 const char* PlanKindName(PlanKind kind) {
   switch (kind) {
-    case PlanKind::kActJoin:
-      return "ACT-JOIN";
     case PlanKind::kPointIndexJoin:
       return "POINT-INDEX-JOIN";
-    case PlanKind::kCanvasBrj:
-      return "CANVAS-BRJ";
     case PlanKind::kExactRStar:
       return "EXACT-RSTAR";
   }
@@ -24,7 +20,6 @@ PlanCosts EstimateCosts(const QueryProfile& p) {
   PlanCosts c;
   const double n = static_cast<double>(p.num_points);
   const double m = static_cast<double>(std::max<size_t>(p.num_polygons, 1));
-  const double reps = static_cast<double>(std::max(p.repetitions, 1));
   const double eps = std::max(p.epsilon, 1e-9);
   const double cell = eps / 1.4142135623730951;
 
@@ -36,45 +31,17 @@ PlanCosts EstimateCosts(const QueryProfile& p) {
   const double hr_cells = boundary_cells + std::max(1.0, std::log2(interior_cells + 2));
 
   // Abstract unit = one simple memory/compare operation.
-  constexpr double kTrieHop = 4.0;
   constexpr double kSearch = 2.0;      // Per log2 step of a bounded search.
-  constexpr double kPixel = 0.6;       // Canvas pixel touch.
   constexpr double kPipPerVertex = 1.5;
 
-  // ACT join: build (insert hr cells) + n probes * trie depth.
-  const double act_depth = 8.0;  // kMaxLevel / levels_per_node.
-  c.act = hr_cells * kTrieHop * 8.0 + reps * n * act_depth * kTrieHop;
-
-  // Point-index join: (amortized) sort build + per query cell two bounded
-  // searches. Query cells come from budget/epsilon HR of the query polys.
-  const double build = p.point_index_available ? 0.0 : n * std::log2(n + 2) * 0.5;
-  const double searches = 2.0 * hr_cells;
-  // Rasterizing the query polygons dominates the probe for small point
-  // sets; a serving-layer approximation cache amortizes it away.
-  const double hr_build = p.hr_cache_available ? 0.0 : hr_cells * kTrieHop;
-  // Sharded execution scatters the probes across spatially-local slices:
-  // wall-clock probe cost divides by the surviving shards, and each
-  // shard's searches run over an index 1/shards the size.
-  const double shards = std::max(p.parallel_shards, 1.0);
-  // Message-seam shards charge one round-trip per shard per execution
-  // (scatter request + gather partial) on top of the divided probe work.
-  const double transport = shards * std::max(p.transport_overhead, 0.0);
-  c.point_index =
-      build +
-      reps * (hr_build + transport +
-              searches * kSearch * std::log2(n / shards + 2) / shards);
-
-  // BRJ: points pass + polygon fill per tile.
-  const double res = p.universe_extent / cell;
-  const double tiles = std::pow(std::ceil(res / 2048.0), 2.0);
-  const double fill_pixels =
-      p.total_polygon_area > 0 ? p.total_polygon_area / (cell * cell) : res * res;
-  c.brj = reps * (n * std::max(tiles, 1.0) + fill_pixels * kPixel + res * res * 0.1);
+  // Point-index join: two bounded searches per query cell. The index is
+  // built with the state and the serving layer caches the region HRs, so
+  // neither build is charged to the query.
+  c.point_index = 2.0 * hr_cells * kSearch * std::log2(n + 2);
 
   // Exact filter-and-refine: every point PIP-tested against candidate
   // polygons (~1.3 candidates with an R* over MBRs of a tiling set).
-  c.exact = reps * n * (std::log2(m + 2) * kSearch +
-                        1.3 * p.avg_vertices * kPipPerVertex);
+  c.exact = n * (std::log2(m + 2) * kSearch + 1.3 * p.avg_vertices * kPipPerVertex);
   return c;
 }
 
@@ -94,28 +61,14 @@ PlanChoice ChoosePlan(const QueryProfile& p) {
     return choice;
   }
 
-  choice.kind = PlanKind::kActJoin;
-  choice.est_cost = c.act;
-  if (c.point_index < choice.est_cost) {
-    choice.kind = PlanKind::kPointIndexJoin;
-    choice.est_cost = c.point_index;
-  }
-  if (c.brj < choice.est_cost) {
-    choice.kind = PlanKind::kCanvasBrj;
-    choice.est_cost = c.brj;
-  }
-  if (c.exact < choice.est_cost) {
-    choice.kind = PlanKind::kExactRStar;
-    choice.est_cost = c.exact;
-  }
+  const bool index = c.point_index <= c.exact;
+  choice.kind = index ? PlanKind::kPointIndexJoin : PlanKind::kExactRStar;
+  choice.est_cost = index ? c.point_index : c.exact;
   std::snprintf(buf, sizeof(buf),
-                "candidates: ACT=%.3g POINT-INDEX=%.3g BRJ=%.3g EXACT=%.3g "
-                "(n=%zu, polys=%zu, avg_vertices=%.1f, eps=%.3g, reps=%d, "
-                "shards=%.0f, transport=%.3g) -> %s",
-                c.act, c.point_index, c.brj, c.exact, p.num_points, p.num_polygons,
-                p.avg_vertices, p.epsilon, p.repetitions,
-                std::max(p.parallel_shards, 1.0),
-                std::max(p.transport_overhead, 0.0), PlanKindName(choice.kind));
+                "candidates: POINT-INDEX=%.3g EXACT=%.3g (n=%zu, polys=%zu, "
+                "avg_vertices=%.1f, eps=%.3g) -> %s",
+                c.point_index, c.exact, p.num_points, p.num_polygons, p.avg_vertices,
+                p.epsilon, PlanKindName(choice.kind));
   choice.explain = buf;
   return choice;
 }

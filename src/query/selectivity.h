@@ -1,5 +1,6 @@
-// Grid-histogram selectivity estimation — the statistic the Section 4
-// optimizer consults to choose among canvas/index plans.
+// Grid-histogram selectivity estimation — a Section 4 optimizer
+// statistic. The plan cost model (query/optimizer.h) does not consult it:
+// it prices both plans from table sizes and the bound.
 
 #ifndef DBSA_QUERY_SELECTIVITY_H_
 #define DBSA_QUERY_SELECTIVITY_H_

@@ -32,9 +32,8 @@ namespace {
 
 struct SpecValidator {
   Status operator()(const AggregateSpec& spec) const {
-    if ((spec.agg == join::AggKind::kSum || spec.agg == join::AggKind::kAvg) &&
-        spec.attr == core::Attr::kNone) {
-      return Status::InvalidArgument("SUM/AVG require an attribute column");
+    if (spec.agg != join::AggKind::kCount && spec.attr == core::Attr::kNone) {
+      return Status::InvalidArgument("SUM/AVG/MIN/MAX require an attribute column");
     }
     return Status::OK();
   }

@@ -18,7 +18,7 @@
 //
 // The same envelope runs on every execution path — single-threaded
 // engine, pooled service, in-process sharded, shard-server transport
-// seam — with byte-identical payloads per pinned plan (tested in
+// seam — with byte-identical payloads under every mode (tested in
 // tests/query_envelope_test.cc).
 
 #ifndef DBSA_SERVICE_QUERY_H_
@@ -128,7 +128,10 @@ struct ExecOptions {
   /// The distance-bound contract (defaults to exact — approximation is
   /// opt-in, exactly as the paper frames it).
   query::ErrorBound bound = query::ErrorBound::Exact();
-  /// Plan override hint for aggregations (kAuto = optimizer's choice).
+  /// Plan override for aggregations: kAuto lets the optimizer choose
+  /// between the point-index and exact plans from the base tables and the
+  /// bound, identically on every path. Both plans carry a guaranteed
+  /// range. Aggregates the point index cannot answer run exact anyway.
   core::Mode mode = core::Mode::kAuto;
   /// Wall-clock budget measured from Submit; 0 = none. Enforced at
   /// execution start: a query still queued past its deadline answers
@@ -145,7 +148,7 @@ struct ExecOptions {
 // ----------------------------------------------------------- the result
 
 /// Which deployment path executed the query (provenance, not semantics —
-/// payloads are byte-identical across paths per pinned plan).
+/// payloads are byte-identical across paths).
 enum class ExecPath : uint8_t {
   kLocal = 0,      ///< Unsharded snapshot execution.
   kSharded = 1,    ///< In-process scatter-gather across spatial shards.
@@ -204,9 +207,9 @@ struct Result {
 };
 
 /// Structural validation shared by every submission path: the bound's own
-/// Validate() plus per-spec rules (SUM/AVG need a column, polygons need
-/// >= 3 vertices). OK does not mean the execution cannot fail — it means
-/// the envelope is well-formed.
+/// Validate() plus per-spec rules (SUM/AVG/MIN/MAX need a column,
+/// polygons need >= 3 finite vertices). OK does not mean the execution
+/// cannot fail — it means the envelope is well-formed.
 Status ValidateQuery(const Query& query, const ExecOptions& options);
 
 }  // namespace dbsa::service

@@ -23,7 +23,7 @@
 // Determinism: a service run with any thread count, shard count, fan-out
 // cap and deployment path (in-process, sharded, transport seam) returns
 // payloads byte-identical to the single-threaded engine on the same
-// workload per pinned plan — per-query floating-point accumulation order
+// workload under every mode — per-query floating-point accumulation order
 // is fixed (ExecHooks in core/engine_state.h; compensated SUM merges in
 // join/point_index_join.h), only scheduling varies. Tested over the
 // envelope in tests/query_envelope_test.cc.
@@ -81,10 +81,9 @@ struct ServiceOptions {
   /// an in-process LoopbackTransport (the multi-node rehearsal — a real
   /// RPC transport drops in without touching execution). Effective at any
   /// num_shards >= 1 (one shard server is the degenerate deployment).
-  /// Results stay byte-identical to the in-process engine per pinned
-  /// plan; each ShardServer additionally keeps a per-shard HR cache of
-  /// its routed cell slices (see WarmCache) at ShardServer::Options'
-  /// default budget.
+  /// Results stay byte-identical to the in-process engine; each
+  /// ShardServer additionally keeps a per-shard HR cache of its routed
+  /// cell slices (see WarmCache) at ShardServer::Options' default budget.
   bool use_transport = false;
   /// Which transport carries the seam (use_transport only).
   TransportKind transport_kind = TransportKind::kLoopback;

@@ -10,8 +10,8 @@
 // executors (core/engine_state.h): it keeps the routing metadata (the
 // ShardedState — curve-run key ranges and leaf bounds are a few dozen
 // integers per shard), prunes each query approximation per shard, and
-// executes scatter/gather over a Transport. Per pinned plan the results
-// are BYTE-IDENTICAL to the in-process sharded engine: cell aggregates
+// executes scatter/gather over a Transport. The results are
+// BYTE-IDENTICAL to the in-process sharded engine: cell aggregates
 // travel as IEEE-754 bit patterns and merge in ascending shard order;
 // selections travel as (leaf key, base row id) pairs and re-sort to the
 // canonical (key, row) order (see core/sharded_state.h for the merge
@@ -163,8 +163,7 @@ uint64_t ApproxChecksum(const raster::HrCell* cells, size_t num_cells);
 /// The client half of the seam: prunes per shard, scatters serialized
 /// requests over the transport, and gathers partials in canonical order.
 /// As a ShardSource it keys the per-shard caches by region index for
-/// region polygons and by PolygonFingerprint for ad-hoc ones, and charges
-/// the transport's CostPerMessage to the cost model.
+/// region polygons and by PolygonFingerprint for ad-hoc ones.
 class ShardRouter : public core::ShardSource {
  public:
   ShardRouter(std::shared_ptr<const core::ShardedState> sharded,
@@ -175,9 +174,6 @@ class ShardRouter : public core::ShardSource {
 
   const core::EngineState& base() const override { return sharded_->base(); }
   size_t num_shards() const override { return sharded_->num_shards(); }
-  double transport_overhead() const override {
-    return transport_->CostPerMessage();
-  }
   size_t IndexBytes() const override { return sharded_->IndexBytes(); }
   join::CellAggregate ProbeCells(const core::Probe& probe,
                                  const core::ExecHooks& hooks) const override;
@@ -265,14 +261,12 @@ class ShardRouter : public core::ShardSource {
 };
 
 // ---- transport-backed entry points --------------------------------------
-// The core executors over the router (forwards). Per pinned plan, results
-// are byte-identical to the in-process sharded executors (and hence to
-// the whole state). Plan choice feeds the transport's CostPerMessage into
-// query::QueryProfile::transport_overhead, so under Mode::kAuto the
-// optimizer may legitimately resolve differently than in-process — pin
-// the mode to compare executions (same caveat as sharding itself). Exact
-// bounds never cross the seam. Shard failures surface as StatusException
-// carrying the wire's typed code.
+// The core executors over the router (forwards). Results are
+// byte-identical to the in-process sharded executors (and hence to the
+// whole state) under every mode: plans resolve against the base state
+// and the bound, never the transport. Exact bounds never cross the seam.
+// Shard failures surface as StatusException carrying the wire's typed
+// code.
 
 core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
                                        core::Attr attr,

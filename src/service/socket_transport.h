@@ -177,9 +177,6 @@ class SocketTransport : public Transport {
     /// retired one-blocking-call-per-message discipline — the bench's
     /// baseline arm.
     size_t max_inflight_per_connection = 0;
-    /// Optimizer cost units per message (QueryProfile::transport_overhead)
-    /// — see kDefaultCostPerMessage.
-    double cost_per_message = kDefaultCostPerMessage;
     /// Registry the transport's dbsa_socket_* metrics live in (shared
     /// with the owning QueryService so one scrape covers the whole
     /// client); null gets a private one.
@@ -196,13 +193,6 @@ class SocketTransport : public Transport {
     std::function<void(size_t shard)> on_failover;
   };
 
-  /// A real network roundtrip in optimizer cost units (one simple memory
-  /// op = 1): ~64x the loopback seam's serialization-only figure, so the
-  /// planner weighs shard fan-out against genuine per-message latency.
-  /// Honest by construction rather than measurement — operators can
-  /// calibrate Options::cost_per_message from bench_service_throughput.
-  static constexpr double kDefaultCostPerMessage = 4096.0;
-
   SocketTransport(ShardPlacement placement, const Options& options);
   explicit SocketTransport(ShardPlacement placement);
   ~SocketTransport() override;
@@ -216,7 +206,6 @@ class SocketTransport : public Transport {
   /// exhausted (or the transport is destroyed), kInvalidArgument for a
   /// malformed response stream.
   uint64_t Send(size_t shard, std::string request, Done done) override;
-  double CostPerMessage() const override { return options_.cost_per_message; }
 
   const ShardPlacement& placement() const { return placement_; }
   const Options& options() const { return options_; }

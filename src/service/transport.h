@@ -400,10 +400,8 @@ class Transport {
   /// every still-pending request with kUnavailable before returning.
   virtual uint64_t Send(size_t shard, std::string request, Done done) = 0;
 
-  /// Abstract optimizer cost units (one simple memory op = 1) charged per
-  /// message round-trip — the transport-cost term of the shard probe
-  /// model (query::QueryProfile::transport_overhead).
-  virtual double CostPerMessage() const = 0;
+  /// Unused; kept only because perfbench's TracingTransport overrides it.
+  virtual double CostPerMessage() const { return 0.0; }
 };
 
 /// Blocking one-shot wrapper over Transport::Send: sends `request` and
@@ -431,7 +429,6 @@ class LoopbackTransport : public Transport {
 
   size_t num_shards() const override { return handlers_.size(); }
   uint64_t Send(size_t shard, std::string request, Done done) override;
-  double CostPerMessage() const override { return kCostPerMessage; }
 
   struct Stats {
     uint64_t messages = 0;
@@ -441,10 +438,6 @@ class LoopbackTransport : public Transport {
   /// Thin read of the registry counters (kept for callers that predate
   /// the MetricRegistry migration).
   Stats stats() const;
-
-  /// Loopback serialization overhead in optimizer cost units. A real RPC
-  /// transport would report orders of magnitude more.
-  static constexpr double kCostPerMessage = 64.0;
 
  private:
   std::vector<Handler> handlers_;

@@ -1,10 +1,9 @@
 // Determinism-and-initialization vocabulary: the typed primitives that
 // make the byte-identity contract auditable by a dumb grep.
 //
-// The whole system promises that, with the plan pinned, payloads are
-// byte-identical on every execution path (docs/architecture.md,
-// "Invariants"). Two silent ways to break that promise survive every
-// runtime sanitizer:
+// The whole system promises that payloads are byte-identical on every
+// execution path (docs/architecture.md, "Invariants"). Two silent ways to
+// break that promise survive every runtime sanitizer:
 //
 //   1. NONDETERMINISTIC ITERATION — walking a std::unordered_map /
 //      std::unordered_set (or a pointer-keyed map: addresses vary run to

@@ -129,9 +129,9 @@ class ClusterConformanceTest : public ::testing::Test {
 // ---- the acceptance matrix --------------------------------------------
 // Snapshot-loaded must be byte-identical to rebuilt at every (K, threads,
 // bound, kind) — in-process scatter-gather AND through epoch-pinned
-// loopback servers. Mode pinned to kPointIndex for aggregates: the
-// identity contract is per pinned plan (transports charge different
-// message costs, so kAuto may legitimately resolve different plans).
+// loopback servers. Mode pinned to kPointIndex for aggregates so that
+// every one of them probes the shards (kAuto may resolve to the exact
+// plan, which never leaves the client).
 TEST_F(ClusterConformanceTest, SnapshotLoadedMatchesRebuiltEverywhere) {
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);

@@ -59,7 +59,7 @@ class DeterminismTest : public ::testing::Test {
   }
 
   /// Mixed workload: every query kind, approximate and exact regimes,
-  /// aggregate plans pinned (byte identity is per pinned plan).
+  /// aggregates pinned to the point index so they probe every path.
   std::vector<Submission> Workload() const {
     std::vector<Submission> subs;
     const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);

@@ -1,6 +1,7 @@
 // Integration tests for the whole-state executors: end-to-end aggregation
 // across all execution modes, exact-vs-approximate consistency, result
-// ranges, and the motivating Figure 2 semantics.
+// ranges, the exact reroute of aggregates the point index cannot answer,
+// and the motivating Figure 2 semantics.
 
 #include <gtest/gtest.h>
 
@@ -47,7 +48,7 @@ TEST_F(EngineTest, ApproxModesAgreeWithinBound) {
   const double eps = 8.0;
   const AggregateAnswer exact =
       ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone, ErrorBound::Exact());
-  for (const Mode mode : {Mode::kAct, Mode::kPointIndex, Mode::kCanvasBrj}) {
+  for (const Mode mode : {Mode::kAuto, Mode::kPointIndex}) {
     const AggregateAnswer approx =
         ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone,
                          ErrorBound::Absolute(eps), mode);
@@ -62,24 +63,40 @@ TEST_F(EngineTest, ApproxModesAgreeWithinBound) {
   }
 }
 
-TEST_F(EngineTest, ActModePerformsNoPipTests) {
-  const AggregateAnswer approx =
-      ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone,
-                       ErrorBound::Absolute(8.0), Mode::kAct);
-  EXPECT_EQ(approx.stats.pip_tests, 0u);
-  EXPECT_GT(approx.stats.index_bytes, 0u);
-}
-
 TEST_F(EngineTest, PointIndexModeReturnsValidRanges) {
-  const AggregateAnswer exact =
-      ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone, ErrorBound::Exact());
-  const AggregateAnswer ranged =
-      ExecuteAggregate(*state_, join::AggKind::kCount, Attr::kNone,
-                       ErrorBound::Absolute(16.0), Mode::kPointIndex);
-  for (size_t r = 0; r < exact.rows.size(); ++r) {
-    EXPECT_GE(exact.rows[r].value, ranged.rows[r].lo - 1e-6) << "region " << r;
-    EXPECT_LE(exact.rows[r].value, ranged.rows[r].hi + 1e-6) << "region " << r;
-    EXPECT_GE(ranged.rows[r].hi, ranged.rows[r].lo);
+  // Every approximate row's range contains the exact answer, under the
+  // optimizer's choice as well as with the point index pinned.
+  const struct {
+    join::AggKind agg;
+    Attr attr;
+  } aggregates[] = {{join::AggKind::kCount, Attr::kNone},
+                    {join::AggKind::kSum, Attr::kFare},
+                    {join::AggKind::kAvg, Attr::kFare}};
+  for (const auto& [agg, attr] : aggregates) {
+    const AggregateAnswer exact =
+        ExecuteAggregate(*state_, agg, attr, ErrorBound::Exact());
+    for (const Mode mode : {Mode::kAuto, Mode::kPointIndex}) {
+      for (const double eps : {1.0, 4.0, 16.0, 64.0}) {
+        const std::string label = std::string(join::AggKindName(agg)) + " mode " +
+                                  std::to_string(static_cast<int>(mode)) + " eps " +
+                                  std::to_string(eps);
+        const AggregateAnswer ranged =
+            ExecuteAggregate(*state_, agg, attr, ErrorBound::Absolute(eps), mode);
+        if (mode == Mode::kAuto && eps == 64.0) {
+          EXPECT_EQ(ranged.stats.plan, query::PlanKind::kPointIndexJoin) << label;
+        }
+        ASSERT_EQ(ranged.rows.size(), exact.rows.size()) << label;
+        for (size_t r = 0; r < exact.rows.size(); ++r) {
+          // The exact join sums naively, the index exactly: allow rounding.
+          const double slack = 1e-9 * std::max(1.0, std::fabs(exact.rows[r].value));
+          EXPECT_GE(exact.rows[r].value, ranged.rows[r].lo - slack)
+              << label << " region " << r;
+          EXPECT_LE(exact.rows[r].value, ranged.rows[r].hi + slack)
+              << label << " region " << r;
+          EXPECT_GE(ranged.rows[r].hi, ranged.rows[r].lo) << label << " region " << r;
+        }
+      }
+    }
   }
 }
 
@@ -88,10 +105,10 @@ TEST_F(EngineTest, SumAndAvgAggregates) {
       ExecuteAggregate(*state_, join::AggKind::kSum, Attr::kFare, ErrorBound::Exact());
   const AggregateAnswer approx_sum =
       ExecuteAggregate(*state_, join::AggKind::kSum, Attr::kFare,
-                       ErrorBound::Absolute(8.0), Mode::kAct);
+                       ErrorBound::Absolute(8.0), Mode::kPointIndex);
   const AggregateAnswer approx_avg =
       ExecuteAggregate(*state_, join::AggKind::kAvg, Attr::kFare,
-                       ErrorBound::Absolute(8.0), Mode::kAct);
+                       ErrorBound::Absolute(8.0), Mode::kPointIndex);
   for (size_t r = 0; r < exact_sum.rows.size(); ++r) {
     if (exact_sum.rows[r].value > 1000) {
       EXPECT_NEAR(approx_sum.rows[r].value / exact_sum.rows[r].value, 1.0, 0.1);
@@ -100,20 +117,38 @@ TEST_F(EngineTest, SumAndAvgAggregates) {
   }
 }
 
-TEST_F(EngineTest, PointIndexPassengerSumReroutesToAct) {
+TEST_F(EngineTest, PointIndexPassengerSumReroutesToExact) {
   // The point index carries prefix sums of the fare column only; a
   // SUM/AVG over passengers must not silently aggregate fares. The engine
-  // reroutes such queries to the ACT join.
-  const AggregateAnswer rerouted =
-      ExecuteAggregate(*state_, join::AggKind::kSum, Attr::kPassengers,
-                       ErrorBound::Absolute(8.0), Mode::kPointIndex);
-  EXPECT_EQ(rerouted.stats.plan, query::PlanKind::kActJoin);
-  const AggregateAnswer act =
-      ExecuteAggregate(*state_, join::AggKind::kSum, Attr::kPassengers,
-                       ErrorBound::Absolute(8.0), Mode::kAct);
-  ASSERT_EQ(rerouted.rows.size(), act.rows.size());
-  for (size_t r = 0; r < act.rows.size(); ++r) {
-    EXPECT_EQ(rerouted.rows[r].value, act.rows[r].value) << "region " << r;
+  // reroutes such queries — and MIN/MAX, which no prefix sum answers — to
+  // the exact plan under every mode, and says why.
+  const struct {
+    join::AggKind agg;
+    Attr attr;
+  } unindexed[] = {{join::AggKind::kSum, Attr::kPassengers},
+                   {join::AggKind::kAvg, Attr::kPassengers},
+                   {join::AggKind::kMin, Attr::kFare},
+                   {join::AggKind::kMax, Attr::kFare}};
+  for (const auto& [agg, attr] : unindexed) {
+    const AggregateAnswer exact =
+        ExecuteAggregate(*state_, agg, attr, ErrorBound::Exact());
+    for (const Mode mode : {Mode::kAuto, Mode::kPointIndex}) {
+      const std::string label = std::string(join::AggKindName(agg)) + " mode " +
+                                std::to_string(static_cast<int>(mode));
+      const AggregateAnswer rerouted =
+          ExecuteAggregate(*state_, agg, attr, ErrorBound::Absolute(8.0), mode);
+      EXPECT_EQ(rerouted.stats.plan, query::PlanKind::kExactRStar) << label;
+      EXPECT_NE(rerouted.stats.explain.find("point index answers"), std::string::npos)
+          << label << ": " << rerouted.stats.explain;
+      EXPECT_EQ(rerouted.stats.achieved_epsilon, 0.0) << label;
+      ASSERT_EQ(rerouted.rows.size(), exact.rows.size()) << label;
+      for (size_t r = 0; r < exact.rows.size(); ++r) {
+        EXPECT_EQ(rerouted.rows[r].value, exact.rows[r].value)
+            << label << " region " << r;
+        EXPECT_EQ(rerouted.rows[r].lo, exact.rows[r].lo) << label << " region " << r;
+        EXPECT_EQ(rerouted.rows[r].hi, exact.rows[r].hi) << label << " region " << r;
+      }
+    }
   }
   // COUNT needs no attribute column and stays on the point index.
   const AggregateAnswer count =

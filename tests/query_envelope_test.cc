@@ -2,8 +2,9 @@
 //
 //   * every query kind runs through the envelope on all four execution
 //     paths — single-threaded engine, pooled service, in-process sharded,
-//     loopback transport seam — with BYTE-IDENTICAL payloads per pinned
-//     plan, and every Result reports the achieved epsilon / HR level;
+//     loopback transport seam — with BYTE-IDENTICAL payloads under every
+//     mode, kAuto included, and every Result reports the achieved
+//     epsilon / HR level;
 //   * ErrorBound semantics: kGridLevel pins the HR level exactly,
 //     kAbsoluteDistance reproduces Grid::LevelForEpsilon snapping (one-ulp
 //     sweep), kExact bypasses approximation and matches brute force;
@@ -52,8 +53,9 @@ class QueryEnvelopeTest : public ::testing::Test {
   }
 
   /// The mixed workload: every query kind under every bound regime, with
-  /// aggregate plans pinned (the byte-identity contract is per pinned
-  /// plan — kAuto may legitimately resolve differently across paths).
+  /// aggregates both pinned to the point index and under kAuto (which
+  /// resolves from the base tables and the bound, so identically on every
+  /// path), plus MIN/MAX, which take the exact reroute.
   std::vector<Submission> Workload() const {
     std::vector<Submission> subs;
     const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
@@ -62,7 +64,7 @@ class QueryEnvelopeTest : public ::testing::Test {
         ErrorBound::Absolute(4.0), ErrorBound::Absolute(16.0),
         ErrorBound::AtLevel(8)};
     for (const ErrorBound& bound : bounds) {
-      for (const core::Mode mode : {core::Mode::kPointIndex, core::Mode::kAct}) {
+      for (const core::Mode mode : {core::Mode::kPointIndex, core::Mode::kAuto}) {
         ExecOptions options;
         options.bound = bound;
         options.mode = mode;
@@ -81,6 +83,12 @@ class QueryEnvelopeTest : public ::testing::Test {
       subs.push_back({Query::Count(rect), options, "count " + bound.ToString()});
       subs.push_back({Query::Select(star), options, "select " + bound.ToString()});
     }
+    ExecOptions within_8;
+    within_8.bound = ErrorBound::Absolute(8.0);
+    subs.push_back({Query::Aggregate(join::AggKind::kMin, core::Attr::kFare), within_8,
+                    "min-agg " + within_8.bound.ToString()});
+    subs.push_back({Query::Aggregate(join::AggKind::kMax, core::Attr::kFare), within_8,
+                    "max-agg " + within_8.bound.ToString()});
     // The exact regime: no approximation on any path.
     ExecOptions exact;
     exact.bound = ErrorBound::Exact();
@@ -384,10 +392,14 @@ TEST_F(QueryEnvelopeTest, MalformedQueriesAnswerInvalidArgument) {
 
   ExecOptions ok_bound;
   ok_bound.bound = ErrorBound::Absolute(8.0);
-  // SUM without a column.
-  Result r = service.Execute(Query::Aggregate(join::AggKind::kSum), ok_bound).get();
-  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status.message().find("attribute"), std::string::npos);
+  // SUM, MIN or MAX without a column.
+  Result r;
+  for (const join::AggKind agg :
+       {join::AggKind::kSum, join::AggKind::kMin, join::AggKind::kMax}) {
+    r = service.Execute(Query::Aggregate(agg), ok_bound).get();
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << join::AggKindName(agg);
+    EXPECT_NE(r.status.message().find("attribute"), std::string::npos);
+  }
   // Degenerate polygon.
   r = service.Execute(Query::Count(degenerate), ok_bound).get();
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
@@ -443,8 +455,8 @@ TEST_F(QueryEnvelopeTest, MalformedQueriesAnswerInvalidArgument) {
 
 TEST_F(QueryEnvelopeTest, TelemetryIsObserveOnlyOnEveryPath) {
   // The tentpole invariant: result payloads are BYTE-IDENTICAL with
-  // tracing and slow-query logging on or off, on every execution path at
-  // pinned plan. Telemetry observes; it never steers.
+  // tracing and slow-query logging on or off, on every execution path and
+  // under every mode. Telemetry observes; it never steers.
   const std::vector<Submission> workload = Workload();
   struct PathConfig {
     size_t num_shards;

@@ -148,9 +148,9 @@ class QueryServiceTest : public ::testing::Test {
                                     data::GenerateRegions(region_config));
   }
 
-  /// The mixed workload both executors run. Explicit modes (not kAuto):
-  /// the service advertises its HR cache to the optimizer, so kAuto may
-  /// legitimately pick different plans than the engine.
+  /// The mixed workload both executors run: kAuto resolves from the base
+  /// tables and the bound alone, so it is compared like the pinned plan.
+  /// AVG(passengers) and MIN/MAX(fare) take the exact reroute.
   std::vector<Submission> MixedWorkload() const {
     std::vector<Submission> subs;
     const geom::Polygon star1 =
@@ -158,12 +158,15 @@ class QueryServiceTest : public ::testing::Test {
     const geom::Polygon star2 =
         dbsa::testing::MakeStarPolygon({1200, 2800}, 300, 700, 12, 23);
     for (const double eps : {4.0, 8.0, 16.0}) {
-      for (const core::Mode mode :
-           {core::Mode::kAct, core::Mode::kPointIndex, core::Mode::kCanvasBrj}) {
+      for (const core::Mode mode : {core::Mode::kAuto, core::Mode::kPointIndex}) {
         subs.push_back(AggregateAt(join::AggKind::kCount, core::Attr::kNone, eps, mode));
         subs.push_back(AggregateAt(join::AggKind::kSum, core::Attr::kFare, eps, mode));
         subs.push_back(
             AggregateAt(join::AggKind::kAvg, core::Attr::kPassengers, eps, mode));
+        if (eps == 8.0) {
+          subs.push_back(AggregateAt(join::AggKind::kMin, core::Attr::kFare, eps, mode));
+          subs.push_back(AggregateAt(join::AggKind::kMax, core::Attr::kFare, eps, mode));
+        }
       }
       subs.push_back(CountAt(star1, eps));
       subs.push_back(CountAt(star2, eps));
@@ -328,22 +331,28 @@ TEST_F(QueryServiceTest, SharedSnapshotServesManyServices) {
   options.num_threads = 2;
   QueryService a(state_, options);
   QueryService b(state_, options);
-  const Submission sum =
-      AggregateAt(join::AggKind::kSum, core::Attr::kFare, 8.0, core::Mode::kAct);
+  const Submission sum = AggregateAt(join::AggKind::kSum, core::Attr::kFare, 8.0);
   const Result ra = a.Execute(sum.query, sum.options).get();
   const Result rb = b.Execute(sum.query, sum.options).get();
   dbsa::testing::ExpectSamePayload(ra, rb, "shared snapshot");
 }
 
-TEST_F(QueryServiceTest, AutoModeUsesTheCacheAdvertisement) {
-  // Not a determinism check (plans may differ engine-vs-service by
-  // design); just that kAuto works end to end and explains itself.
+TEST_F(QueryServiceTest, AutoModeMatchesTheEngine) {
+  // The service's HR cache never steers kAuto: it resolves to the plan
+  // the hook-less engine picks, answers byte-identically, and explains
+  // itself.
   QueryService service(state_, {});
-  const Submission count = AggregateAt(join::AggKind::kCount, core::Attr::kNone, 8.0);
-  const core::AggregateAnswer answer =
-      service.Execute(count.query, count.options).get().aggregate;
-  EXPECT_FALSE(answer.stats.explain.empty());
-  EXPECT_FALSE(answer.rows.empty());
+  for (const double eps : {1.0, 8.0, 64.0}) {
+    const Submission count =
+        AggregateAt(join::AggKind::kCount, core::Attr::kNone, eps);
+    const Result got = service.Execute(count.query, count.options).get();
+    const Result want = Reference(*state_, count);
+    dbsa::testing::ExpectSamePayload(got, want, "eps " + std::to_string(eps));
+    EXPECT_EQ(got.aggregate.stats.plan, want.aggregate.stats.plan) << eps;
+    EXPECT_EQ(got.aggregate.stats.explain, want.aggregate.stats.explain) << eps;
+    EXPECT_FALSE(got.aggregate.stats.explain.empty()) << eps;
+    EXPECT_FALSE(got.aggregate.rows.empty()) << eps;
+  }
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Tests for the shard-server message seam: LoopbackTransport execution
 // must return results BYTE-IDENTICAL to the in-process ShardedState
-// engine (per pinned plan) for all three query kinds at every
-// (shard count, thread count) combination, including queries that prune
-// to zero shards — serialization must not cost a single bit. Plus the
-// per-shard HR cache: shard-aware WarmCache routing, reference-request
-// hits, eviction and checksum-mismatch fallbacks, and malformed-message
-// hardening.
+// engine for all three query kinds at every (shard count, thread count)
+// combination, including queries that prune to zero shards —
+// serialization must not cost a single bit. Plus the per-shard HR cache:
+// shard-aware WarmCache routing, reference-request hits, eviction and
+// checksum-mismatch fallbacks, and malformed-message hardening.
 
 #include <gtest/gtest.h>
 
@@ -163,14 +162,15 @@ TEST_F(ShardServerTest, LoopbackByteMatchesInProcessShardedEverywhere) {
         }
       }
 
-      // Non-point-index plans delegate beneath the seam unchanged.
+      // The exact plan delegates beneath the seam unchanged: the reroute
+      // of an aggregate the point index cannot answer, and exact bounds.
       ExpectRowsIdentical(
-          ExecuteAggregate(*seam.router, join::AggKind::kSum, core::Attr::kFare,
-                           ErrorBound::Absolute(8.0), core::Mode::kAct, hooks),
-          core::ExecuteAggregate(*seam.sharded, join::AggKind::kSum,
-                                 core::Attr::kFare, ErrorBound::Absolute(8.0),
-                                 core::Mode::kAct, hooks),
-          label + " delegated ACT");
+          ExecuteAggregate(*seam.router, join::AggKind::kMin, core::Attr::kFare,
+                           ErrorBound::Absolute(8.0), core::Mode::kAuto, hooks),
+          core::ExecuteAggregate(*seam.sharded, join::AggKind::kMin,
+                                 core::Attr::kFare, ErrorBound::Exact(),
+                                 core::Mode::kExact, hooks),
+          label + " delegated MIN");
       ExpectRowsIdentical(
           ExecuteAggregate(*seam.router, join::AggKind::kCount, core::Attr::kNone,
                            ErrorBound::Exact(), core::Mode::kExact, hooks),

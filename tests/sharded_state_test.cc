@@ -161,13 +161,14 @@ TEST_F(ShardedStateTest, ScatterGatherByteMatchesUnshardedEverywhere) {
         }
       }
 
-      // Delegated (non-point-index) plans flow through unchanged.
-      ExpectRowsIdentical(ExecuteAggregate(*sharded, join::AggKind::kSum,
+      // The exact plan delegates to the base state unchanged: the reroute
+      // of an aggregate the point index cannot answer, and exact bounds.
+      ExpectRowsIdentical(ExecuteAggregate(*sharded, join::AggKind::kMin,
                                            Attr::kFare, ErrorBound::Absolute(8.0),
-                                               Mode::kAct, hooks),
-                          ExecuteAggregate(*base_, join::AggKind::kSum, Attr::kFare,
-                                           ErrorBound::Absolute(8.0), Mode::kAct),
-                          label + " delegated ACT");
+                                           Mode::kAuto, hooks),
+                          ExecuteAggregate(*base_, join::AggKind::kMin, Attr::kFare,
+                                           ErrorBound::Exact()),
+                          label + " delegated MIN");
       ExpectRowsIdentical(ExecuteAggregate(*sharded, join::AggKind::kCount,
                                            Attr::kNone, ErrorBound::Exact(),
                                                Mode::kExact, hooks),

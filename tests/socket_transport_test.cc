@@ -1,8 +1,8 @@
 // Tests for the socket transport: execution over REAL TCP sockets must
 // be byte-identical to the loopback seam and the in-process sharded
-// engine (per pinned plan) for every query kind, at every (shard count,
-// thread count) combination, under every bound regime — and every fault
-// path must resolve to a typed Status, never a hang, crash or UB:
+// engine for every query kind, at every (shard count, thread count)
+// combination, under every bound regime — and every fault path must
+// resolve to a typed Status, never a hang, crash or UB:
 //
 //   * mid-query connection kill  -> reconnect (same endpoint) or
 //                                   single-hop failover (replica),
@@ -154,9 +154,8 @@ class SocketTransportTest : public ::testing::Test {
 // K in {1,2,7,16} x threads {serial,4,8} x every query kind x bounds
 // {Absolute, AtLevel, Exact}: TCP execution byte-identical to loopback
 // AND to the in-process sharded engine. Mode is pinned to kPointIndex for
-// aggregates: socket and loopback transports charge different
-// CostPerMessage, so under kAuto the optimizer may legitimately resolve
-// different plans — the identity contract is per pinned plan.
+// aggregates so that every one of them probes across the seam (kAuto may
+// resolve to the exact plan, which never leaves the client).
 TEST_F(SocketTransportTest, TcpByteMatchesLoopbackAndInProcessEverywhere) {
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);

@@ -54,6 +54,8 @@ struct ExecStats {
   /// per shard slice it was routed to (honest scatter accounting), so the
   /// number may exceed the unsharded cell count for the same query.
   size_t query_cells = 0;
+  /// Point-in-polygon tests: the exact join's, or for an exact ad-hoc
+  /// query those of the points in its refine HR's boundary cells.
   size_t pip_tests = 0;
   size_t index_bytes = 0;
   size_t hr_cache_hits = 0;    ///< Approximations served from a cache.
@@ -232,10 +234,11 @@ std::shared_ptr<const EngineState> BuildEngineState(data::PointSet points,
 // ---- the executors: one per query kind, over any ShardSource -----------
 // The typed ErrorBound is the contract: kAbsoluteDistance snaps through
 // Grid::LevelForEpsilon, kGridLevel pins the HR level exactly, kExact
-// bypasses approximation and never reaches the source's probes (the exact
-// plan for aggregations, brute-force point-in-polygon over the base
-// points for ad-hoc queries), so every deployment path answers exact
-// queries identically by construction.
+// never reaches the source's probes: aggregations run the exact plan, and
+// ad-hoc queries approximate, then refine on source.base() — interior HR
+// cells answer from the base point index and only the points in boundary
+// cells get a PIP test. Every deployment path carries that base, so
+// every path answers exact queries identically by construction.
 //
 // An aggregation runs one of two plans, both with a guaranteed range: the
 // point-index join or the exact join. Under Mode::kAuto the optimizer
@@ -251,17 +254,18 @@ AggregateAnswer ExecuteAggregate(const ShardSource& source, join::AggKind agg,
                                  Mode mode = Mode::kAuto,
                                  const ExecHooks& hooks = {});
 
-/// COUNT inside an ad-hoc polygon. Exact bounds scan the point table with
-/// PIP tests (range collapses to the exact count); approximate bounds
-/// probe the source at the bound's grid level.
+/// COUNT inside an ad-hoc polygon. Exact bounds refine a conservative HR
+/// on the base state: interior cells count whole from the point index,
+/// boundary-cell points are PIP-tested (range collapses to the exact
+/// count). Approximate bounds probe the source at the bound's grid level.
 CountAnswer ExecuteCount(const ShardSource& source, const geom::Polygon& poly,
                          const query::ErrorBound& bound,
                          const ExecHooks& hooks = {});
 
 /// Selection inside an ad-hoc polygon. Exact bounds return exactly the
-/// inside points, ascending by row id; approximate bounds return the
-/// conservative covered set in the index's canonical (leaf key, row)
-/// order.
+/// inside points, refined on the base state like ExecuteCount and sorted
+/// ascending by row id; approximate bounds return the conservative
+/// covered set in the index's canonical (leaf key, row) order.
 SelectAnswer ExecuteSelect(const ShardSource& source, const geom::Polygon& poly,
                            const query::ErrorBound& bound,
                            const ExecHooks& hooks = {});

@@ -67,7 +67,9 @@ class PrefixSumIndex {
 
   /// Appends the original row ids in [lo_pos, hi_pos) to `out`.
   void CollectIds(size_t lo_pos, size_t hi_pos, std::vector<uint32_t>* out) const {
-    for (size_t i = lo_pos; i < hi_pos; ++i) out->push_back(ids_[i]);
+    if (hi_pos <= lo_pos) return;
+    out->insert(out->end(), ids_.begin() + static_cast<std::ptrdiff_t>(lo_pos),
+                ids_.begin() + static_cast<std::ptrdiff_t>(hi_pos));
   }
 
   const SortedKeyArray& keys() const { return keys_; }

@@ -68,6 +68,12 @@ size_t PointIndex::UpperBound(uint64_t key, SearchStrategy s) const {
   return LowerBound(key + 1, s);
 }
 
+PositionRange PointIndex::CellPositions(const raster::CellId& cell,
+                                        SearchStrategy strategy) const {
+  return {LowerBound(cell.LeafKeyMin(), strategy),
+          UpperBound(cell.LeafKeyMax(), strategy)};
+}
+
 CellAggregate PointIndex::QueryCells(const raster::HierarchicalRaster& hr,
                                      SearchStrategy strategy) const {
   return QueryCells(hr.cells().data(), hr.cells().size(), strategy);
@@ -78,14 +84,11 @@ CellAggregate PointIndex::QueryCells(const raster::HrCell* cells, size_t num_cel
   CellAggregate agg;
   for (size_t c = 0; c < num_cells; ++c) {
     const raster::HrCell& cell = cells[c];
-    const uint64_t lo_key = cell.id.LeafKeyMin();
-    const uint64_t hi_key = cell.id.LeafKeyMax();
-    const size_t lo = LowerBound(lo_key, strategy);
-    const size_t hi = UpperBound(hi_key, strategy);
+    const PositionRange pos = CellPositions(cell.id, strategy);
     agg.searches += 2;
     ++agg.query_cells;
-    const double cnt = static_cast<double>(index_.CountBetween(lo, hi));
-    const TwoDouble sum = index_.SumPairBetween(lo, hi);
+    const double cnt = static_cast<double>(index_.CountBetween(pos.lo, pos.hi));
+    const TwoDouble sum = index_.SumPairBetween(pos.lo, pos.hi);
     agg.count += cnt;
     const TwoDouble s = AddPair({agg.sum, agg.sum_comp}, sum);
     agg.sum = s.hi;
@@ -103,12 +106,11 @@ CellAggregate PointIndex::QueryCells(const raster::HrCell* cells, size_t num_cel
 CellAggregate PointIndex::QueryCellRange(const raster::CellId& cell,
                                          SearchStrategy strategy) const {
   CellAggregate agg;
-  const size_t lo = LowerBound(cell.LeafKeyMin(), strategy);
-  const size_t hi = UpperBound(cell.LeafKeyMax(), strategy);
+  const PositionRange pos = CellPositions(cell, strategy);
   agg.searches = 2;
   agg.query_cells = 1;
-  agg.count = static_cast<double>(index_.CountBetween(lo, hi));
-  const TwoDouble sum = index_.SumPairBetween(lo, hi);
+  agg.count = static_cast<double>(index_.CountBetween(pos.lo, pos.hi));
+  const TwoDouble sum = index_.SumPairBetween(pos.lo, pos.hi);
   agg.sum = sum.hi;
   agg.sum_comp = sum.lo;
   return agg;
@@ -125,9 +127,8 @@ size_t PointIndex::SelectIds(const raster::HrCell* cells, size_t num_cells,
                              std::vector<uint32_t>* out) const {
   const size_t before = out->size();
   for (size_t c = 0; c < num_cells; ++c) {
-    const size_t lo = LowerBound(cells[c].id.LeafKeyMin(), strategy);
-    const size_t hi = UpperBound(cells[c].id.LeafKeyMax(), strategy);
-    index_.CollectIds(lo, hi, out);
+    const PositionRange pos = CellPositions(cells[c].id, strategy);
+    index_.CollectIds(pos.lo, pos.hi, out);
   }
   return out->size() - before;
 }

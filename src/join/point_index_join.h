@@ -8,6 +8,7 @@
 #ifndef DBSA_JOIN_POINT_INDEX_JOIN_H_
 #define DBSA_JOIN_POINT_INDEX_JOIN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -69,6 +70,12 @@ struct CellAggregate {
   }
 };
 
+/// Sorted index positions [lo, hi) of the points one cell covers.
+struct PositionRange {
+  size_t lo = 0;
+  size_t hi = 0;
+};
+
 /// Sorted linearized point index with prefix-sum aggregates and three
 /// interchangeable search strategies.
 class PointIndex {
@@ -108,6 +115,12 @@ class PointIndex {
   /// Convenience: approximates the polygon with a budget-driven HR first.
   CellAggregate QueryPolygon(const geom::Polygon& poly, size_t cells_budget,
                              SearchStrategy strategy) const;
+
+  /// Positions in prefix_index() of the points inside `cell`: the key
+  /// range QueryCells aggregates and SelectIds collects, found by two
+  /// searches. Exact queries refine boundary cells position by position.
+  PositionRange CellPositions(const raster::CellId& cell,
+                              SearchStrategy strategy) const;
 
   /// Aggregates over a single cell's key range (micro-bench / building
   /// block for custom query shapes).

@@ -9,8 +9,10 @@
 //   kGridLevel         "serve exactly hierarchical-raster level L" — the
 //                      caller pins the approximation resolution (zoom
 //                      levels, cache-key stability across clients);
-//   kExact             "no approximation at all" — exact plans only,
-//                      brute-force point-in-polygon for ad-hoc queries.
+//   kExact             "no approximation at all" — the exact plan for
+//                      aggregates; ad-hoc queries approximate, then
+//                      refine: interior HR cells answer from the point
+//                      index, only boundary-cell points get a PIP test.
 //
 // The absolute/relative regime split follows Har-Peled & Sharir's
 // distinction between absolute and relative (p,eps)-approximations: the
@@ -23,6 +25,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "raster/cell_id.h"
@@ -86,8 +89,8 @@ struct ErrorBound {
   Status Validate() const {
     switch (kind) {
       case BoundKind::kAbsoluteDistance:
-        if (std::isnan(epsilon)) {
-          return Status::InvalidArgument("absolute bound epsilon must not be NaN");
+        if (!std::isfinite(epsilon)) {
+          return Status::InvalidArgument("absolute bound epsilon must be finite");
         }
         return Status::OK();
       case BoundKind::kGridLevel:
@@ -101,6 +104,25 @@ struct ErrorBound {
         return Status::OK();
     }
     return Status::InvalidArgument("unknown bound kind");
+  }
+
+  /// Validate() plus what `grid` can honour: a positive absolute bound
+  /// below the finest level's cell diagonal would be served coarser than
+  /// requested, so it is rejected with the finest achievable epsilon named.
+  /// Zero stays the exact regime.
+  Status ValidateFor(const raster::Grid& grid) const {
+    const Status structural = Validate();
+    if (!structural.ok()) return structural;
+    const double finest = grid.AchievedEpsilon(raster::CellId::kMaxLevel);
+    if (kind == BoundKind::kAbsoluteDistance && epsilon > 0.0 && epsilon < finest) {
+      char message[128];
+      std::snprintf(message, sizeof(message),
+                    "absolute bound epsilon %g is below the finest achievable "
+                    "epsilon %g (grid level %d)",
+                    epsilon, finest, raster::CellId::kMaxLevel);
+      return Status::InvalidArgument(message);
+    }
+    return Status::OK();
   }
 
   /// The epsilon the approximate execution path runs with. For kGridLevel

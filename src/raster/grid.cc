@@ -35,12 +35,10 @@ int Grid::LevelForEpsilon(double epsilon) const {
 }
 
 void Grid::PointToXY(const geom::Point& p, int level, uint32_t* ix, uint32_t* iy) const {
-  const double cells = static_cast<double>(1u << level);
-  const double fx = (p.x - origin_.x) / side_ * cells;
-  const double fy = (p.y - origin_.y) / side_ * cells;
-  const double max_idx = cells - 1.0;
-  *ix = static_cast<uint32_t>(std::clamp(std::floor(fx), 0.0, max_idx));
-  *iy = static_cast<uint32_t>(std::clamp(std::floor(fy), 0.0, max_idx));
+  const geom::Point f = CellCoords(p, level);
+  const double max_idx = static_cast<double>(CellsPerSide(level)) - 1.0;
+  *ix = static_cast<uint32_t>(std::clamp(std::floor(f.x), 0.0, max_idx));
+  *iy = static_cast<uint32_t>(std::clamp(std::floor(f.y), 0.0, max_idx));
 }
 
 geom::Box Grid::CellBox(const CellId& cell) const {

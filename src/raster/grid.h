@@ -50,6 +50,16 @@ class Grid {
   /// Number of cells per side at a level.
   uint32_t CellsPerSide(int level) const { return 1u << level; }
 
+  /// Continuous grid coordinates of p at a level: cell (ix, iy) spans
+  /// [ix, ix + 1) x [iy, iy + 1). The one coordinate map of the raster:
+  /// point keys (PointToXY) and edge traversal (TraverseSegment) both go
+  /// through it, so a point on a grid-aligned edge lands in the cell the
+  /// edge marks.
+  geom::Point CellCoords(const geom::Point& p, int level) const {
+    const double cells = static_cast<double>(1u << level);
+    return {(p.x - origin_.x) / side_ * cells, (p.y - origin_.y) / side_ * cells};
+  }
+
   /// Grid coordinates of the cell containing p at a level (clamped to the
   /// universe).
   void PointToXY(const geom::Point& p, int level, uint32_t* ix, uint32_t* iy) const;

@@ -19,13 +19,14 @@ inline uint64_t PackXY(uint32_t ix, uint32_t iy) {
 
 void TraverseSegment(const geom::Point& a, const geom::Point& b, const Grid& grid,
                      int level, const std::function<void(uint32_t, uint32_t)>& visit) {
-  const double cs = grid.CellSize(level);
-  const double inv = 1.0 / cs;
-  // Segment endpoints in cell coordinates.
-  const double ax = (a.x - grid.origin().x) * inv;
-  const double ay = (a.y - grid.origin().y) * inv;
-  const double bx = (b.x - grid.origin().x) * inv;
-  const double by = (b.y - grid.origin().y) * inv;
+  // Segment endpoints in cell coordinates, through the map point keys use:
+  // a point on a grid-aligned edge lands in a cell the traversal visits.
+  const geom::Point ca = grid.CellCoords(a, level);
+  const geom::Point cb = grid.CellCoords(b, level);
+  const double ax = ca.x;
+  const double ay = ca.y;
+  const double bx = cb.x;
+  const double by = cb.y;
 
   const double max_idx = static_cast<double>(grid.CellsPerSide(level) - 1);
   auto clamp_idx = [max_idx](double v) {

@@ -55,8 +55,9 @@ struct SpecValidator {
 
 }  // namespace
 
-Status ValidateQuery(const Query& query, const ExecOptions& options) {
-  const Status bound = options.bound.Validate();
+Status ValidateQuery(const Query& query, const ExecOptions& options,
+                     const raster::Grid& grid) {
+  const Status bound = options.bound.ValidateFor(grid);
   if (!bound.ok()) return bound;
   return query.Visit(SpecValidator{});
 }

@@ -169,13 +169,16 @@ const char* ExecPathName(ExecPath path);
 struct BoundReport {
   query::ErrorBound requested;
   /// Hausdorff bound actually guaranteed (cell diagonal of the served
-  /// level; 0 for exact answers). <= requested epsilon except when the
-  /// request was finer than the finest grid level.
+  /// level; 0 for exact answers). <= requested epsilon: admission
+  /// rejects a request finer than the finest grid level.
   double epsilon_achieved = 0.0;
-  /// Hierarchical-raster level served (-1: no raster involved).
+  /// Hierarchical-raster level served (-1: an exact answer).
   int hr_level = -1;
-  /// Approximation cells probed (per shard slice on scattered paths).
+  /// Approximation cells probed (per shard slice on scattered paths; 0
+  /// for exact answers).
   size_t cells_touched = 0;
+  /// HR lookups served from / built into the ApproxCache, including an
+  /// exact ad-hoc query's refine approximation.
   size_t hr_cache_hits = 0;
   size_t hr_cache_misses = 0;
   /// Distinct shards that survived pruning (0 on unscattered paths).
@@ -206,11 +209,13 @@ struct Result {
   bool ok() const { return status.ok(); }
 };
 
-/// Structural validation shared by every submission path: the bound's own
-/// Validate() plus per-spec rules (SUM/AVG/MIN/MAX need a column,
-/// polygons need >= 3 finite vertices). OK does not mean the execution
-/// cannot fail — it means the envelope is well-formed.
-Status ValidateQuery(const Query& query, const ExecOptions& options);
+/// Admission validation shared by every submission path: the bound
+/// against the serving grid (ErrorBound::ValidateFor) plus per-spec rules
+/// (SUM/AVG/MIN/MAX need a column, polygons need >= 3 finite vertices).
+/// OK does not mean the execution cannot fail — it means the envelope is
+/// well-formed and its bound can be honoured.
+Status ValidateQuery(const Query& query, const ExecOptions& options,
+                     const raster::Grid& grid);
 
 }  // namespace dbsa::service
 

@@ -334,7 +334,7 @@ Result QueryService::RunQuery(uint64_t ticket, const Query& query,
             " ms exceeded before execution");
       }
     }
-    return ValidateQuery(query, options);
+    return ValidateQuery(query, options, state_->grid);
   }();
   if (!admitted.ok()) {
     result.status = admitted;

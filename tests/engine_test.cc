@@ -168,10 +168,7 @@ TEST_F(EngineTest, AutoModePicksAPlanAndExplains) {
 TEST_F(EngineTest, CountRangeContainsExact) {
   const geom::Polygon query =
       dbsa::testing::MakeStarPolygon({4000, 4000}, 800, 1800, 20, 11);
-  size_t exact = 0;
-  for (const geom::Point& p : points_.locs) {
-    if (query.bounds().Contains(p) && query.Contains(p)) ++exact;
-  }
+  const size_t exact = dbsa::testing::BruteForceInside(points_.locs, query).size();
   for (const double eps : {64.0, 16.0, 4.0}) {
     const join::ResultRange range = ExecuteCount(*state_, query,
                                                  ErrorBound::Absolute(eps)).range;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "core/engine_state.h"
 #include "raster/hierarchical_raster.h"
 #include "raster/verify.h"
 #include "test_util.h"
@@ -161,6 +164,48 @@ TEST(HrTest, TopDownEpsilonBoundHolds) {
     EXPECT_LE(check.max_false_positive_dist, 8.0 + 1e-9) << "seed " << seed;
     EXPECT_TRUE(check.covers_polygon) << "seed " << seed;
   }
+}
+
+TEST(HrTest, PointOnGridAlignedEdgeIsNeverInterior) {
+  // The rectangle's right edge lies on the grid line x = c. A point on it
+  // is outside by Contains, so its cell must be a boundary cell: an
+  // interior one would put the point into the range's guaranteed part and
+  // make the Section 6 range miss the exact count 0. Edge traversal and
+  // point keys used to map c to the cells 43 and 42 respectively.
+  const Grid grid =
+      Grid::Covering(geom::Box(0, 0, 12617.34886753948, 12617.34886753948));
+  const int level = 8;
+  const double cs = grid.CellSize(level);
+  const double c = 2119.3119388862897;  // grid.origin().x + 43 * cs
+  const double y0 = 1000.5057196644741;
+  const double y1 = 1296.2254251856589;
+  const geom::Polygon rect = MakeRectPolygon(c - 6 * cs, y0, c, y1);
+  const geom::Point p{c, (y0 + y1) / 2};
+  ASSERT_FALSE(rect.Contains(p));
+  const double eps = grid.AchievedEpsilon(level);
+  for (const HierarchicalRaster& hr :
+       {HierarchicalRaster::BuildEpsilonBottomUp(rect, grid, eps),
+        HierarchicalRaster::BuildEpsilonTopDown(rect, grid, eps)}) {
+    EXPECT_EQ(hr.Classify(p, grid), CellKind::kBoundary);
+  }
+
+  // End to end over a one-point table: the exact count, which refines the
+  // boundary cells, is 0, and the level-8 range contains it.
+  data::PointSet points;
+  points.locs = {p};
+  points.fare = {1.0};
+  points.passengers = {1};
+  points.hour = {0};
+  const auto state = core::BuildEngineState(
+      std::make_shared<const data::PointSet>(std::move(points)),
+      std::make_shared<const data::RegionSet>(), &grid);
+  EXPECT_EQ(core::ExecuteCount(*state, rect, query::ErrorBound::Exact()).range.estimate,
+            0.0);
+  EXPECT_TRUE(core::ExecuteSelect(*state, rect, query::ErrorBound::Exact()).ids.empty());
+  const join::ResultRange range =
+      core::ExecuteCount(*state, rect, query::ErrorBound::AtLevel(level)).range;
+  EXPECT_EQ(range.lo, 0.0);
+  EXPECT_EQ(range.hi, 1.0);
 }
 
 TEST(HrTest, MemoryScalesWithCells) {

@@ -7,7 +7,8 @@
 //     epsilon / HR level;
 //   * ErrorBound semantics: kGridLevel pins the HR level exactly,
 //     kAbsoluteDistance reproduces Grid::LevelForEpsilon snapping (one-ulp
-//     sweep), kExact bypasses approximation and matches brute force;
+//     sweep), kExact answers equal brute force on adversarial polygons
+//     and report no approximation;
 //   * ExecOptions: deadlines and cancellation answer typed statuses,
 //     the shard fan-out cap never changes results.
 
@@ -89,13 +90,57 @@ class QueryEnvelopeTest : public ::testing::Test {
                     "min-agg " + within_8.bound.ToString()});
     subs.push_back({Query::Aggregate(join::AggKind::kMax, core::Attr::kFare), within_8,
                     "max-agg " + within_8.bound.ToString()});
-    // The exact regime: no approximation on any path.
+    // The exact regime: aggregates run the exact plan, ad-hoc queries
+    // refine the boundary cells of an approximation on the base state.
+    const geom::Polygon holed = dbsa::testing::MakeStarPolygonWithHole(
+        {2000, 2000}, 400, 900, 16, 11);
     ExecOptions exact;
     exact.bound = ErrorBound::Exact();
     subs.push_back({Query::Aggregate(join::AggKind::kCount), exact, "exact agg"});
     subs.push_back({Query::Count(star), exact, "exact count"});
     subs.push_back({Query::Select(star), exact, "exact select"});
+    subs.push_back({Query::Count(holed), exact, "exact count holed"});
+    subs.push_back({Query::Select(holed), exact, "exact select holed"});
     return subs;
+  }
+
+  /// Shapes that stress the exact refine: a hole, a sliver, a shape
+  /// reaching past the universe, one covering it, one inside a single
+  /// finest cell, and a 2,000-vertex ring.
+  std::vector<std::pair<std::string, geom::Polygon>> AdversarialPolygons() const {
+    const raster::Grid& grid = state_->grid;
+    std::vector<std::pair<std::string, geom::Polygon>> polys;
+    polys.emplace_back("star", MakeStarPolygon({2000, 2000}, 400, 900, 16, 11));
+    polys.emplace_back("holed star", dbsa::testing::MakeStarPolygonWithHole(
+                                         {2000, 2000}, 400, 900, 16, 11));
+    geom::Polygon sliver(
+        geom::Ring{{100, 1000}, {4000, 1010}, {4000, 1013}, {100, 1003}});
+    sliver.Normalize();
+    polys.emplace_back("sliver", sliver);
+    polys.emplace_back("past the universe",
+                       MakeStarPolygon({100, 3900}, 300, 1200, 24, 5));
+    const geom::Box universe = grid.universe();
+    polys.emplace_back("universe-covering square",
+                       MakeRectPolygon(universe.min.x - 1, universe.min.y - 1,
+                                       universe.max.x + 1, universe.max.y + 1));
+    // A square in the middle of one data point's finest cell, around it.
+    for (const geom::Point& p : state_->points->locs) {
+      const geom::Box cell =
+          grid.CellBox(grid.PointToCell(p, raster::CellId::kMaxLevel));
+      const double margin = cell.Width() / 4;
+      if (p.x - cell.min.x > margin && cell.max.x - p.x > margin &&
+          p.y - cell.min.y > margin && cell.max.y - p.y > margin) {
+        polys.emplace_back("inside one finest cell",
+                           MakeRectPolygon(cell.min.x + margin / 2,
+                                           cell.min.y + margin / 2,
+                                           cell.max.x - margin / 2,
+                                           cell.max.y - margin / 2));
+        break;
+      }
+    }
+    polys.emplace_back("2000-vertex star",
+                       MakeStarPolygon({2000, 2000}, 300, 1500, 2000, 7));
+    return polys;
   }
 
   static void ExpectIdentical(const Result& got, const Result& want,
@@ -276,33 +321,69 @@ TEST_F(QueryEnvelopeTest, AbsoluteBoundReproducesLevelForEpsilonOneUlpSweep) {
 }
 
 TEST_F(QueryEnvelopeTest, ExactBoundBypassesApproximationAndMatchesBruteForce) {
-  QueryService service(state_, {});
-  const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
+  // Exact counts and selects equal a PIP test of every point, in ascending
+  // row order, on the engine and on every service path, and report no
+  // approximation.
+  ExecOptions exact;
+  exact.bound = ErrorBound::Exact();
+  const std::vector<std::pair<std::string, geom::Polygon>> polys =
+      AdversarialPolygons();
+  ASSERT_EQ(polys.size(), 7u);
+  ServiceOptions pooled;
+  pooled.num_threads = 4;
+  ServiceOptions sharded = pooled;
+  sharded.num_shards = 7;
+  ServiceOptions seam = sharded;
+  seam.use_transport = true;
+  std::vector<std::unique_ptr<QueryService>> services;
+  for (const ServiceOptions& options : {pooled, sharded, seam}) {
+    services.push_back(std::make_unique<QueryService>(state_, options));
+  }
+  for (const auto& [name, poly] : polys) {
+    const std::vector<uint32_t> want =
+        dbsa::testing::BruteForceInside(state_->points->locs, poly);
+    const double inside = static_cast<double>(want.size());
+    if (name == "inside one finest cell") {
+      EXPECT_EQ(want.size(), 1u);
+    } else if (name == "universe-covering square") {
+      EXPECT_EQ(want.size(), state_->points->size());
+    }
 
-  // Brute force reference.
-  double inside = 0.0;
-  std::vector<uint32_t> inside_ids;
-  for (uint32_t i = 0; i < state_->points->size(); ++i) {
-    if (star.Contains(state_->points->locs[i])) {
-      inside += 1.0;
-      inside_ids.push_back(i);
+    const core::CountAnswer engine_count = core::ExecuteCount(*state_, poly, exact.bound);
+    EXPECT_EQ(engine_count.range.estimate, inside) << name;
+    EXPECT_EQ(engine_count.stats.hr_level, -1) << name;
+    EXPECT_EQ(core::ExecuteSelect(*state_, poly, exact.bound).ids, want) << name;
+
+    for (const std::unique_ptr<QueryService>& service : services) {
+      const std::string label =
+          name + " on " + ExecPathName(service->exec_path());
+      const Result count = service->Execute(Query::Count(poly), exact).get();
+      ASSERT_TRUE(count.ok()) << label;
+      EXPECT_EQ(count.range.estimate, inside) << label;
+      EXPECT_EQ(count.range.lo, inside) << label;  // Exact: the range collapses.
+      EXPECT_EQ(count.range.hi, inside) << label;
+      const Result select = service->Execute(Query::Select(poly), exact).get();
+      ASSERT_TRUE(select.ok()) << label;
+      EXPECT_EQ(select.ids, want) << label;
+      for (const Result* r : {&count, &select}) {
+        EXPECT_EQ(r->bound.hr_level, -1) << label;
+        EXPECT_EQ(r->bound.epsilon_achieved, 0.0) << label;
+        EXPECT_EQ(r->bound.cells_touched, 0u) << label;
+        EXPECT_EQ(r->bound.shards_probed, 0u) << label;
+      }
     }
   }
 
-  ExecOptions exact;
-  exact.bound = ErrorBound::Exact();
-  const Result count = service.Execute(Query::Count(star), exact).get();
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(count.range.estimate, inside);
-  EXPECT_EQ(count.range.lo, inside);  // Exact: the range collapses.
-  EXPECT_EQ(count.range.hi, inside);
-  EXPECT_EQ(count.bound.hr_level, -1);
-  EXPECT_EQ(count.bound.epsilon_achieved, 0.0);
-  EXPECT_EQ(count.bound.cells_touched, 0u);
-
-  const Result select = service.Execute(Query::Select(star), exact).get();
-  ASSERT_TRUE(select.ok());
-  EXPECT_EQ(select.ids, inside_ids);
+  // The refine approximation goes through the service's cache: a repeated
+  // exact ask of one polygon builds nothing.
+  QueryService service(state_, pooled);
+  const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
+  const Result first = service.Execute(Query::Count(star), exact).get();
+  EXPECT_EQ(first.bound.hr_cache_misses, 1u);
+  EXPECT_EQ(first.bound.hr_cache_hits, 0u);
+  const Result again = service.Execute(Query::Select(star), exact).get();
+  EXPECT_EQ(again.bound.hr_cache_hits, 1u);
+  EXPECT_EQ(again.bound.hr_cache_misses, 0u);
 
   // An approximate count at a finite bound must contain the exact answer
   // in its guaranteed range (the distance-bound contract itself).
@@ -310,8 +391,8 @@ TEST_F(QueryEnvelopeTest, ExactBoundBypassesApproximationAndMatchesBruteForce) {
   approx.bound = ErrorBound::Absolute(16.0);
   const Result ranged = service.Execute(Query::Count(star), approx).get();
   ASSERT_TRUE(ranged.ok());
-  EXPECT_LE(ranged.range.lo, inside);
-  EXPECT_GE(ranged.range.hi, inside);
+  EXPECT_LE(ranged.range.lo, first.range.estimate);
+  EXPECT_GE(ranged.range.hi, first.range.estimate);
 }
 
 // ---- ExecOptions: deadline, cancellation, fan-out cap ------------------
@@ -409,6 +490,40 @@ TEST_F(QueryEnvelopeTest, MalformedQueriesAnswerInvalidArgument) {
   nan_bound.bound = ErrorBound::Absolute(std::nan(""));
   r = service.Execute(Query::Count(star), nan_bound).get();
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  // Absolute bounds the grid cannot honour: non-finite, or positive and
+  // below the finest level's cell diagonal. Zero stays the exact regime,
+  // and the finest diagonal itself is served at the finest level. The
+  // polygon is 1 mm wide, so a finest-level HR of it is small.
+  const geom::Polygon tiny = MakeRectPolygon(2000, 2000, 2000.001, 2000.001);
+  const double finest = state_->grid.AchievedEpsilon(raster::CellId::kMaxLevel);
+  for (const double eps : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 1e-4,
+                           finest / 2, std::nextafter(finest, 0.0)}) {
+    ExecOptions unachievable;
+    unachievable.bound = ErrorBound::Absolute(eps);
+    for (const Query& query : {Query::Count(tiny), Query::Select(tiny),
+                               Query::Aggregate(join::AggKind::kCount)}) {
+      r = service.Execute(query, unachievable).get();
+      EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+          << QueryKindName(query.kind()) << " eps " << eps;
+      if (std::isfinite(eps)) {
+        EXPECT_NE(r.status.message().find("finest achievable epsilon"),
+                  std::string::npos)
+            << r.status.message();
+      }
+    }
+  }
+  ExecOptions at_finest;
+  at_finest.bound = ErrorBound::Absolute(finest);
+  r = service.Execute(Query::Count(tiny), at_finest).get();
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(r.bound.hr_level, raster::CellId::kMaxLevel);
+  EXPECT_EQ(r.bound.epsilon_achieved, finest);
+  ExecOptions zero;
+  zero.bound = ErrorBound::Absolute(0.0);
+  r = service.Execute(Query::Count(tiny), zero).get();
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(r.bound.hr_level, -1);
   // Out-of-range level.
   ExecOptions bad_level;
   bad_level.bound = ErrorBound::AtLevel(raster::CellId::kMaxLevel + 1);

@@ -5,6 +5,7 @@
 #define DBSA_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "geom/polygon.h"
@@ -58,6 +59,17 @@ inline geom::Polygon MakeLPolygon(double x0, double y0, double size) {
   geom::Polygon poly(std::move(ring));
   poly.Normalize();
   return poly;
+}
+
+/// Exact reference for the ad-hoc queries: the rows of `points` that
+/// `poly` contains, ascending — a PIP test of every point.
+inline std::vector<uint32_t> BruteForceInside(const std::vector<geom::Point>& points,
+                                              const geom::Polygon& poly) {
+  std::vector<uint32_t> ids;
+  for (uint32_t i = 0; i < points.size(); ++i) {
+    if (poly.Contains(points[i])) ids.push_back(i);
+  }
+  return ids;
 }
 
 /// Uniform random points in a box.

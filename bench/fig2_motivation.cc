@@ -6,7 +6,6 @@
 
 #include <cstdio>
 
-#include "approx/mbr.h"
 #include "bench_util.h"
 #include "geom/distance.h"
 #include "raster/uniform_raster.h"
@@ -40,7 +39,7 @@ void Run(size_t n_points) {
   const raster::Grid grid({universe.min.x, universe.min.y}, universe.Width());
   const double eps = 150.0;  // Coarse bound, like the figure's large cells.
   const raster::UniformRaster ur = raster::UniformRaster::Build(region, grid, eps);
-  const approx::MbrApproximation mbr(region);
+  const geom::Box& mbr = region.bounds();  // The MBR filter.
 
   size_t exact = 0, mbr_count = 0, ur_count = 0;
   RunningStats mbr_fp_dist, ur_fp_dist;

@@ -30,6 +30,7 @@ FIXTURES=(
   scripts/lint_fixtures/bad_determinism_copy
   scripts/lint_fixtures/bad_off_lock_write.cc
   scripts/lint_fixtures/bad_snapshot_golden/client.snapshot
+  scripts/lint_fixtures/bad_reachability
   scripts/wire_layout_probe.cc
   scripts/determinism_probe.cc
   tests/golden/snapshot/client.snapshot
@@ -167,6 +168,19 @@ if command -v "${CLANGXX:-clang++}" >/dev/null 2>&1; then
   fi
 else
   echo "lint_selftest: clang++ not installed — thread-safety legs skipped (CI runs them)"
+fi
+
+# ---- 8. reachability gate: real tree + orphan-header fixture ----------
+# The fixture tree has one header that only a test includes (it must be
+# named), one that only a reached header's .cc includes, and the
+# allowlisted header (neither may be named).
+if ! scripts/check_reachability.sh >/dev/null; then
+  err "check_reachability.sh fails on the real tree (a src/ header only tests reach?)"
+fi
+if out=$(scripts/check_reachability.sh scripts/lint_fixtures/bad_reachability 2>&1); then
+  err "check_reachability.sh PASSED the orphan-header fixture — the gate is dead"
+elif [[ "$out" != *src/lib/orphan.h* || "$out" == *detail.h* || "$out" == *verify.h* ]]; then
+  err "check_reachability.sh failed the fixture for the wrong headers: $out"
 fi
 
 if [[ $fail -ne 0 ]]; then

@@ -10,101 +10,33 @@
 
 namespace dbsa::raster {
 
+namespace {
+
+// The smallest cell that holds the polygon's bounding box. Level 0 (the
+// universe) holds every box, so the loop ends.
+CellId StartCell(const geom::Polygon& poly, const Grid& grid) {
+  const CellId lo = CellId::FromLeafKey(grid.LeafKey(poly.bounds().min));
+  const CellId hi = CellId::FromLeafKey(grid.LeafKey(poly.bounds().max));
+  int level = CellId::kMaxLevel;
+  while (lo.Parent(level) != hi.Parent(level)) --level;
+  return lo.Parent(level);
+}
+
+}  // namespace
+
 HierarchicalRaster HierarchicalRaster::BuildEpsilon(const geom::Polygon& poly,
                                                     const Grid& grid, double epsilon,
                                                     const RasterOptions& opts) {
-  // Estimate the finest-level footprint; the bottom-up path materializes
-  // every interior cell, so switch to top-down when that would be large.
-  const int level = grid.LevelForEpsilon(epsilon);
-  const double cs = grid.CellSize(level);
-  const double bbox_cells = (poly.bounds().Width() / cs) * (poly.bounds().Height() / cs);
-  // The bottom-up scanline materializes every finest-level interior cell
-  // (O(area)); top-down only touches descendants of boundary cells
-  // (O(perimeter)). The crossover sits around tens of thousands of cells.
-  if (bbox_cells > 32768.0) {
-    return BuildEpsilonTopDown(poly, grid, epsilon, opts);
-  }
-  return BuildEpsilonBottomUp(poly, grid, epsilon, opts);
-}
-
-HierarchicalRaster HierarchicalRaster::BuildLevel(const geom::Polygon& poly,
-                                                  const Grid& grid, int level,
-                                                  const RasterOptions& opts) {
-  // AchievedEpsilon(level) is exactly the cell diagonal, so LevelForEpsilon
-  // maps it back to `level` and both construction paths see the same level.
-  return BuildEpsilon(poly, grid, grid.AchievedEpsilon(level), opts);
-}
-
-HierarchicalRaster HierarchicalRaster::BuildEpsilonBottomUp(const geom::Polygon& poly,
-                                                            const Grid& grid,
-                                                            double epsilon,
-                                                            const RasterOptions& opts) {
-  const int level = grid.LevelForEpsilon(epsilon);
-  const CellCover cover = RasterizePolygon(poly, grid, level, opts);
-
-  std::vector<HrCell> out;
-  out.reserve(cover.boundary.size() + cover.interior.size() / 2);
-  for (const uint64_t m : cover.boundary) {
-    out.push_back({CellId::FromLevelPrefix(level, m), /*boundary=*/true});
-  }
-
-  // Bottom-up merge of interior cells: whenever all four children of a
-  // parent are interior, replace them by the parent. Interior cells are
-  // error-free regardless of size (Section 2.2).
-  std::vector<uint64_t> cur = cover.interior;  // Already sorted.
-  for (int l = level; l > 0 && !cur.empty(); --l) {
-    std::vector<uint64_t> promoted;
-    size_t i = 0;
-    const size_t n = cur.size();
-    while (i < n) {
-      if (i + 3 < n && (cur[i] >> 2) == (cur[i + 3] >> 2)) {
-        // Sorted and distinct: four entries sharing a parent are exactly
-        // the four children.
-        promoted.push_back(cur[i] >> 2);
-        i += 4;
-      } else {
-        out.push_back({CellId::FromLevelPrefix(l, cur[i]), /*boundary=*/false});
-        ++i;
-      }
-    }
-    cur = std::move(promoted);
-  }
-  if (!cur.empty()) {
-    // Merged all the way to a single level-0 cell (whole universe).
-    for (const uint64_t m : cur) {
-      out.push_back({CellId::FromLevelPrefix(0, m), /*boundary=*/false});
-    }
-  }
-
-  HierarchicalRaster hr;
-  hr.FinalizeFrom(std::move(out));
-  return hr;
-}
-
-HierarchicalRaster HierarchicalRaster::BuildEpsilonTopDown(const geom::Polygon& poly,
-                                                           const Grid& grid,
-                                                           double epsilon,
-                                                           const RasterOptions& opts) {
   const int max_level = grid.LevelForEpsilon(epsilon);
-
-  // Start at the smallest cell containing the polygon's bounding box.
-  const uint64_t lo = grid.LeafKey(poly.bounds().min);
-  const uint64_t hi = grid.LeafKey(poly.bounds().max);
-  int start_level = 0;
-  for (int l = CellId::kMaxLevel; l >= 0; --l) {
-    const int shift = 2 * (CellId::kMaxLevel - l);
-    if ((lo >> shift) == (hi >> shift)) {
-      start_level = l;
-      break;
-    }
-  }
-  start_level = std::min(start_level, max_level);
+  // Boundary cells sit at max_level, so the search starts no finer.
+  CellId start = StartCell(poly, grid);
+  if (start.level() > max_level) start = start.Parent(max_level);
 
   // Per-level boundary cells (prefix -> present), from edge supercover.
   // Total work is O(perimeter / finest cell size), independent of area.
   std::vector<std::unordered_set<uint64_t>> boundary_by_level(
       static_cast<size_t>(max_level + 1));
-  for (int l = start_level; l <= max_level; ++l) {
+  for (int l = start.level(); l <= max_level; ++l) {
     auto& set = boundary_by_level[static_cast<size_t>(l)];
     poly.ForEachEdge([&](const geom::Point& a, const geom::Point& b) {
       TraverseSegment(a, b, grid, l, [&](uint32_t ix, uint32_t iy) {
@@ -116,8 +48,7 @@ HierarchicalRaster HierarchicalRaster::BuildEpsilonTopDown(const geom::Polygon& 
   std::vector<HrCell> out;
   // Iterative DFS over descendants of boundary cells.
   std::vector<std::pair<int, uint64_t>> stack;  // (level, morton prefix).
-  stack.push_back({start_level,
-                   lo >> (2 * (CellId::kMaxLevel - start_level))});
+  stack.push_back({start.level(), start.prefix()});
   while (!stack.empty()) {
     const auto [l, prefix] = stack.back();
     stack.pop_back();
@@ -153,24 +84,19 @@ HierarchicalRaster HierarchicalRaster::BuildEpsilonTopDown(const geom::Polygon& 
   return hr;
 }
 
+HierarchicalRaster HierarchicalRaster::BuildLevel(const geom::Polygon& poly,
+                                                  const Grid& grid, int level,
+                                                  const RasterOptions& opts) {
+  // AchievedEpsilon(level) is exactly the cell diagonal, so LevelForEpsilon
+  // maps it back to `level`.
+  return BuildEpsilon(poly, grid, grid.AchievedEpsilon(level), opts);
+}
+
 HierarchicalRaster HierarchicalRaster::BuildBudget(const geom::Polygon& poly,
                                                    const Grid& grid, size_t max_cells,
                                                    const RasterOptions& opts) {
-  // Start at the smallest cell containing the polygon's bounding box.
-  const uint64_t lo = grid.LeafKey(poly.bounds().min);
-  const uint64_t hi = grid.LeafKey(poly.bounds().max);
-  int start_level = 0;
-  for (int l = CellId::kMaxLevel; l >= 0; --l) {
-    const int shift = 2 * (CellId::kMaxLevel - l);
-    if ((lo >> shift) == (hi >> shift)) {
-      start_level = l;
-      break;
-    }
-  }
-
   std::deque<CellId> queue;
-  queue.push_back(CellId::FromLevelPrefix(
-      start_level, lo >> (2 * (CellId::kMaxLevel - start_level))));
+  queue.push_back(StartCell(poly, grid));
 
   std::vector<HrCell> out;
   while (!queue.empty()) {
@@ -206,6 +132,9 @@ void HierarchicalRaster::FinalizeFrom(std::vector<HrCell> cells) {
   std::sort(cells.begin(), cells.end(),
             [](const HrCell& a, const HrCell& b) { return a.id < b.id; });
   cells_ = std::move(cells);
+  // Builders grow `cells` by push_back; drop the slack so that the bytes
+  // an HR holds are the MemoryBytes() the ApproxCache charges for it.
+  cells_.shrink_to_fit();
   range_lo_.resize(cells_.size());
   range_hi_.resize(cells_.size());
   for (size_t i = 0; i < cells_.size(); ++i) {

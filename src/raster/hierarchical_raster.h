@@ -1,10 +1,13 @@
 // Hierarchical Raster (HR) approximation — Figure 1(c): boundary cells at
 // the fine epsilon level, interior cells merged into the largest quadtree
-// cells that still fit (they contribute no approximation error). Two
-// construction modes, both used by the paper:
+// cells that still fit (they contribute no approximation error). One
+// construction per mode, both used by the paper:
 //
 //   * epsilon-driven (Section 5.1: ACT with a 4 m bound),
 //   * cell-budget-driven (Section 3: 32/128/512 cells per query polygon).
+//
+// Both refine top down from the smallest cell that holds the polygon's
+// bounding box.
 
 #ifndef DBSA_RASTER_HIERARCHICAL_RASTER_H_
 #define DBSA_RASTER_HIERARCHICAL_RASTER_H_
@@ -26,26 +29,12 @@ struct HrCell {
 class HierarchicalRaster {
  public:
   /// Epsilon-driven: boundary cells at LevelForEpsilon(epsilon), interior
-  /// cells as large as possible. Chooses between the bottom-up scanline
-  /// construction (fast for small footprints) and the top-down refinement
-  /// (memory-bounded for huge ones) automatically.
+  /// cells as large as possible. Per-level supercover boundary detection
+  /// plus a center test for each off-boundary cell, so the cost grows with
+  /// the polygon's perimeter in finest cells, not with its area.
   static HierarchicalRaster BuildEpsilon(const geom::Polygon& poly, const Grid& grid,
                                          double epsilon,
                                          const RasterOptions& opts = {});
-
-  /// Bottom-up scanline construction: rasterize at the epsilon level and
-  /// merge interior cells. Cost grows with the polygon's area in finest
-  /// cells.
-  static HierarchicalRaster BuildEpsilonBottomUp(const geom::Polygon& poly,
-                                                 const Grid& grid, double epsilon,
-                                                 const RasterOptions& opts = {});
-
-  /// Top-down refinement: per-level supercover boundary detection plus
-  /// center tests for off-boundary children. Cost grows only with the
-  /// polygon's perimeter in finest cells, independent of area.
-  static HierarchicalRaster BuildEpsilonTopDown(const geom::Polygon& poly,
-                                                const Grid& grid, double epsilon,
-                                                const RasterOptions& opts = {});
 
   /// Epsilon-driven at an explicit boundary level. Equivalent to
   /// BuildEpsilon with epsilon = grid.AchievedEpsilon(level); the natural
@@ -73,7 +62,8 @@ class HierarchicalRaster {
     return Classify(p, grid) != CellKind::kOutside;
   }
 
-  /// 8 bytes per cell id plus range/flag arrays.
+  /// 8 bytes per cell id plus range/flag arrays. The arrays hold no spare
+  /// capacity, so this is what the HR holds.
   size_t MemoryBytes() const;
 
  private:

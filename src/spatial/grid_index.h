@@ -1,6 +1,5 @@
 // Uniform grid index over points in CSR layout — the "GPU Baseline" filter
-// structure of Section 5.2 (a 1024^2 grid index) and the selectivity
-// histogram substrate.
+// structure of Section 5.2 (a 1024^2 grid index).
 
 #ifndef DBSA_SPATIAL_GRID_INDEX_H_
 #define DBSA_SPATIAL_GRID_INDEX_H_

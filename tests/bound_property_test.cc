@@ -1,8 +1,9 @@
 // Cross-cutting property sweep for the paper's central invariant,
 // d_H(g, g') <= epsilon, across every approximation construction the
-// library offers: uniform / hierarchical raster, bottom-up / top-down /
-// budget-driven builders, conservative / non-conservative modes, simple /
-// holed / sliver polygons. Each combination is a TEST_P instance.
+// library offers: the uniform raster, the epsilon-driven and the
+// budget-driven hierarchical raster, conservative / non-conservative
+// modes, simple / holed / sliver / L-shaped polygons. Each combination is
+// a TEST_P instance.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,7 @@ namespace dbsa::raster {
 namespace {
 
 enum class Shape { kStar, kHoled, kSliver, kLShape };
-enum class Builder { kUniform, kHrBottomUp, kHrTopDown, kHrBudget };
+enum class Builder { kUniform, kHrEpsilon, kHrBudget };
 
 const char* ShapeName(Shape s) {
   switch (s) {
@@ -37,10 +38,8 @@ const char* BuilderName(Builder b) {
   switch (b) {
     case Builder::kUniform:
       return "uniform";
-    case Builder::kHrBottomUp:
-      return "hr_bottomup";
-    case Builder::kHrTopDown:
-      return "hr_topdown";
+    case Builder::kHrEpsilon:
+      return "hr_epsilon";
     case Builder::kHrBudget:
       return "hr_budget";
   }
@@ -91,16 +90,9 @@ TEST_P(BoundSweepTest, HausdorffWithinEpsilon) {
         check = CheckBound(poly, grid, ur, eps * 0.25);
         break;
       }
-      case Builder::kHrBottomUp: {
+      case Builder::kHrEpsilon: {
         const HierarchicalRaster hr =
-            HierarchicalRaster::BuildEpsilonBottomUp(poly, grid, eps, opts);
-        achieved = grid.AchievedEpsilon(grid.LevelForEpsilon(eps));
-        check = CheckBound(poly, grid, hr, eps * 0.25);
-        break;
-      }
-      case Builder::kHrTopDown: {
-        const HierarchicalRaster hr =
-            HierarchicalRaster::BuildEpsilonTopDown(poly, grid, eps, opts);
+            HierarchicalRaster::BuildEpsilon(poly, grid, eps, opts);
         achieved = grid.AchievedEpsilon(grid.LevelForEpsilon(eps));
         check = CheckBound(poly, grid, hr, eps * 0.25);
         break;
@@ -139,8 +131,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllCombinations, BoundSweepTest,
     ::testing::Combine(::testing::Values(Shape::kStar, Shape::kHoled, Shape::kSliver,
                                          Shape::kLShape),
-                       ::testing::Values(Builder::kUniform, Builder::kHrBottomUp,
-                                         Builder::kHrTopDown, Builder::kHrBudget),
+                       ::testing::Values(Builder::kUniform, Builder::kHrEpsilon,
+                                         Builder::kHrBudget),
                        ::testing::Bool(), ::testing::Values(16.0, 6.0)),
     [](const ::testing::TestParamInfo<std::tuple<Shape, Builder, bool, double>>&
            info) {

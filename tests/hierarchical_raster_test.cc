@@ -14,6 +14,7 @@
 namespace dbsa::raster {
 namespace {
 
+using dbsa::testing::MakeLPolygon;
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
 using dbsa::testing::MakeStarPolygonWithHole;
@@ -35,25 +36,39 @@ TEST(HrTest, CellsAreDisjointAndSorted) {
 }
 
 TEST(HrTest, ClassificationMatchesUniformRaster) {
-  // HR must represent exactly the same region as the UR it was merged
-  // from: same classification for random probes (modulo interior cells
-  // reporting kInterior for merged areas).
+  // The HR must represent exactly the region of the uniform raster at its
+  // boundary level: the same kind at the centre of every finest cell
+  // (interior cells only merge; boundary cells stay at the epsilon level).
+  // The uniform raster classifies by scanline parity, independently of
+  // the HR's top-down search.
   const Grid grid({0, 0}, 256.0);
-  const double eps = 4.0;
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    const geom::Polygon star = MakeStarPolygonWithHole({128, 128}, 40, 90, 18, seed);
-    const UniformRaster ur = UniformRaster::Build(star, grid, eps);
-    const HierarchicalRaster hr = HierarchicalRaster::BuildEpsilon(star, grid, eps);
-    for (const geom::Point& p :
-         dbsa::testing::RandomPoints(geom::Box(20, 20, 236, 236), 2000, seed)) {
-      const CellKind ur_kind = ur.Classify(p, grid);
-      const CellKind hr_kind = hr.Classify(p, grid);
-      ASSERT_EQ(ur_kind == CellKind::kOutside, hr_kind == CellKind::kOutside)
-          << "seed " << seed << " at " << p.x << "," << p.y;
-      // Boundary cells are identical (same level, unmerged).
-      ASSERT_EQ(ur_kind == CellKind::kBoundary, hr_kind == CellKind::kBoundary)
-          << "seed " << seed;
+  const auto expect_same_cells = [&grid](const char* shape, const geom::Polygon& poly,
+                                         double eps) {
+    SCOPED_TRACE(::testing::Message() << shape << " at eps " << eps);
+    const UniformRaster ur = UniformRaster::Build(poly, grid, eps);
+    const HierarchicalRaster hr = HierarchicalRaster::BuildEpsilon(poly, grid, eps);
+    const int level = grid.LevelForEpsilon(eps);
+    const uint32_t side = 1u << level;
+    for (uint32_t iy = 0; iy < side; ++iy) {
+      for (uint32_t ix = 0; ix < side; ++ix) {
+        const geom::Point p = grid.CellBoxXY(level, ix, iy).Center();
+        ASSERT_EQ(hr.Classify(p, grid), ur.Classify(p, grid))
+            << "cell (" << ix << "," << iy << ") at level " << level;
+      }
     }
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    expect_same_cells(("holed star " + std::to_string(seed)).c_str(),
+                      MakeStarPolygonWithHole({128, 128}, 40, 90, 18, seed), 4.0);
+  }
+  // Edges on grid lines, and edges through coarse cell corners: where the
+  // per-level edge traversal has to break ties.
+  geom::Polygon diamond(geom::Ring{{128, 64}, {192, 128}, {128, 192}, {64, 128}});
+  diamond.Normalize();
+  for (const double eps : {16.0, 6.0, 4.0, 2.0}) {
+    expect_same_cells("L", MakeLPolygon(60, 60, 120), eps);
+    expect_same_cells("square", MakeRectPolygon(64, 64, 192, 192), eps);
+    expect_same_cells("diamond", diamond, eps);
   }
 }
 
@@ -69,7 +84,7 @@ TEST(HrTest, MergesReduceCellCount) {
 
 TEST(HrTest, EpsilonBoundHolds) {
   const Grid grid({0, 0}, 256.0);
-  for (const double eps : {16.0, 4.0}) {
+  for (const double eps : {16.0, 8.0, 4.0}) {
     for (uint64_t seed = 1; seed <= 5; ++seed) {
       const geom::Polygon star = MakeStarPolygon({128, 128}, 40, 90, 16, seed);
       const HierarchicalRaster hr = HierarchicalRaster::BuildEpsilon(star, grid, eps);
@@ -131,41 +146,6 @@ TEST(HrTest, BudgetModeMatchesExactnessOnRect) {
   EXPECT_EQ(hr.Classify({10, 10}, grid), CellKind::kOutside);
 }
 
-TEST(HrTest, TopDownMatchesBottomUp) {
-  // The two epsilon-driven constructions must represent the same region:
-  // identical classification everywhere (boundary cells agree exactly;
-  // interior merge granularity may differ, classification may not).
-  const Grid grid({0, 0}, 256.0);
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    const geom::Polygon star = MakeStarPolygonWithHole({128, 128}, 40, 90, 18, seed);
-    const HierarchicalRaster bottom_up =
-        HierarchicalRaster::BuildEpsilonBottomUp(star, grid, 4.0);
-    const HierarchicalRaster top_down =
-        HierarchicalRaster::BuildEpsilonTopDown(star, grid, 4.0);
-    for (const geom::Point& p :
-         dbsa::testing::RandomPoints(geom::Box(20, 20, 236, 236), 3000, seed * 3)) {
-      const CellKind a = bottom_up.Classify(p, grid);
-      const CellKind b = top_down.Classify(p, grid);
-      ASSERT_EQ(a == CellKind::kOutside, b == CellKind::kOutside)
-          << "seed " << seed << " at " << p.x << "," << p.y;
-      ASSERT_EQ(a == CellKind::kBoundary, b == CellKind::kBoundary)
-          << "seed " << seed << " at " << p.x << "," << p.y;
-    }
-  }
-}
-
-TEST(HrTest, TopDownEpsilonBoundHolds) {
-  const Grid grid({0, 0}, 256.0);
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    const geom::Polygon star = MakeStarPolygon({128, 128}, 40, 90, 16, seed);
-    const HierarchicalRaster hr =
-        HierarchicalRaster::BuildEpsilonTopDown(star, grid, 8.0);
-    const BoundCheck check = CheckBound(star, grid, hr, 2.0);
-    EXPECT_LE(check.max_false_positive_dist, 8.0 + 1e-9) << "seed " << seed;
-    EXPECT_TRUE(check.covers_polygon) << "seed " << seed;
-  }
-}
-
 TEST(HrTest, PointOnGridAlignedEdgeIsNeverInterior) {
   // The rectangle's right edge lies on the grid line x = c. A point on it
   // is outside by Contains, so its cell must be a boundary cell: an
@@ -182,12 +162,9 @@ TEST(HrTest, PointOnGridAlignedEdgeIsNeverInterior) {
   const geom::Polygon rect = MakeRectPolygon(c - 6 * cs, y0, c, y1);
   const geom::Point p{c, (y0 + y1) / 2};
   ASSERT_FALSE(rect.Contains(p));
-  const double eps = grid.AchievedEpsilon(level);
-  for (const HierarchicalRaster& hr :
-       {HierarchicalRaster::BuildEpsilonBottomUp(rect, grid, eps),
-        HierarchicalRaster::BuildEpsilonTopDown(rect, grid, eps)}) {
-    EXPECT_EQ(hr.Classify(p, grid), CellKind::kBoundary);
-  }
+  const HierarchicalRaster hr =
+      HierarchicalRaster::BuildEpsilon(rect, grid, grid.AchievedEpsilon(level));
+  EXPECT_EQ(hr.Classify(p, grid), CellKind::kBoundary);
 
   // End to end over a one-point table: the exact count, which refines the
   // boundary cells, is 0, and the level-8 range contains it.
@@ -214,6 +191,14 @@ TEST(HrTest, MemoryScalesWithCells) {
   const HierarchicalRaster coarse = HierarchicalRaster::BuildEpsilon(star, grid, 16.0);
   const HierarchicalRaster fine = HierarchicalRaster::BuildEpsilon(star, grid, 1.0);
   EXPECT_GT(fine.MemoryBytes(), coarse.MemoryBytes());
+  // No spare capacity: the bytes an HR holds are what MemoryBytes() (and so
+  // the ApproxCache's charge) counts. Pointers, because a copy would
+  // drop the slack by itself.
+  const HierarchicalRaster level = HierarchicalRaster::BuildLevel(star, grid, 6);
+  const HierarchicalRaster budget = HierarchicalRaster::BuildBudget(star, grid, 128);
+  for (const HierarchicalRaster* hr : {&coarse, &fine, &level, &budget}) {
+    EXPECT_EQ(hr->cells().capacity(), hr->NumCells());
+  }
 }
 
 }  // namespace

@@ -208,8 +208,8 @@ int RefineLevel(const raster::Grid& grid, const geom::Polygon& poly) {
 /// The exact stage of an ad-hoc query: the points inside a polygon, found
 /// by approximating, then refining.
 struct Refinement {
-  /// Position ranges of interior cells: inside whatever the cell's size
-  /// (Section 2.2), so taken whole.
+  /// Position ranges of runs of interior cells: inside whatever the cells'
+  /// size (Section 2.2), so taken whole.
   std::vector<join::PositionRange> interior;
   /// Rows of boundary-cell points that pass the PIP test.
   std::vector<uint32_t> inside;
@@ -224,7 +224,8 @@ struct Refinement {
 
 /// Takes a conservative HR of `poly` through the hooks, so a repeated
 /// exact ask hits the serving layer's cache, and walks its cells' position
-/// ranges in base's point index; only boundary-cell points get a PIP test.
+/// ranges in base's point index by same-flag runs; only boundary-cell
+/// points get a PIP test.
 Refinement RefineExact(const EngineState& base, const geom::Polygon& poly,
                        const ExecHooks& hooks) {
   DBSA_CHECK(base.point_index.has_value());
@@ -234,19 +235,19 @@ Refinement RefineExact(const EngineState& base, const geom::Polygon& poly,
       HrForPolygon(base, hooks, kAdHocPolygon, poly,
                    base.grid.AchievedEpsilon(RefineLevel(base.grid, poly)));
   Refinement out;
-  for (const raster::HrCell& cell : hr->cells()) {
-    const join::PositionRange pos =
-        index.CellPositions(cell.id, join::SearchStrategy::kRadixSpline);
-    if (!cell.boundary) {
-      out.interior.push_back(pos);
-      continue;
-    }
-    out.pip_tests += pos.hi - pos.lo;
-    for (size_t i = pos.lo; i < pos.hi; ++i) {
-      const uint32_t id = index.prefix_index().IdAt(i);
-      if (poly.Contains(locs[id])) out.inside.push_back(id);
-    }
-  }
+  index.ForEachRun(
+      hr->cells().data(), hr->cells().size(), join::SearchStrategy::kRadixSpline,
+      /*split_on_flag=*/true, [&](join::PositionRange pos, bool boundary) {
+        if (!boundary) {
+          out.interior.push_back(pos);
+          return;
+        }
+        out.pip_tests += pos.hi - pos.lo;
+        for (size_t i = pos.lo; i < pos.hi; ++i) {
+          const uint32_t id = index.prefix_index().IdAt(i);
+          if (poly.Contains(locs[id])) out.inside.push_back(id);
+        }
+      });
   return out;
 }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/random.h"
-
 namespace dbsa::data {
 
 std::vector<ZoomStep> MakeZoomSequence(const geom::Box& universe,
@@ -24,22 +22,6 @@ std::vector<ZoomStep> MakeZoomSequence(const geom::Box& universe,
     double x0 = std::clamp(focus.x - w * 0.5, universe.min.x, universe.max.x - w);
     double y0 = std::clamp(focus.y - h * 0.5, universe.min.y, universe.max.y - h);
     view = geom::Box(x0, y0, x0 + w, y0 + h);
-  }
-  return out;
-}
-
-std::vector<geom::Box> MakeQueryBoxes(const geom::Box& universe, size_t count,
-                                      double selectivity, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<geom::Box> out;
-  out.reserve(count);
-  const double side_frac = std::sqrt(std::clamp(selectivity, 1e-9, 1.0));
-  const double w = universe.Width() * side_frac;
-  const double h = universe.Height() * side_frac;
-  for (size_t i = 0; i < count; ++i) {
-    const double x0 = rng.Uniform(universe.min.x, universe.max.x - w);
-    const double y0 = rng.Uniform(universe.min.y, universe.max.y - h);
-    out.push_back(geom::Box(x0, y0, x0 + w, y0 + h));
   }
   return out;
 }

@@ -1,6 +1,5 @@
-// Query workload generators: level-of-detail zoom sequences (the Uber
-// Movement exploration pattern from the paper's introduction) and
-// selectivity-controlled query boxes.
+// Query workload generator: level-of-detail zoom sequences (the Uber
+// Movement exploration pattern from the paper's introduction).
 
 #ifndef DBSA_DATA_WORKLOAD_H_
 #define DBSA_DATA_WORKLOAD_H_
@@ -25,10 +24,6 @@ struct ZoomStep {
 std::vector<ZoomStep> MakeZoomSequence(const geom::Box& universe,
                                        const geom::Point& focus, int steps,
                                        int screen_pixels = 1024);
-
-/// Random query boxes with area = `selectivity` * universe area.
-std::vector<geom::Box> MakeQueryBoxes(const geom::Box& universe, size_t count,
-                                      double selectivity, uint64_t seed);
 
 }  // namespace dbsa::data
 

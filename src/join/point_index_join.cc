@@ -1,5 +1,7 @@
 #include "join/point_index_join.h"
 
+#include <algorithm>
+
 namespace dbsa::join {
 
 const char* SearchStrategyName(SearchStrategy s) {
@@ -68,6 +70,19 @@ size_t PointIndex::UpperBound(uint64_t key, SearchStrategy s) const {
   return LowerBound(key + 1, s);
 }
 
+size_t PointIndex::GallopPast(uint64_t key, size_t from) const {
+  const std::vector<uint64_t>& keys = index_.keys().keys();
+  const size_t n = keys.size();
+  // Invariant: every key in [from, begin) is <= key.
+  size_t begin = from;
+  size_t probe = from;
+  for (size_t step = 1; probe < n && keys[probe] <= key; step *= 2) {
+    begin = probe + 1;
+    probe = begin + step;
+  }
+  return index_.keys().LowerBoundFrom(key + 1, begin, std::min(probe, n));
+}
+
 PositionRange PointIndex::CellPositions(const raster::CellId& cell,
                                         SearchStrategy strategy) const {
   return {LowerBound(cell.LeafKeyMin(), strategy),
@@ -82,24 +97,24 @@ CellAggregate PointIndex::QueryCells(const raster::HierarchicalRaster& hr,
 CellAggregate PointIndex::QueryCells(const raster::HrCell* cells, size_t num_cells,
                                      SearchStrategy strategy) const {
   CellAggregate agg;
-  for (size_t c = 0; c < num_cells; ++c) {
-    const raster::HrCell& cell = cells[c];
-    const PositionRange pos = CellPositions(cell.id, strategy);
-    agg.searches += 2;
-    ++agg.query_cells;
-    const double cnt = static_cast<double>(index_.CountBetween(pos.lo, pos.hi));
-    const TwoDouble sum = index_.SumPairBetween(pos.lo, pos.hi);
-    agg.count += cnt;
-    const TwoDouble s = AddPair({agg.sum, agg.sum_comp}, sum);
-    agg.sum = s.hi;
-    agg.sum_comp = s.lo;
-    if (cell.boundary) {
-      agg.boundary_count += cnt;
-      const TwoDouble b = AddPair({agg.boundary_sum, agg.boundary_sum_comp}, sum);
-      agg.boundary_sum = b.hi;
-      agg.boundary_sum_comp = b.lo;
-    }
-  }
+  agg.query_cells = num_cells;
+  agg.searches = ForEachRun(
+      cells, num_cells, strategy, /*split_on_flag=*/true,
+      [&](PositionRange pos, bool boundary) {
+        const double cnt = static_cast<double>(index_.CountBetween(pos.lo, pos.hi));
+        const TwoDouble sum = index_.SumPairBetween(pos.lo, pos.hi);
+        agg.count += cnt;
+        const TwoDouble s = AddPair({agg.sum, agg.sum_comp}, sum);
+        agg.sum = s.hi;
+        agg.sum_comp = s.lo;
+        if (boundary) {
+          agg.boundary_count += cnt;
+          const TwoDouble b =
+              AddPair({agg.boundary_sum, agg.boundary_sum_comp}, sum);
+          agg.boundary_sum = b.hi;
+          agg.boundary_sum_comp = b.lo;
+        }
+      });
   return agg;
 }
 
@@ -126,10 +141,10 @@ size_t PointIndex::SelectIds(const raster::HrCell* cells, size_t num_cells,
                              SearchStrategy strategy,
                              std::vector<uint32_t>* out) const {
   const size_t before = out->size();
-  for (size_t c = 0; c < num_cells; ++c) {
-    const PositionRange pos = CellPositions(cells[c].id, strategy);
-    index_.CollectIds(pos.lo, pos.hi, out);
-  }
+  ForEachRun(cells, num_cells, strategy, /*split_on_flag=*/false,
+             [&](PositionRange pos, bool /*boundary*/) {
+               index_.CollectIds(pos.lo, pos.hi, out);
+             });
   return out->size() - before;
 }
 

@@ -1,9 +1,12 @@
 // Section 3's point-indexing pipeline: points are linearized to finest-
 // level cell keys and stored sorted with prefix sums; a query polygon is
 // approximated by hierarchical-raster query cells; each query cell turns
-// into one contiguous key range answered by two searches. The search
-// strategy is pluggable — binary search, RadixSpline (learned) or a
-// B+-tree — which is exactly the comparison of Figure 4.
+// into one contiguous key range. The probe walks the cells by runs: HR
+// cells are Z-ordered, so a cell often starts where its predecessor ends,
+// and a run of such cells is one key range, answered by at most one seek
+// and one forward gallop. The seek strategy is pluggable — binary search,
+// RadixSpline (learned) or a B+-tree — which is exactly the comparison of
+// Figure 4.
 
 #ifndef DBSA_JOIN_POINT_INDEX_JOIN_H_
 #define DBSA_JOIN_POINT_INDEX_JOIN_H_
@@ -45,6 +48,9 @@ struct CellAggregate {
   double boundary_sum = 0.0;
   double boundary_sum_comp = 0.0;
   size_t query_cells = 0;
+  /// Searches the probe made: strategy seeks plus forward gallops, one
+  /// gallop per run of key-adjacent cells (PointIndex::ForEachRun). At
+  /// most two per query cell, and fewer whenever cells form runs.
   size_t searches = 0;
 
   double SumValue() const { return TwoDouble{sum, sum_comp}.Rounded(); }
@@ -116,11 +122,27 @@ class PointIndex {
   CellAggregate QueryPolygon(const geom::Polygon& poly, size_t cells_budget,
                              SearchStrategy strategy) const;
 
-  /// Positions in prefix_index() of the points inside `cell`: the key
-  /// range QueryCells aggregates and SelectIds collects, found by two
-  /// searches. Exact queries refine boundary cells position by position.
+  /// Positions in prefix_index() of the points inside `cell`, found by
+  /// two independent searches under `strategy`. The probes themselves
+  /// (QueryCells, SelectIds, the exact refine) walk cells by runs through
+  /// ForEachRun, which yields the same positions with fewer searches.
   PositionRange CellPositions(const raster::CellId& cell,
                               SearchStrategy strategy) const;
+
+  /// The probe's run walk. Splits `cells` into runs: maximal stretches in
+  /// which each cell's LeafKeyMin() is the previous cell's LeafKeyMax() + 1
+  /// and, when `split_on_flag`, whose cells share one boundary flag. A
+  /// run's points fill one position range, so `fn(PositionRange pos, bool
+  /// boundary)` is called once per run, in input order, with the flag of
+  /// the run's first cell. A run that starts where the previous run ended
+  /// takes that run's upper position as its lower one; any other run start
+  /// is one seek under `strategy`. The upper position gallops forward from
+  /// the lower one. Each range equals the union of its cells'
+  /// CellPositions whatever order the cells arrive in (wire input is not
+  /// checked for order). Returns the searches made: seeks plus gallops.
+  template <typename Fn>
+  size_t ForEachRun(const raster::HrCell* cells, size_t num_cells,
+                    SearchStrategy strategy, bool split_on_flag, Fn&& fn) const;
 
   /// Aggregates over a single cell's key range (micro-bench / building
   /// block for custom query shapes).
@@ -152,12 +174,52 @@ class PointIndex {
   // Positions of the first key >= key under the chosen strategy.
   size_t LowerBound(uint64_t key, SearchStrategy s) const;
   size_t UpperBound(uint64_t key, SearchStrategy s) const;
+  // Position of the first key > `key` (a leaf key, so `key + 1` cannot
+  // wrap) at or after `from`, whose predecessors must all be <= key:
+  // doubling steps from `from`, then a binary search of the last step's
+  // interval.
+  size_t GallopPast(uint64_t key, size_t from) const;
 
   raster::Grid grid_;
   index::PrefixSumIndex index_;
   index::RadixSpline spline_;
   index::StaticBTree btree_;
 };
+
+template <typename Fn>
+size_t PointIndex::ForEachRun(const raster::HrCell* cells, size_t num_cells,
+                              SearchStrategy strategy, bool split_on_flag,
+                              Fn&& fn) const {
+  // Leaf keys have 2 * CellId::kMaxLevel bits (the wire decoder rejects
+  // any other id), so `a_max + 1` cannot wrap.
+  const auto follows = [](uint64_t a_max, uint64_t b_min) { return b_min == a_max + 1; };
+  size_t searches = 0;
+  size_t prev_hi = 0;
+  uint64_t prev_max = 0;
+  size_t c = 0;
+  while (c < num_cells) {
+    const size_t start = c;
+    const raster::HrCell& first = cells[start];
+    const uint64_t key_min = first.id.LeafKeyMin();
+    uint64_t key_max = first.id.LeafKeyMax();
+    for (++c; c < num_cells && follows(key_max, cells[c].id.LeafKeyMin()) &&
+              (!split_on_flag || cells[c].boundary == first.boundary);
+         ++c) {
+      key_max = cells[c].id.LeafKeyMax();
+    }
+    size_t lo = prev_hi;
+    if (start == 0 || !follows(prev_max, key_min)) {
+      lo = LowerBound(key_min, strategy);
+      ++searches;
+    }
+    const size_t hi = GallopPast(key_max, lo);
+    ++searches;
+    fn(PositionRange{lo, hi}, first.boundary);
+    prev_hi = hi;
+    prev_max = key_max;
+  }
+  return searches;
+}
 
 }  // namespace dbsa::join
 

@@ -34,9 +34,11 @@ PlanCosts EstimateCosts(const QueryProfile& p) {
   constexpr double kSearch = 2.0;      // Per log2 step of a bounded search.
   constexpr double kPipPerVertex = 1.5;
 
-  // Point-index join: two bounded searches per query cell. The index is
-  // built with the state and the serving layer caches the region HRs, so
-  // neither build is charged to the query.
+  // Point-index join: at most two bounded searches per query cell. The
+  // probe walks runs of key-adjacent cells and needs fewer, but the runs
+  // are not known before the HR exists, so the upper bound is priced. The
+  // index is built with the state and the serving layer caches the region
+  // HRs, so neither build is charged to the query.
   c.point_index = 2.0 * hr_cells * kSearch * std::log2(n + 2);
 
   // Exact filter-and-refine: every point PIP-tested against candidate

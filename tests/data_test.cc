@@ -138,15 +138,5 @@ TEST(WorkloadTest, ZoomSequenceShrinksAndTightens) {
   }
 }
 
-TEST(WorkloadTest, QueryBoxSelectivity) {
-  const geom::Box universe(0, 0, 1000, 1000);
-  const auto boxes = MakeQueryBoxes(universe, 50, 0.01, 9);
-  ASSERT_EQ(boxes.size(), 50u);
-  for (const geom::Box& b : boxes) {
-    EXPECT_NEAR(b.Area() / universe.Area(), 0.01, 1e-9);
-    EXPECT_TRUE(universe.Contains(b));
-  }
-}
-
 }  // namespace
 }  // namespace dbsa::data

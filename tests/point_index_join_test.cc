@@ -1,8 +1,14 @@
 // Tests for the Section 3 point-indexing pipeline: all three search
-// strategies return identical aggregates; conservative query cells give
-// counts >= exact; result ranges always contain the exact answer.
+// strategies return identical aggregates; the run walk answers exactly as
+// two searches per cell do; conservative query cells give counts >= exact;
+// result ranges always contain the exact answer.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <random>
+#include <string>
 
 #include "join/point_index_join.h"
 #include "join/result_range.h"
@@ -25,6 +31,24 @@ PiSetup MakeSetup(size_t n, uint64_t seed) {
   return s;
 }
 
+/// The six doubles of `got` carry the same bits as `want`'s.
+void ExpectSameBits(const CellAggregate& want, const CellAggregate& got,
+                    const std::string& where) {
+  const struct {
+    const char* name;
+    double CellAggregate::*field;
+  } kFields[] = {{"count", &CellAggregate::count},
+                 {"sum", &CellAggregate::sum},
+                 {"sum_comp", &CellAggregate::sum_comp},
+                 {"boundary_count", &CellAggregate::boundary_count},
+                 {"boundary_sum", &CellAggregate::boundary_sum},
+                 {"boundary_sum_comp", &CellAggregate::boundary_sum_comp}};
+  for (const auto& f : kFields) {
+    EXPECT_EQ(std::memcmp(&(want.*f.field), &(got.*f.field), sizeof(double)), 0)
+        << where << " " << f.name << ": " << want.*f.field << " vs " << got.*f.field;
+  }
+}
+
 TEST(PointIndexTest, StrategiesAgree) {
   const PiSetup s = MakeSetup(20000, 1);
   const PointIndex index(s.pts.data(), s.attrs.data(), s.pts.size(), s.grid);
@@ -36,11 +60,126 @@ TEST(PointIndexTest, StrategiesAgree) {
     const CellAggregate bs = index.QueryCells(hr, SearchStrategy::kBinarySearch);
     const CellAggregate rs = index.QueryCells(hr, SearchStrategy::kRadixSpline);
     const CellAggregate bt = index.QueryCells(hr, SearchStrategy::kBTree);
-    ASSERT_DOUBLE_EQ(bs.count, rs.count) << "seed " << seed;
-    ASSERT_DOUBLE_EQ(bs.count, bt.count) << "seed " << seed;
-    ASSERT_NEAR(bs.sum, rs.sum, 1e-9);
-    ASSERT_NEAR(bs.sum, bt.sum, 1e-9);
+    // The compensated pairs are exact, so every strategy's bits agree.
+    ExpectSameBits(bs, rs, "RS seed " + std::to_string(seed));
+    ExpectSameBits(bs, bt, "B+tree seed " + std::to_string(seed));
     ASSERT_EQ(bs.query_cells, rs.query_cells);
+    ASSERT_EQ(bs.query_cells, bt.query_cells);
+  }
+}
+
+/// The probe before the run walk: two independent searches per cell.
+CellAggregate PerCellAggregate(const PointIndex& index,
+                               const std::vector<raster::HrCell>& cells,
+                               SearchStrategy strategy) {
+  CellAggregate agg;
+  for (const raster::HrCell& cell : cells) {
+    const PositionRange pos = index.CellPositions(cell.id, strategy);
+    agg.searches += 2;
+    ++agg.query_cells;
+    const auto& pi = index.prefix_index();
+    const double cnt = static_cast<double>(pi.CountBetween(pos.lo, pos.hi));
+    const TwoDouble sum = pi.SumPairBetween(pos.lo, pos.hi);
+    agg.count += cnt;
+    const TwoDouble s = AddPair({agg.sum, agg.sum_comp}, sum);
+    agg.sum = s.hi;
+    agg.sum_comp = s.lo;
+    if (cell.boundary) {
+      agg.boundary_count += cnt;
+      const TwoDouble b = AddPair({agg.boundary_sum, agg.boundary_sum_comp}, sum);
+      agg.boundary_sum = b.hi;
+      agg.boundary_sum_comp = b.lo;
+    }
+  }
+  return agg;
+}
+
+std::vector<uint32_t> PerCellIds(const PointIndex& index,
+                                 const std::vector<raster::HrCell>& cells,
+                                 SearchStrategy strategy) {
+  std::vector<uint32_t> ids;
+  for (const raster::HrCell& cell : cells) {
+    const PositionRange pos = index.CellPositions(cell.id, strategy);
+    index.prefix_index().CollectIds(pos.lo, pos.hi, &ids);
+  }
+  return ids;
+}
+
+TEST(PointIndexTest, RunWalkMatchesPerCellSearches) {
+  // Points fill the left 300 units only, so cells to the right are empty;
+  // 40 locations repeat 60 times each (duplicate leaf keys), and both
+  // corners of the universe hold points (leaf keys 0 and the largest).
+  const raster::Grid grid({0, 0}, 512.0);
+  std::vector<geom::Point> pts =
+      dbsa::testing::RandomPoints(geom::Box(0, 0, 300, 512), 12000, 7);
+  for (size_t i = 0; i < 40; ++i) {
+    const geom::Point repeated = pts[i * 97];
+    pts.insert(pts.end(), 60, repeated);
+  }
+  pts.insert(pts.end(), 25, geom::Point{0, 0});
+  pts.insert(pts.end(), 25, geom::Point{512, 512});
+  Rng rng(8);
+  std::vector<double> attrs;
+  for (size_t i = 0; i < pts.size(); ++i) attrs.push_back(rng.Uniform(-1, 2));
+  const PointIndex index(pts.data(), attrs.data(), pts.size(), grid);
+  ASSERT_EQ(index.prefix_index().keys().keys().front(), 0u);
+  ASSERT_EQ(index.prefix_index().keys().keys().back(),
+            raster::CellId::FromLevelPrefix(0, 0).LeafKeyMax());
+
+  geom::Polygon corners(geom::Ring{{0, 0}, {512, 0}, {512, 512}});
+  corners.Normalize();
+  const std::vector<geom::Polygon> polys = {
+      dbsa::testing::MakeStarPolygon({256, 256}, 60, 150, 18, 1),
+      dbsa::testing::MakeStarPolygonWithHole({200, 300}, 80, 160, 24, 2),
+      dbsa::testing::MakeLPolygon(60, 60, 120),
+      corners,  // Through both corners of the universe.
+  };
+  const std::vector<raster::HrCell> none;
+  std::mt19937_64 shuffle_rng(9);
+  for (const SearchStrategy strategy :
+       {SearchStrategy::kBinarySearch, SearchStrategy::kRadixSpline,
+        SearchStrategy::kBTree}) {
+    for (size_t p = 0; p < polys.size(); ++p) {
+      for (const double eps : {2.0, 4.0, 8.0, 32.0}) {
+        const raster::HierarchicalRaster hr =
+            raster::HierarchicalRaster::BuildEpsilon(polys[p], grid, eps);
+        const std::vector<raster::HrCell>& full = hr.cells();
+        ASSERT_GE(full.size(), 2u);
+        // A shard prune drops cells; the wire does not promise Z order.
+        std::vector<raster::HrCell> pruned;
+        for (size_t c = 0; c < full.size(); ++c) {
+          if (c % 3 != 2) pruned.push_back(full[c]);
+        }
+        std::vector<raster::HrCell> shuffled = full;
+        std::shuffle(shuffled.begin(), shuffled.end(), shuffle_rng);
+        const struct {
+          const char* name;
+          const std::vector<raster::HrCell>& cells;
+        } kInputs[] = {{"full", full},
+                       {"pruned", pruned},
+                       {"shuffled", shuffled},
+                       {"none", none}};
+        for (const auto& input : kInputs) {
+          const std::vector<raster::HrCell>& cells = input.cells;
+          const std::string where = std::string(SearchStrategyName(strategy)) +
+                                    " poly " + std::to_string(p) + " eps " +
+                                    std::to_string(eps) + " " + input.name;
+          const CellAggregate want = PerCellAggregate(index, cells, strategy);
+          const CellAggregate got =
+              index.QueryCells(cells.data(), cells.size(), strategy);
+          ExpectSameBits(want, got, where);
+          EXPECT_EQ(got.query_cells, cells.size()) << where;
+          EXPECT_LE(got.searches, 2 * cells.size()) << where;
+
+          std::vector<uint32_t> ids;
+          index.SelectIds(cells.data(), cells.size(), strategy, &ids);
+          EXPECT_EQ(ids, PerCellIds(index, cells, strategy)) << where;
+        }
+        // Z-ordered cells form runs, so the walk saves searches.
+        const CellAggregate whole = index.QueryCells(hr, strategy);
+        EXPECT_LT(whole.searches, 2 * full.size()) << "poly " << p << " eps " << eps;
+      }
+    }
   }
 }
 

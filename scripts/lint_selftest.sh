@@ -31,6 +31,7 @@ FIXTURES=(
   scripts/lint_fixtures/bad_off_lock_write.cc
   scripts/lint_fixtures/bad_snapshot_golden/client.snapshot
   scripts/lint_fixtures/bad_reachability
+  scripts/lint_fixtures/bad_symbol_reachability/lib.cc
   scripts/wire_layout_probe.cc
   scripts/determinism_probe.cc
   tests/golden/snapshot/client.snapshot
@@ -182,6 +183,37 @@ if out=$(scripts/check_reachability.sh scripts/lint_fixtures/bad_reachability 2>
 elif [[ "$out" != *src/lib/orphan.h* || "$out" == *detail.h* || "$out" == *verify.h* ]]; then
   err "check_reachability.sh failed the fixture for the wrong headers: $out"
 fi
+
+# ---- 9. symbol reachability gate: a compiled fixture ------------------
+# The fixture library defines, in one object file, a function the root
+# program links and one only the test links. It is built here with plain
+# g++ and the gate's flags; the gate's comparison must name the
+# test-only function and nothing else, and must pass once the test
+# binary counts as a root.
+fixture=scripts/lint_fixtures/bad_symbol_reachability
+scratch=$(mktemp -d)
+flags=(-O0 -fno-inline -ffunction-sections -fdata-sections)
+if g++ "${flags[@]}" -c "$fixture/lib.cc" -o "$scratch/lib.o" &&
+   ar rcs "$scratch/libfixture.a" "$scratch/lib.o" &&
+   g++ "${flags[@]}" "$fixture/root.cc" -Wl,--gc-sections "$scratch/libfixture.a" \
+     -o "$scratch/root" &&
+   g++ "${flags[@]}" "$fixture/test.cc" -Wl,--gc-sections "$scratch/libfixture.a" \
+     -o "$scratch/test"; then
+  if out=$(scripts/check_symbol_reachability.sh --compare "$scratch/libfixture.a" \
+             "$scratch/root" 2>&1); then
+    err "check_symbol_reachability.sh PASSED the test-only fixture — the gate is dead"
+  elif [[ $(grep -c "linked into no program" <<<"$out") -ne 1 ||
+          "$out" != *"lib.o: dbsa::TestOnly(int) is linked into no program"* ]]; then
+    err "check_symbol_reachability.sh failed the fixture for the wrong functions: $out"
+  fi
+  if ! scripts/check_symbol_reachability.sh --compare "$scratch/libfixture.a" \
+         "$scratch/root" "$scratch/test" >/dev/null 2>&1; then
+    err "check_symbol_reachability.sh reports a fixture function that a root links"
+  fi
+else
+  err "could not build the symbol reachability fixture"
+fi
+rm -rf "$scratch"
 
 if [[ $fail -ne 0 ]]; then
   exit 1

@@ -1,6 +1,5 @@
 #include "canvas/canvas.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -30,16 +29,6 @@ bool Canvas::WorldToPixel(const geom::Point& p, int* px, int* py) const {
 
 geom::Point Canvas::PixelCenter(int x, int y) const {
   return {viewport_.min.x + (x + 0.5) * pw_, viewport_.min.y + (y + 0.5) * ph_};
-}
-
-geom::Box Canvas::PixelBox(int x, int y) const {
-  const double x0 = viewport_.min.x + x * pw_;
-  const double y0 = viewport_.min.y + y * ph_;
-  return geom::Box(x0, y0, x0 + pw_, y0 + ph_);
-}
-
-void Canvas::Clear(const Rgba& value) {
-  std::fill(data_.begin(), data_.end(), value);
 }
 
 }  // namespace dbsa::canvas

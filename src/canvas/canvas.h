@@ -48,11 +48,6 @@ class Canvas {
   /// World-space center of a pixel.
   geom::Point PixelCenter(int x, int y) const;
 
-  /// World-space box of a pixel.
-  geom::Box PixelBox(int x, int y) const;
-
-  void Clear(const Rgba& value = Rgba());
-
   size_t MemoryBytes() const { return data_.size() * sizeof(Rgba); }
 
  private:

@@ -1,57 +1,8 @@
 #include "canvas/ops.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace dbsa::canvas {
-
-namespace {
-
-inline Rgba ApplyBlend(const Rgba& d, const Rgba& s, BlendFn fn) {
-  switch (fn) {
-    case BlendFn::kAdd:
-      return {d.r + s.r, d.g + s.g, d.b + s.b, d.a + s.a};
-    case BlendFn::kMin:
-      return {std::min(d.r, s.r), std::min(d.g, s.g), std::min(d.b, s.b),
-              std::min(d.a, s.a)};
-    case BlendFn::kMax:
-      return {std::max(d.r, s.r), std::max(d.g, s.g), std::max(d.b, s.b),
-              std::max(d.a, s.a)};
-    case BlendFn::kOver:
-      return s.a > 0.f ? s : d;
-    case BlendFn::kMultiply:
-      return {d.r * s.r, d.g * s.g, d.b * s.b, d.a * s.a};
-  }
-  return d;
-}
-
-}  // namespace
-
-void BlendInto(Canvas* dst, const Canvas& src, BlendFn fn) {
-  DBSA_CHECK(dst->width() == src.width() && dst->height() == src.height());
-  auto& d = dst->data();
-  const auto& s = src.data();
-  for (size_t i = 0; i < d.size(); ++i) d[i] = ApplyBlend(d[i], s[i], fn);
-}
-
-Canvas Blend(const Canvas& a, const Canvas& b, BlendFn fn) {
-  Canvas out = a;
-  BlendInto(&out, b, fn);
-  return out;
-}
-
-Canvas Mask(const Canvas& src, const MaskPredicate& pred) {
-  Canvas out = src;
-  MaskInPlace(&out, pred);
-  return out;
-}
-
-void MaskInPlace(Canvas* c, const MaskPredicate& pred) {
-  for (Rgba& px : c->data()) {
-    if (!pred(px)) px = Rgba();
-  }
-}
 
 Canvas AffineResample(const Canvas& src, int width, int height,
                       const geom::Box& viewport) {

@@ -1,40 +1,13 @@
-// The canvas operator algebra of Section 4 (after Doraiswamy & Freire's
-// GPU-friendly geometric data model): blend, mask and affine transforms.
-// Spatial query classes are realized by composing these operators; the
-// optimizer (src/query) picks among compositions.
+// Canvas operators of Section 4 (after Doraiswamy & Freire's GPU-friendly
+// geometric data model): the affine transform and the reduces that end
+// an aggregation.
 
 #ifndef DBSA_CANVAS_OPS_H_
 #define DBSA_CANVAS_OPS_H_
 
-#include <functional>
-
 #include "canvas/canvas.h"
 
 namespace dbsa::canvas {
-
-/// Blend functions (the paper's circled-dot parameter).
-enum class BlendFn {
-  kAdd,      ///< Channel-wise sum (partial aggregates).
-  kMin,      ///< Channel-wise min.
-  kMax,      ///< Channel-wise max.
-  kOver,     ///< Source-over: src wins where src.a > 0.
-  kMultiply, ///< Channel-wise product (stencil intersection).
-};
-
-/// dst = blend(dst, src). Dimensions must match.
-void BlendInto(Canvas* dst, const Canvas& src, BlendFn fn);
-
-/// Pure version: returns blend(a, b).
-Canvas Blend(const Canvas& a, const Canvas& b, BlendFn fn);
-
-/// Mask predicate over a pixel.
-using MaskPredicate = std::function<bool(const Rgba&)>;
-
-/// Keeps pixels satisfying the predicate, zeroes the rest.
-Canvas Mask(const Canvas& src, const MaskPredicate& pred);
-
-/// In-place mask.
-void MaskInPlace(Canvas* c, const MaskPredicate& pred);
 
 /// Affine transform: resamples src into a canvas with the given viewport
 /// and dimensions (nearest-neighbour, as GPU texture fetch would).

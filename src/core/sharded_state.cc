@@ -220,12 +220,6 @@ bool ShardedState::ShardIntersects(size_t s, const CellRoute* routes,
   return false;
 }
 
-bool ShardedState::ShardIntersects(size_t s, const raster::HrCell* cells,
-                                   size_t num_cells) const {
-  const std::vector<CellRoute> routes = MakeRoutes(cells, num_cells);
-  return ShardIntersects(s, routes.data(), num_cells);
-}
-
 std::vector<uint32_t> ShardedState::SurvivingShards(const CellRoute* routes,
                                                     size_t num_cells) const {
   std::vector<uint32_t> out;

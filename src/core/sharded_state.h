@@ -169,10 +169,6 @@ class ShardedState : public ShardSource {
   /// the shard's curve run AND its rectangle the shard's point bounds.
   bool ShardIntersects(size_t s, const CellRoute* routes, size_t num_cells) const;
 
-  /// Convenience overload (tests): routes computed on the fly.
-  bool ShardIntersects(size_t s, const raster::HrCell* cells,
-                       size_t num_cells) const;
-
   /// The scatter set of a query approximation: indexes of shards that
   /// survive pruning, ascending. This is the exact set execution probes.
   std::vector<uint32_t> SurvivingShards(const CellRoute* routes,

@@ -53,12 +53,6 @@ struct Box {
     return p.x >= min.x && p.x <= max.x && p.y >= min.y && p.y <= max.y;
   }
 
-  /// True iff b lies entirely inside this box.
-  bool Contains(const Box& b) const {
-    return !b.IsEmpty() && b.min.x >= min.x && b.max.x <= max.x &&
-           b.min.y >= min.y && b.max.y <= max.y;
-  }
-
   /// Closed-interval overlap test.
   bool Intersects(const Box& b) const {
     return !(b.min.x > max.x || b.max.x < min.x || b.min.y > max.y || b.max.y < min.y);

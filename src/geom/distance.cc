@@ -30,15 +30,6 @@ double DistanceToPolygon(const Point& p, const Polygon& poly) {
   return DistanceToBoundary(p, poly);
 }
 
-double DistanceToMultiPolygon(const Point& p, const MultiPolygon& mp) {
-  double best = std::numeric_limits<double>::infinity();
-  for (const Polygon& part : mp.parts()) {
-    best = std::min(best, DistanceToPolygon(p, part));
-    if (best == 0.0) break;
-  }
-  return best;
-}
-
 namespace {
 
 // Calls fn(p) for points sampled along the ring boundary with spacing

@@ -21,9 +21,6 @@ double DistanceToBoundary(const Point& p, const Polygon& poly);
 /// otherwise the distance to the boundary.
 double DistanceToPolygon(const Point& p, const Polygon& poly);
 
-/// Distance from p to a solid multi-polygon region.
-double DistanceToMultiPolygon(const Point& p, const MultiPolygon& mp);
-
 /// Directed Hausdorff distance h(A -> B) between two ring boundaries,
 /// estimated by sampling A at the given max step and measuring distance
 /// to B's edges exactly. The true value is within +step/2 of the result.

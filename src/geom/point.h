@@ -19,7 +19,6 @@ struct Point {
   Point operator+(const Point& o) const { return {x + o.x, y + o.y}; }
   Point operator-(const Point& o) const { return {x - o.x, y - o.y}; }
   Point operator*(double s) const { return {x * s, y * s}; }
-  Point operator/(double s) const { return {x / s, y / s}; }
   bool operator==(const Point& o) const { return x == o.x && y == o.y; }
   bool operator!=(const Point& o) const { return !(*this == o); }
 

@@ -62,27 +62,6 @@ double Polygon::TotalPerimeter() const {
   return p;
 }
 
-Point Polygon::Centroid() const {
-  const size_t n = outer_.size();
-  if (n == 0) return {};
-  double cx = 0.0, cy = 0.0, a = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const Point& p0 = outer_[i];
-    const Point& p1 = outer_[(i + 1 == n) ? 0 : i + 1];
-    const double cross = p0.Cross(p1);
-    a += cross;
-    cx += (p0.x + p1.x) * cross;
-    cy += (p0.y + p1.y) * cross;
-  }
-  if (std::fabs(a) < 1e-300) {
-    // Degenerate: average the vertices.
-    Point avg;
-    for (const Point& p : outer_) avg = avg + p;
-    return avg / static_cast<double>(n);
-  }
-  return {cx / (3.0 * a), cy / (3.0 * a)};
-}
-
 bool Polygon::Contains(const Point& p) const {
   if (!bounds_.Contains(p)) return false;
   if (!RingContains(outer_, p)) return false;
@@ -122,47 +101,9 @@ bool Polygon::IsFinite() const {
   return true;
 }
 
-bool Polygon::IsValid() const {
-  if (outer_.size() < 3) return false;
-  for (const Ring& h : holes_) {
-    if (h.size() < 3) return false;
-  }
-  return IsFinite() && Area() > 0.0;
-}
-
 void Polygon::RecomputeBounds() {
   bounds_ = Box();
   for (const Point& p : outer_) bounds_.Extend(p);
-}
-
-size_t MultiPolygon::NumVertices() const {
-  size_t n = 0;
-  for (const Polygon& p : parts_) n += p.NumVertices();
-  return n;
-}
-
-double MultiPolygon::Area() const {
-  double a = 0.0;
-  for (const Polygon& p : parts_) a += p.Area();
-  return a;
-}
-
-bool MultiPolygon::Contains(const Point& p) const {
-  if (!bounds_.Contains(p)) return false;
-  for (const Polygon& part : parts_) {
-    if (part.Contains(p)) return true;
-  }
-  return false;
-}
-
-void MultiPolygon::Add(Polygon poly) {
-  bounds_.Extend(poly.bounds());
-  parts_.push_back(std::move(poly));
-}
-
-void MultiPolygon::RecomputeBounds() {
-  bounds_ = Box();
-  for (const Polygon& p : parts_) bounds_.Extend(p.bounds());
 }
 
 }  // namespace dbsa::geom

@@ -1,5 +1,5 @@
-// Polygon and multi-polygon types with the exact predicates the paper's
-// refinement step performs (point-in-polygon being the expensive one that
+// The polygon type with the exact predicates the paper's refinement step
+// performs (point-in-polygon being the expensive one that
 // distance-bounded approximations eliminate).
 
 #ifndef DBSA_GEOM_POLYGON_H_
@@ -51,9 +51,6 @@ class Polygon {
   /// Perimeter of all rings.
   double TotalPerimeter() const;
 
-  /// Centroid of the outer ring (area-weighted).
-  Point Centroid() const;
-
   /// Exact containment: inside the outer ring and outside every hole.
   /// Cost is linear in the vertex count — this is the PIP test whose
   /// elimination the paper's approximate processing targets.
@@ -67,10 +64,6 @@ class Polygon {
 
   /// True iff every vertex of every ring has finite coordinates.
   bool IsFinite() const;
-
-  /// Basic structural validity: >= 3 vertices per ring, finite coords,
-  /// non-zero area.
-  bool IsValid() const;
 
   /// Iterates all edges (over all rings) as (a, b) pairs.
   template <typename Fn>
@@ -90,31 +83,6 @@ class Polygon {
 
   Ring outer_;
   std::vector<Ring> holes_;
-  Box bounds_;
-};
-
-/// A collection of polygons treated as one geometry (the paper's region
-/// datasets contain multi-polygons).
-class MultiPolygon {
- public:
-  MultiPolygon() = default;
-  explicit MultiPolygon(std::vector<Polygon> parts) : parts_(std::move(parts)) {
-    RecomputeBounds();
-  }
-
-  const std::vector<Polygon>& parts() const { return parts_; }
-  const Box& bounds() const { return bounds_; }
-  bool Empty() const { return parts_.empty(); }
-  size_t NumVertices() const;
-  double Area() const;
-  bool Contains(const Point& p) const;
-
-  void Add(Polygon poly);
-
- private:
-  void RecomputeBounds();
-
-  std::vector<Polygon> parts_;
   Box bounds_;
 };
 

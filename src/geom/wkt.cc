@@ -1,7 +1,6 @@
 #include "geom/wkt.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
 namespace dbsa::geom {
@@ -40,11 +39,6 @@ class Scanner {
     return false;
   }
 
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-
   bool ParseDouble(double* out) {
     SkipSpace();
     const char* start = s_.c_str() + pos_;
@@ -60,8 +54,6 @@ class Scanner {
     SkipSpace();
     return pos_ >= s_.size();
   }
-
-  size_t pos() const { return pos_; }
 
  private:
   const std::string& s_;
@@ -108,40 +100,7 @@ Status ParsePolygonBody(Scanner* sc, Polygon* out) {
   return Status::OK();
 }
 
-void AppendRing(std::string* out, const Ring& r) {
-  out->push_back('(');
-  char buf[64];
-  for (size_t i = 0; i <= r.size(); ++i) {
-    const Point& p = r[i % r.size()];  // Repeat the first vertex to close.
-    std::snprintf(buf, sizeof(buf), "%s%.10g %.10g", i == 0 ? "" : ", ", p.x, p.y);
-    out->append(buf);
-  }
-  out->push_back(')');
-}
-
-void AppendPolygonBody(std::string* out, const Polygon& poly) {
-  out->push_back('(');
-  AppendRing(out, poly.outer());
-  for (const Ring& h : poly.holes()) {
-    out->append(", ");
-    AppendRing(out, h);
-  }
-  out->push_back(')');
-}
-
 }  // namespace
-
-StatusOr<Point> ParseWktPoint(const std::string& wkt) {
-  Scanner sc(wkt);
-  if (!sc.ConsumeKeyword("POINT")) return Status::InvalidArgument("expected POINT");
-  if (!sc.Consume('(')) return Status::InvalidArgument("expected '('");
-  Point p;
-  Status st = ParseCoord(&sc, &p);
-  if (!st.ok()) return st;
-  if (!sc.Consume(')')) return Status::InvalidArgument("expected ')'");
-  if (!sc.AtEnd()) return Status::InvalidArgument("trailing characters after POINT");
-  return p;
-}
 
 StatusOr<Polygon> ParseWktPolygon(const std::string& wkt) {
   Scanner sc(wkt);
@@ -151,53 +110,6 @@ StatusOr<Polygon> ParseWktPolygon(const std::string& wkt) {
   if (!st.ok()) return st;
   if (!sc.AtEnd()) return Status::InvalidArgument("trailing characters after POLYGON");
   return poly;
-}
-
-StatusOr<MultiPolygon> ParseWktMultiPolygon(const std::string& wkt) {
-  Scanner sc(wkt);
-  if (sc.ConsumeKeyword("MULTIPOLYGON")) {
-    if (!sc.Consume('(')) return Status::InvalidArgument("expected '('");
-    std::vector<Polygon> parts;
-    do {
-      Polygon poly;
-      Status st = ParsePolygonBody(&sc, &poly);
-      if (!st.ok()) return st;
-      parts.push_back(std::move(poly));
-    } while (sc.Consume(','));
-    if (!sc.Consume(')')) return Status::InvalidArgument("expected ')'");
-    if (!sc.AtEnd()) {
-      return Status::InvalidArgument("trailing characters after MULTIPOLYGON");
-    }
-    return MultiPolygon(std::move(parts));
-  }
-  // Fall back: accept a single POLYGON as a one-part multi-polygon.
-  StatusOr<Polygon> poly = ParseWktPolygon(wkt);
-  if (!poly.ok()) return poly.status();
-  std::vector<Polygon> parts;
-  parts.push_back(std::move(poly.value()));
-  return MultiPolygon(std::move(parts));
-}
-
-std::string ToWkt(const Point& p) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "POINT (%.10g %.10g)", p.x, p.y);
-  return buf;
-}
-
-std::string ToWkt(const Polygon& poly) {
-  std::string out = "POLYGON ";
-  AppendPolygonBody(&out, poly);
-  return out;
-}
-
-std::string ToWkt(const MultiPolygon& mp) {
-  std::string out = "MULTIPOLYGON (";
-  for (size_t i = 0; i < mp.parts().size(); ++i) {
-    if (i) out.append(", ");
-    AppendPolygonBody(&out, mp.parts()[i]);
-  }
-  out.push_back(')');
-  return out;
 }
 
 }  // namespace dbsa::geom

@@ -1,5 +1,5 @@
-// Minimal WKT (Well-Known Text) reader/writer for POINT, POLYGON and
-// MULTIPOLYGON — the interchange format for examples and tests.
+// Minimal WKT (Well-Known Text) reader for POLYGON — how the examples
+// spell their query polygons.
 
 #ifndef DBSA_GEOM_WKT_H_
 #define DBSA_GEOM_WKT_H_
@@ -11,19 +11,8 @@
 
 namespace dbsa::geom {
 
-/// Parses "POINT (x y)".
-StatusOr<Point> ParseWktPoint(const std::string& wkt);
-
 /// Parses "POLYGON ((x y, ...), (hole...))".
 StatusOr<Polygon> ParseWktPolygon(const std::string& wkt);
-
-/// Parses "MULTIPOLYGON (((...)), ((...)))" (also accepts plain POLYGON).
-StatusOr<MultiPolygon> ParseWktMultiPolygon(const std::string& wkt);
-
-/// Serializers.
-std::string ToWkt(const Point& p);
-std::string ToWkt(const Polygon& poly);
-std::string ToWkt(const MultiPolygon& mp);
 
 }  // namespace dbsa::geom
 

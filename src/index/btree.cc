@@ -68,9 +68,4 @@ size_t StaticBTree::LowerBoundRank(uint64_t key) const {
   return static_cast<size_t>(std::lower_bound(lo, hi, key) - leaf_keys_);
 }
 
-size_t StaticBTree::UpperBoundRank(uint64_t key) const {
-  if (key == UINT64_MAX) return num_keys_;
-  return LowerBoundRank(key + 1);
-}
-
 }  // namespace dbsa::index

@@ -23,11 +23,8 @@ class StaticBTree {
   static StaticBTree Build(const std::vector<uint64_t>& sorted_keys);
 
   /// Rank of the first key >= `key` (== sorted position, usable with
-  /// PrefixSumIndex::CountBetween / SumBetween).
+  /// PrefixSumIndex::CountBetween / SumPairBetween).
   size_t LowerBoundRank(uint64_t key) const;
-
-  /// Rank of the first key > `key`.
-  size_t UpperBoundRank(uint64_t key) const;
 
   size_t MemoryBytes() const { return inner_.size() * sizeof(uint64_t); }
   int height() const { return height_; }

@@ -122,21 +122,6 @@ size_t RadixSpline::FindSplineSegment(uint64_t key) const {
   return idx;
 }
 
-double RadixSpline::EstimatePosition(uint64_t key) const {
-  if (n_ == 0) return 0.0;
-  if (key <= min_key_) return 0.0;
-  if (key >= max_key_) return spline_pos_.back();
-  const size_t seg = FindSplineSegment(key);
-  if (seg == 0) return spline_pos_[0];
-  const uint64_t x0 = spline_keys_[seg - 1];
-  const uint64_t x1 = spline_keys_[seg];
-  const double y0 = spline_pos_[seg - 1];
-  const double y1 = spline_pos_[seg];
-  if (x1 == x0) return y0;
-  const double t = static_cast<double>(key - x0) / static_cast<double>(x1 - x0);
-  return y0 + t * (y1 - y0);
-}
-
 SearchBound RadixSpline::Lookup(uint64_t key) const {
   if (n_ == 0) return {0, 0};
   if (key <= min_key_) return {0, std::min<size_t>(1, n_)};

@@ -31,9 +31,6 @@ class RadixSpline {
   /// Window containing LowerBound(key).
   SearchBound Lookup(uint64_t key) const;
 
-  /// Interpolated position estimate (for diagnostics).
-  double EstimatePosition(uint64_t key) const;
-
   size_t NumSplinePoints() const { return spline_keys_.size(); }
   size_t MemoryBytes() const {
     return spline_keys_.size() * (sizeof(uint64_t) + sizeof(double)) +

@@ -28,11 +28,6 @@ size_t SortedKeyArray::LowerBoundFrom(uint64_t key, size_t begin, size_t end) co
   return pos;
 }
 
-size_t SortedKeyArray::UpperBound(uint64_t key) const {
-  if (key == UINT64_MAX) return keys_.size();
-  return LowerBound(key + 1);
-}
-
 PrefixSumIndex PrefixSumIndex::Build(std::vector<uint64_t> keys,
                                      std::vector<double> values) {
   DBSA_CHECK(keys.size() == values.size());
@@ -86,18 +81,6 @@ PrefixSumIndex PrefixSumIndex::FromParts(std::vector<uint64_t> sorted_keys,
   idx.prefix_comp_ = std::move(prefix_comp);
   idx.ids_ = std::move(ids);
   return idx;
-}
-
-size_t PrefixSumIndex::RangeCount(uint64_t lo_key, uint64_t hi_key) const {
-  const size_t lo = keys_.LowerBound(lo_key);
-  const size_t hi = keys_.UpperBound(hi_key);
-  return CountBetween(lo, hi);
-}
-
-double PrefixSumIndex::RangeSum(uint64_t lo_key, uint64_t hi_key) const {
-  const size_t lo = keys_.LowerBound(lo_key);
-  const size_t hi = keys_.UpperBound(hi_key);
-  return SumBetween(lo, hi);
 }
 
 }  // namespace dbsa::index

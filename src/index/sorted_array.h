@@ -29,9 +29,6 @@ class SortedKeyArray {
   /// Index of the first key >= `key`.
   size_t LowerBound(uint64_t key) const { return LowerBoundFrom(key, 0, keys_.size()); }
 
-  /// Index of the first key > `key`.
-  size_t UpperBound(uint64_t key) const;
-
   /// Lower bound restricted to [begin, end) — used with learned-index
   /// search windows.
   size_t LowerBoundFrom(uint64_t key, size_t begin, size_t end) const;
@@ -44,7 +41,7 @@ class SortedKeyArray {
 
 /// Sorted keys plus prefix sums of an attribute: range COUNT and SUM in
 /// O(search). The positions returned by any search strategy over keys()
-/// can be fed to CountBetween / SumBetween. The sort permutation is kept,
+/// can be fed to CountBetween / SumPairBetween. The sort permutation is kept,
 /// so selections can map positions back to original row ids.
 class PrefixSumIndex {
  public:
@@ -83,18 +80,9 @@ class PrefixSumIndex {
   const std::vector<double>& prefix_comp() const { return prefix_comp_; }
   const std::vector<uint32_t>& ids() const { return ids_; }
 
-  /// COUNT of keys in [lo_key, hi_key] (inclusive).
-  size_t RangeCount(uint64_t lo_key, uint64_t hi_key) const;
-
-  /// SUM of values for keys in [lo_key, hi_key] (inclusive).
-  double RangeSum(uint64_t lo_key, uint64_t hi_key) const;
-
   /// Aggregates between precomputed positions [lo_pos, hi_pos).
   size_t CountBetween(size_t lo_pos, size_t hi_pos) const {
     return hi_pos > lo_pos ? hi_pos - lo_pos : 0;
-  }
-  double SumBetween(size_t lo_pos, size_t hi_pos) const {
-    return SumPairBetween(lo_pos, hi_pos).Rounded();
   }
 
   /// Range SUM as a compensated pair. The prefix array is accumulated

@@ -2,22 +2,6 @@
 
 namespace dbsa::join {
 
-const char* AggKindName(AggKind kind) {
-  switch (kind) {
-    case AggKind::kCount:
-      return "COUNT";
-    case AggKind::kSum:
-      return "SUM";
-    case AggKind::kAvg:
-      return "AVG";
-    case AggKind::kMin:
-      return "MIN";
-    case AggKind::kMax:
-      return "MAX";
-  }
-  return "?";
-}
-
 double Accumulator::Result(AggKind kind) const {
   switch (kind) {
     case AggKind::kCount:

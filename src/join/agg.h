@@ -14,8 +14,6 @@ namespace dbsa::join {
 
 enum class AggKind { kCount, kSum, kAvg, kMin, kMax };
 
-const char* AggKindName(AggKind kind);
-
 /// Streaming accumulator for one group.
 struct Accumulator {
   double count = 0.0;

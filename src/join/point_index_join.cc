@@ -4,18 +4,6 @@
 
 namespace dbsa::join {
 
-const char* SearchStrategyName(SearchStrategy s) {
-  switch (s) {
-    case SearchStrategy::kBinarySearch:
-      return "BS";
-    case SearchStrategy::kRadixSpline:
-      return "RS";
-    case SearchStrategy::kBTree:
-      return "B+tree";
-  }
-  return "?";
-}
-
 PointIndex::PointIndex(const geom::Point* points, const double* attrs, size_t n,
                        const raster::Grid& grid, const Options& opts)
     : grid_(grid) {

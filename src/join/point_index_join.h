@@ -28,8 +28,6 @@ namespace dbsa::join {
 /// Which structure answers the lower/upper-bound searches.
 enum class SearchStrategy { kBinarySearch, kRadixSpline, kBTree };
 
-const char* SearchStrategyName(SearchStrategy s);
-
 /// Aggregates returned for one query polygon. SUMs are carried as
 /// Neumaier-compensated (error-free transformation) pairs — (sum,
 /// sum_comp) is the unevaluated double-double total — so accumulating

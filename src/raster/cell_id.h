@@ -11,7 +11,6 @@
 #define DBSA_RASTER_CELL_ID_H_
 
 #include <cstdint>
-#include <string>
 
 #include "sfc/morton.h"
 #include "util/check.h"
@@ -91,9 +90,6 @@ class CellId {
   /// Orders cells along the Z-curve; ancestors sort within the span of
   /// their descendants.
   bool operator<(const CellId& o) const { return id_ < o.id_; }
-
-  /// Debug string "L12:(x,y)".
-  std::string ToString() const;
 
  private:
   uint64_t id_;

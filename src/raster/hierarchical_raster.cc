@@ -135,18 +135,6 @@ void HierarchicalRaster::FinalizeFrom(std::vector<HrCell> cells) {
   // Builders grow `cells` by push_back; drop the slack so that the bytes
   // an HR holds are the MemoryBytes() the ApproxCache charges for it.
   cells_.shrink_to_fit();
-  range_lo_.resize(cells_.size());
-  range_hi_.resize(cells_.size());
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    range_lo_[i] = cells_[i].id.LeafKeyMin();
-    range_hi_[i] = cells_[i].id.LeafKeyMax();
-  }
-}
-
-size_t HierarchicalRaster::NumBoundaryCells() const {
-  size_t n = 0;
-  for (const HrCell& c : cells_) n += c.boundary ? 1 : 0;
-  return n;
 }
 
 double HierarchicalRaster::AchievedEpsilon(const Grid& grid) const {
@@ -159,21 +147,6 @@ double HierarchicalRaster::AchievedEpsilon(const Grid& grid) const {
     }
   }
   return any ? grid.CellDiagonal(coarsest_boundary) : 0.0;
-}
-
-CellKind HierarchicalRaster::Classify(const geom::Point& p, const Grid& grid) const {
-  if (cells_.empty()) return CellKind::kOutside;
-  const uint64_t key = grid.LeafKey(p);
-  // Cells are disjoint and sorted by id, which sorts range_lo ascending.
-  const auto it = std::upper_bound(range_lo_.begin(), range_lo_.end(), key);
-  if (it == range_lo_.begin()) return CellKind::kOutside;
-  const size_t idx = static_cast<size_t>(it - range_lo_.begin()) - 1;
-  if (key > range_hi_[idx]) return CellKind::kOutside;
-  return cells_[idx].boundary ? CellKind::kBoundary : CellKind::kInterior;
-}
-
-size_t HierarchicalRaster::MemoryBytes() const {
-  return cells_.size() * (sizeof(HrCell) + 2 * sizeof(uint64_t));
 }
 
 }  // namespace dbsa::raster

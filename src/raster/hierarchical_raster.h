@@ -51,28 +51,18 @@ class HierarchicalRaster {
 
   const std::vector<HrCell>& cells() const { return cells_; }
   size_t NumCells() const { return cells_.size(); }
-  size_t NumBoundaryCells() const;
 
   /// Diagonal of the largest boundary cell = the guaranteed bound.
   double AchievedEpsilon(const Grid& grid) const;
 
-  /// Point classification via binary search on disjoint leaf-key ranges.
-  CellKind Classify(const geom::Point& p, const Grid& grid) const;
-  bool ApproxContains(const geom::Point& p, const Grid& grid) const {
-    return Classify(p, grid) != CellKind::kOutside;
-  }
-
-  /// 8 bytes per cell id plus range/flag arrays. The arrays hold no spare
-  /// capacity, so this is what the HR holds.
-  size_t MemoryBytes() const;
+  /// sizeof(HrCell) per cell. The cell vector holds no spare capacity, so
+  /// this is what the HR holds.
+  size_t MemoryBytes() const { return cells_.size() * sizeof(HrCell); }
 
  private:
   void FinalizeFrom(std::vector<HrCell> cells);
 
   std::vector<HrCell> cells_;
-  // Parallel lookup arrays: inclusive leaf-key ranges per cell.
-  std::vector<uint64_t> range_lo_;
-  std::vector<uint64_t> range_hi_;
 };
 
 }  // namespace dbsa::raster

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <limits>
 
 #include "geom/distance.h"
@@ -61,8 +62,9 @@ double DistToNearestIncluded(const geom::Point& p, const Grid& grid,
   return best;
 }
 
-template <typename Raster>
-BoundCheck CheckImpl(const geom::Polygon& poly, const Grid& grid, const Raster& raster,
+// classify() answers which cell kind of the approximation covers a point.
+BoundCheck CheckImpl(const geom::Polygon& poly, const Grid& grid,
+                     const std::function<CellKind(const geom::Point&)>& classify,
                      double sample_step, int boundary_level,
                      const std::function<void(const std::function<void(
                          const geom::Box&)>&)>& for_each_cell_box) {
@@ -76,7 +78,6 @@ BoundCheck CheckImpl(const geom::Polygon& poly, const Grid& grid, const Raster& 
 
   // False-negative side: sampled polygon boundary points not covered by the
   // approximation measure the g -> g' Hausdorff direction.
-  auto classify = [&](const geom::Point& p) { return raster.Classify(p, grid); };
   const double give_up = grid.CellDiagonal(boundary_level) * 4.0 + sample_step;
   auto probe = [&](const geom::Point& p) {
     if (classify(p) == CellKind::kOutside) {
@@ -111,7 +112,8 @@ BoundCheck CheckBound(const geom::Polygon& poly, const Grid& grid,
                       const UniformRaster& ur, double sample_step) {
   const int level = ur.level();
   return CheckImpl(
-      poly, grid, ur, sample_step, level,
+      poly, grid, [&](const geom::Point& p) { return ur.Classify(p, grid); },
+      sample_step, level,
       [&](const std::function<void(const geom::Box&)>& fn) {
         auto visit = [&](const std::vector<uint64_t>& cells) {
           for (const uint64_t m : cells) {
@@ -149,10 +151,24 @@ BoundCheck CheckBound(const geom::Polygon& poly, const Grid& grid,
     }
   }
   if (!any_boundary) boundary_level = coarsest;
-  return CheckImpl(poly, grid, hr, sample_step, boundary_level,
-                   [&](const std::function<void(const geom::Box&)>& fn) {
-                     for (const HrCell& c : hr.cells()) fn(grid.CellBox(c.id));
-                   });
+  return CheckImpl(
+      poly, grid, [&](const geom::Point& p) { return Classify(hr, p, grid); },
+      sample_step, boundary_level,
+      [&](const std::function<void(const geom::Box&)>& fn) {
+        for (const HrCell& c : hr.cells()) fn(grid.CellBox(c.id));
+      });
+}
+
+CellKind Classify(const HierarchicalRaster& hr, const geom::Point& p, const Grid& grid) {
+  const std::vector<HrCell>& cells = hr.cells();
+  const uint64_t key = grid.LeafKey(p);
+  const auto it = std::upper_bound(
+      cells.begin(), cells.end(), key,
+      [](uint64_t k, const HrCell& c) { return k < c.id.LeafKeyMin(); });
+  if (it == cells.begin()) return CellKind::kOutside;
+  const HrCell& cell = *std::prev(it);
+  if (key > cell.id.LeafKeyMax()) return CellKind::kOutside;
+  return cell.boundary ? CellKind::kBoundary : CellKind::kInterior;
 }
 
 }  // namespace dbsa::raster

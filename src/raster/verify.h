@@ -1,7 +1,6 @@
 // Distance-bound verification: measures how far an approximation's errors
-// can be from the exact geometry. Used by the property tests and the
-// accuracy columns of the benches to demonstrate the paper's guarantee
-// d_H(g, g') <= epsilon.
+// can be from the exact geometry. The tests check every builder against
+// it to demonstrate the paper's guarantee d_H(g, g') <= epsilon.
 
 #ifndef DBSA_RASTER_VERIFY_H_
 #define DBSA_RASTER_VERIFY_H_
@@ -33,6 +32,12 @@ BoundCheck CheckBound(const geom::Polygon& poly, const Grid& grid,
 /// Checks a hierarchical raster against the source polygon.
 BoundCheck CheckBound(const geom::Polygon& poly, const Grid& grid,
                       const HierarchicalRaster& hr, double sample_step);
+
+/// HR point lookup: the kind of the cell holding p's leaf key. The cells
+/// are disjoint and sorted by id, so also by LeafKeyMin() (Section 3: a
+/// cell's descendants form one contiguous leaf-key range): an upper_bound
+/// on LeafKeyMin(), then a LeafKeyMax() check.
+CellKind Classify(const HierarchicalRaster& hr, const geom::Point& p, const Grid& grid);
 
 }  // namespace dbsa::raster
 

@@ -107,7 +107,6 @@ ApproxCache::HrPtr ApproxCache::GetOrBuild(const ObjectKey& object_id, int level
 
   std::shared_future<HrPtr> wait_on;
   std::promise<HrPtr> promise;
-  uint64_t my_generation = 0;
   bool build_uncached = false;
   {
     dbsa::MutexLock lock(mu_);
@@ -143,7 +142,6 @@ ApproxCache::HrPtr ApproxCache::GetOrBuild(const ObjectKey& object_id, int level
       }
     } else {
       misses_->Add(1);
-      my_generation = generation_;
       Inflight flight_entry;
       flight_entry.future = promise.get_future().share();
       flight_entry.has_summary = verify;
@@ -175,10 +173,7 @@ ApproxCache::HrPtr ApproxCache::GetOrBuild(const ObjectKey& object_id, int level
   {
     dbsa::MutexLock lock(mu_);
     inflight_.erase(key);
-    // A Clear() issued mid-build invalidates this generation: hand the
-    // result to the waiters but do not resurrect it into the cache.
-    if (generation_ == my_generation && bytes <= budget_bytes_ &&
-        map_.find(key) == map_.end()) {
+    if (bytes <= budget_bytes_ && map_.find(key) == map_.end()) {
       Entry entry;
       entry.key = key;
       entry.hr = hr;
@@ -196,13 +191,6 @@ ApproxCache::HrPtr ApproxCache::GetOrBuild(const ObjectKey& object_id, int level
   return hr;
 }
 
-ApproxCache::HrPtr ApproxCache::Peek(const ObjectKey& object_id, int level) const {
-  const Key key{object_id, level};
-  dbsa::MutexLock lock(mu_);
-  const auto it = map_.find(key);
-  return it != map_.end() ? it->second->hr : nullptr;
-}
-
 ApproxCache::Stats ApproxCache::stats() const {
   dbsa::MutexLock lock(mu_);
   Stats s;
@@ -214,15 +202,6 @@ ApproxCache::Stats ApproxCache::stats() const {
   s.bytes_used = bytes_used_;
   s.budget_bytes = budget_bytes_;
   return s;
-}
-
-void ApproxCache::Clear() {
-  dbsa::MutexLock lock(mu_);
-  map_.clear();
-  lru_.clear();
-  bytes_used_ = 0;
-  ++generation_;
-  UpdateGaugesLocked();
 }
 
 void ApproxCache::EraseEntryLocked(LruList::iterator it) {

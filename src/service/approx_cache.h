@@ -144,13 +144,7 @@ class ApproxCache {
   HrPtr GetOrBuild(const ObjectKey& object_id, int level, const Builder& build,
                    bool* built = nullptr, const geom::Polygon* geometry = nullptr);
 
-  /// Lookup without building or LRU promotion (tests, introspection).
-  HrPtr Peek(const ObjectKey& object_id, int level) const;
-
   Stats stats() const;
-
-  /// Drops every entry (in-flight builds complete and are then dropped).
-  void Clear();
 
  private:
   using Key = ObjectLevelKey;
@@ -189,8 +183,6 @@ class ApproxCache {
   std::unordered_map<Key, LruList::iterator, KeyHash> map_ DBSA_GUARDED_BY(mu_);
   std::unordered_map<Key, Inflight, KeyHash> inflight_ DBSA_GUARDED_BY(mu_);
   size_t bytes_used_ DBSA_GUARDED_BY(mu_) = 0;
-  /// Bumped by Clear(); stale builds not cached.
-  uint64_t generation_ DBSA_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace dbsa::service

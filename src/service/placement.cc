@@ -71,16 +71,6 @@ ShardPlacement& ShardPlacement::Add(Endpoint primary, Endpoint replica) {
   return *this;
 }
 
-std::string ShardPlacement::ToString() const {
-  std::string out = "# <shard-id> <primary host:port> [<replica host:port>]\n";
-  for (size_t s = 0; s < shards.size(); ++s) {
-    out += std::to_string(s) + " " + shards[s].primary.ToString();
-    if (shards[s].has_replica) out += " " + shards[s].replica.ToString();
-    out += "\n";
-  }
-  return out;
-}
-
 StatusOr<ShardPlacement> ShardPlacement::Parse(const std::string& text) {
   struct Parsed {
     bool seen = false;

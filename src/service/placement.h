@@ -66,9 +66,6 @@ struct ShardPlacement {
   ShardPlacement& Add(Endpoint primary);
   ShardPlacement& Add(Endpoint primary, Endpoint replica);
 
-  /// Serializes back to the spec format (parse-roundtrip stable).
-  std::string ToString() const;
-
   /// Parses a placement spec (format above). Total: malformed lines,
   /// duplicate or missing shard ids and bad endpoints all yield a typed
   /// kInvalidArgument naming the offending line.

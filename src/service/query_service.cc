@@ -150,11 +150,6 @@ QueryService::QueryService(std::shared_ptr<const core::EngineState> state,
   }
 }
 
-QueryService::QueryService(data::PointSet points, data::RegionSet regions,
-                           const ServiceOptions& options)
-    : QueryService(core::BuildEngineState(std::move(points), std::move(regions)),
-                   options) {}
-
 QueryService::~QueryService() = default;
 
 ExecPath QueryService::exec_path() const {

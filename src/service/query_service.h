@@ -155,10 +155,6 @@ class QueryService {
   explicit QueryService(std::shared_ptr<const core::EngineState> state,
                         const ServiceOptions& options = {});
 
-  /// Convenience: builds the snapshot from the tables (moved, not copied).
-  QueryService(data::PointSet points, data::RegionSet regions,
-               const ServiceOptions& options = {});
-
   /// Serves a PREASSEMBLED sharded state (snapshot load, src/snapshot/):
   /// the service adopts `sharded` — base + routing (+ slices, loopback)
   /// — instead of re-partitioning the dataset. Shard count and (socket

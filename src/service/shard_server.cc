@@ -71,10 +71,6 @@ ShardServer::ShardServer(std::shared_ptr<const core::EngineState> state,
   DBSA_CHECK(state_ == nullptr || state_->points->size() == global_ids_.size());
 }
 
-ShardServer::ShardServer(std::shared_ptr<const core::EngineState> state,
-                         std::vector<uint32_t> global_ids)
-    : ShardServer(std::move(state), std::move(global_ids), Options()) {}
-
 std::string ShardServer::Handle(const std::string& request_bytes) {
   Timer timer;
   requests_->Add(1);
@@ -265,16 +261,6 @@ ShardServer::Stats ShardServer::stats() const {
   s.cache_entries = map_.size();
   s.cache_bytes = cache_bytes_;
   return s;
-}
-
-std::vector<std::pair<ObjectKey, int>> ShardServer::CachedKeys() const {
-  dbsa::MutexLock lock(mu_);
-  std::vector<std::pair<ObjectKey, int>> keys;
-  keys.reserve(map_.size());
-  for (const CacheEntry& entry : lru_) {
-    keys.emplace_back(entry.key.object, entry.key.level);
-  }
-  return keys;
 }
 
 // ------------------------------------------------------------ ShardRouter

@@ -78,8 +78,6 @@ class ShardServer {
   /// query then answers zeros. `global_ids[local row] = base row`.
   ShardServer(std::shared_ptr<const core::EngineState> state,
               std::vector<uint32_t> global_ids, const Options& options);
-  ShardServer(std::shared_ptr<const core::EngineState> state,
-              std::vector<uint32_t> global_ids);
 
   /// Handles one framed ScatterRequest; always returns a framed
   /// GatherPartial (malformed input yields a kError partial carrying the
@@ -100,9 +98,6 @@ class ShardServer {
   /// Thin read of the registry counters (plus the mutex-guarded cache
   /// directory sizes).
   Stats stats() const;
-
-  /// (object, level) keys currently cached (test introspection).
-  std::vector<std::pair<ObjectKey, int>> CachedKeys() const;
 
   size_t num_points() const { return global_ids_.size(); }
 

@@ -281,18 +281,6 @@ SocketTransport::~SocketTransport() {
   }
 }
 
-void SocketTransport::CloseIdleConnections() {
-  for (const std::unique_ptr<Mux>& mux : muxes_) {
-    bool started;
-    {
-      dbsa::MutexLock lock(mux->mu);
-      mux->close_idle = true;
-      started = mux->thread_started;
-    }
-    if (started) WakeMux(mux->wake_fd);
-  }
-}
-
 const Endpoint& SocketTransport::EndpointOf(size_t shard, int which) const {
   const ShardPlacement::Entry& entry = placement_.shards[shard];
   return which == kPrimary ? entry.primary : entry.replica;
@@ -566,9 +554,8 @@ void SocketTransport::MuxLoop(size_t shard) {
   };
 
   while (true) {
-    // ---- 1. Harvest control flags and freshly submitted ops.
+    // ---- 1. Harvest the stop flag and freshly submitted ops.
     std::vector<Op> incoming;
-    bool do_close_idle = false;
     bool do_stop = false;
     {
       dbsa::MutexLock lock(mux.mu);
@@ -577,8 +564,6 @@ void SocketTransport::MuxLoop(size_t shard) {
         incoming.push_back(std::move(mux.submitted.front()));
         mux.submitted.pop_front();
       }
-      do_close_idle = mux.close_idle;
-      mux.close_idle = false;
     }
     if (do_stop) {
       // Fail everything still pending; the transport is going away.
@@ -606,15 +591,6 @@ void SocketTransport::MuxLoop(size_t shard) {
       op.where = ep;
       mux.queue[ep].push_back(corr);
       mux.ops.emplace(corr, std::move(op));
-    }
-    if (do_close_idle) {
-      for (Conn& conn : mux.conns) {
-        if (conn.fd >= 0 && conn.inflight == 0 && conn.outbuf.empty()) {
-          close(conn.fd);
-          conn.fd = -1;
-          conn.inbuf.clear();  // ever_connected stays: the next dial is a reconnect.
-        }
-      }
     }
 
     // ---- 2. Timers: per-op deadlines, then hedges.
@@ -952,9 +928,6 @@ StatusOr<int> BindListener(const std::string& host, uint16_t port, int backlog,
 }  // namespace
 
 ShardListener::Conn::~Conn() { close(fd); }
-
-ShardListener::ShardListener(Handler handler)
-    : ShardListener(std::move(handler), Options()) {}
 
 ShardListener::ShardListener(Handler handler, const Options& options)
     : handler_(std::move(handler)), options_(options) {

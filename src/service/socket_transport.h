@@ -232,11 +232,6 @@ class SocketTransport : public Transport {
     return registry_;
   }
 
-  /// Drops every established connection that has no request in flight
-  /// (the next Send redials). Lets tests and operators force
-  /// reconnection; never affects in-flight requests.
-  void CloseIdleConnections();
-
  private:
   /// Endpoint index within a shard's placement entry.
   enum : int { kPrimary = 0, kReplica = 1 };
@@ -276,7 +271,6 @@ class SocketTransport : public Transport {
     dbsa::Mutex mu;
     std::deque<Op> submitted DBSA_GUARDED_BY(mu);
     bool stop DBSA_GUARDED_BY(mu) = false;
-    bool close_idle DBSA_GUARDED_BY(mu) = false;
     bool thread_started DBSA_GUARDED_BY(mu) = false;
     std::thread thread;
     int wake_fd[2] = {-1, -1};
@@ -371,7 +365,6 @@ class ShardListener {
   /// Binds and starts accepting immediately; throws StatusException
   /// (kUnavailable) if the address cannot be bound.
   ShardListener(Handler handler, const Options& options);
-  explicit ShardListener(Handler handler);
   ~ShardListener();
 
   ShardListener(const ShardListener&) = delete;

@@ -436,8 +436,7 @@ std::string SnapshotWriter::Serialize() const {
   return out;
 }
 
-Status SnapshotWriter::WriteFile(const std::string& path) const {
-  const std::string image = Serialize();
+Status WriteSnapshotFile(const std::string& path, const std::string& image) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::Unavailable("cannot open snapshot for writing: " + path);

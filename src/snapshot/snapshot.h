@@ -122,9 +122,6 @@ class SnapshotWriter {
   /// The complete file image.
   std::string Serialize() const;
 
-  /// Serialize() to `path`. kUnavailable if the file cannot be written.
-  Status WriteFile(const std::string& path) const;
-
  private:
   SnapshotMeta meta_;
   std::vector<std::pair<SectionId, std::string>> sections_;
@@ -144,6 +141,11 @@ std::string EncodeClientSnapshot(const core::ShardedState& sharded, uint64_t epo
 /// full build).
 std::string EncodeShardSnapshot(const core::ShardedState& sharded, size_t shard,
                                 uint64_t epoch);
+
+/// Writes an encoded file image to `path`. kUnavailable if the file
+/// cannot be opened or fully written; a short write or failed close
+/// removes the partial file, so no truncated snapshot is left behind.
+Status WriteSnapshotFile(const std::string& path, const std::string& image);
 
 // ------------------------------------------------------------- reader
 

@@ -126,11 +126,9 @@ int main(int argc, char** argv) {
   const std::string client_path = out_dir + "/client.snapshot";
   {
     const std::string image = snapshot::EncodeClientSnapshot(*sharded, epoch);
-    std::FILE* f = std::fopen(client_path.c_str(), "wb");
-    if (f == nullptr ||
-        std::fwrite(image.data(), 1, image.size(), f) != image.size() ||
-        std::fclose(f) != 0) {
-      std::fprintf(stderr, "error: cannot write %s\n", client_path.c_str());
+    const Status written = snapshot::WriteSnapshotFile(client_path, image);
+    if (!written.ok()) {
+      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
       return 1;
     }
     std::printf("wrote %s (%zu bytes, epoch %llu)\n", client_path.c_str(),
@@ -141,11 +139,9 @@ int main(int argc, char** argv) {
     const std::string image = snapshot::EncodeShardSnapshot(*sharded, s, epoch);
     const std::string path =
         out_dir + "/shard-" + std::to_string(s) + ".snapshot";
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr ||
-        std::fwrite(image.data(), 1, image.size(), f) != image.size() ||
-        std::fclose(f) != 0) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    const Status written = snapshot::WriteSnapshotFile(path, image);
+    if (!written.ok()) {
+      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
       return 1;
     }
     std::printf("wrote %s (%zu bytes, %zu points)\n", path.c_str(),

@@ -9,7 +9,7 @@ namespace dbsa::spatial {
 
 GridIndex::GridIndex(const geom::Point* points, size_t n, const geom::Box& universe,
                      uint32_t resolution)
-    : points_(points), n_(n), universe_(universe), resolution_(resolution) {
+    : universe_(universe), resolution_(resolution) {
   DBSA_CHECK(resolution >= 1);
   cell_w_ = universe_.Width() / resolution_;
   cell_h_ = universe_.Height() / resolution_;
@@ -20,7 +20,7 @@ GridIndex::GridIndex(const geom::Point* points, size_t n, const geom::Box& unive
   std::vector<uint32_t> cell_of(n);
   for (size_t i = 0; i < n; ++i) {
     uint32_t cx, cy;
-    PointCell(points_[i], &cx, &cy);
+    PointCell(points[i], &cx, &cy);
     const size_t c = CellIndex(cx, cy);
     cell_of[i] = static_cast<uint32_t>(c);
     ++starts_[c + 1];
@@ -56,22 +56,6 @@ geom::Box GridIndex::CellBox(uint32_t cx, uint32_t cy) const {
   const double x0 = universe_.min.x + cell_w_ * cx;
   const double y0 = universe_.min.y + cell_h_ * cy;
   return geom::Box(x0, y0, x0 + cell_w_, y0 + cell_h_);
-}
-
-void GridIndex::QueryBox(const geom::Box& query, std::vector<uint32_t>* out) const {
-  out->clear();
-  uint32_t x0, y0, x1, y1;
-  CellRange(query, &x0, &y0, &x1, &y1);
-  for (uint32_t cy = y0; cy <= y1; ++cy) {
-    for (uint32_t cx = x0; cx <= x1; ++cx) {
-      const bool interior_cell = query.Contains(CellBox(cx, cy));
-      const size_t c = CellIndex(cx, cy);
-      for (size_t i = starts_[c]; i < starts_[c + 1]; ++i) {
-        const uint32_t id = ids_[i];
-        if (interior_cell || query.Contains(points_[id])) out->push_back(id);
-      }
-    }
-  }
 }
 
 }  // namespace dbsa::spatial

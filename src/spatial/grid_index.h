@@ -16,13 +16,9 @@ namespace dbsa::spatial {
 /// contiguously (CSR).
 class GridIndex {
  public:
-  /// Builds over `points` (not owned; must outlive the index).
+  /// Buckets the ids of `points[0, n)`; the points are not kept.
   GridIndex(const geom::Point* points, size_t n, const geom::Box& universe,
             uint32_t resolution);
-
-  /// Ids of points inside the query box (cell filter + exact test on
-  /// boundary cells).
-  void QueryBox(const geom::Box& query, std::vector<uint32_t>* out) const;
 
   /// Visits the ids of every point in the given cell.
   template <typename Fn>
@@ -54,8 +50,6 @@ class GridIndex {
   }
   void PointCell(const geom::Point& p, uint32_t* cx, uint32_t* cy) const;
 
-  const geom::Point* points_;
-  size_t n_;
   geom::Box universe_;
   uint32_t resolution_;
   double cell_w_, cell_h_;

@@ -40,9 +40,4 @@ uint32_t KdTree::BuildRec(size_t lo, size_t hi, int axis) {
   return node_idx;
 }
 
-void KdTree::QueryBox(const geom::Box& query, std::vector<uint32_t>* out) const {
-  out->clear();
-  VisitBox(query, [out](uint32_t id) { out->push_back(id); });
-}
-
 }  // namespace dbsa::spatial

@@ -17,8 +17,7 @@ class KdTree {
   /// Builds over `points` (not owned; must outlive the tree).
   KdTree(const geom::Point* points, size_t n, int bucket_size = 32);
 
-  void QueryBox(const geom::Box& query, std::vector<uint32_t>* out) const;
-
+  /// Visits the ids of the points inside the query box.
   template <typename Fn>
   void VisitBox(const geom::Box& query, Fn&& fn) const {
     if (ids_.empty()) return;

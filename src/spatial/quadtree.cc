@@ -61,9 +61,4 @@ void QuadTree::BuildRec(uint32_t node_idx, const geom::Box& box, size_t lo, size
   }
 }
 
-void QuadTree::QueryBox(const geom::Box& query, std::vector<uint32_t>* out) const {
-  out->clear();
-  VisitBox(query, [out](uint32_t id) { out->push_back(id); });
-}
-
 }  // namespace dbsa::spatial

@@ -20,9 +20,7 @@ class QuadTree {
   QuadTree(const geom::Point* points, size_t n, const geom::Box& universe,
            int bucket_size = 64, int max_depth = 24);
 
-  /// Ids (indices into the point array) inside the query box.
-  void QueryBox(const geom::Box& query, std::vector<uint32_t>* out) const;
-
+  /// Visits the ids (indices into the point array) inside the query box.
   template <typename Fn>
   void VisitBox(const geom::Box& query, Fn&& fn) const {
     VisitRec(0, universe_, query, fn);

@@ -234,11 +234,6 @@ uint32_t RStarTree::SplitNode(uint32_t node_idx) {
   return sibling_idx;
 }
 
-void RStarTree::QueryBox(const geom::Box& query, std::vector<uint32_t>* out) const {
-  out->clear();
-  VisitBox(query, [out](uint32_t id) { out->push_back(id); });
-}
-
 size_t RStarTree::MemoryBytes() const {
   size_t bytes = 0;
   for (const Node& n : nodes_) {

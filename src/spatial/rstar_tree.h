@@ -29,9 +29,6 @@ class RStarTree {
 
   void Insert(const geom::Box& box, uint32_t id);
 
-  /// Ids of all entries whose box intersects the query box.
-  void QueryBox(const geom::Box& query, std::vector<uint32_t>* out) const;
-
   /// Visits ids of all entries whose box intersects the query box.
   template <typename Fn>
   void VisitBox(const geom::Box& query, Fn&& fn) const {

@@ -70,9 +70,4 @@ StrRTree StrRTree::Build(std::vector<Item> items, int leaf_capacity) {
   return t;
 }
 
-void StrRTree::QueryBox(const geom::Box& query, std::vector<uint32_t>* out) const {
-  out->clear();
-  VisitBox(query, [out](uint32_t id) { out->push_back(id); });
-}
-
 }  // namespace dbsa::spatial

@@ -22,8 +22,7 @@ class StrRTree {
   /// Builds from items (copied, reordered internally).
   static StrRTree Build(std::vector<Item> items, int leaf_capacity = 32);
 
-  void QueryBox(const geom::Box& query, std::vector<uint32_t>* out) const;
-
+  /// Visits the ids of all items whose box intersects the query box.
   template <typename Fn>
   void VisitBox(const geom::Box& query, Fn&& fn) const {
     if (items_.empty()) return;

@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace dbsa {
@@ -15,17 +14,9 @@ void RunningStats::Add(double x) {
   }
   ++n_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
   hist_.Record(x);
 }
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void Percentiles::AddAll(const std::vector<double>& xs) {
   xs_.insert(xs_.end(), xs.begin(), xs.end());
@@ -49,13 +40,6 @@ double Percentiles::Percentile(double p) const {
   const double frac = rank - static_cast<double>(lo);
   if (lo + 1 >= xs_.size()) return xs_.back();
   return xs_[lo] * (1.0 - frac) + xs_[lo + 1] * frac;
-}
-
-std::string Percentiles::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "p50=%.4g p90=%.4g p99=%.4g max=%.4g",
-                Percentile(50), Percentile(90), Percentile(99), Percentile(100));
-  return buf;
 }
 
 std::string HumanBytes(size_t bytes) {

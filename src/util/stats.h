@@ -12,7 +12,7 @@
 
 namespace dbsa {
 
-/// Welford one-pass mean / variance accumulator, with a bucketed
+/// One-pass mean / min / max / sum accumulator, with a bucketed
 /// quantile view (telemetry::HistogramData) so streaming consumers get
 /// percentiles in O(1) memory. Quantile() is bucket-interpolated (error
 /// bounded by the log2 bucket width); use Percentiles when samples are
@@ -23,8 +23,6 @@ class RunningStats {
 
   size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return sum_; }
@@ -36,7 +34,6 @@ class RunningStats {
  private:
   size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -54,9 +51,6 @@ class Percentiles {
   /// p in [0, 100]. Linear interpolation between order statistics.
   double Percentile(double p) const;
   double Median() const { return Percentile(50.0); }
-
-  /// "p50=... p90=... p99=... max=..."
-  std::string Summary() const;
 
  private:
   mutable std::vector<double> xs_;

@@ -41,17 +41,6 @@ void TablePrinter::Print(std::FILE* out) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TablePrinter::PrintCsv(std::FILE* out) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      std::fprintf(out, "%s%s", c == 0 ? "" : ",", row[c].c_str());
-    }
-    std::fprintf(out, "\n");
-  };
-  print_row(header_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 void PrintBanner(const std::string& title) {
   std::string bar(title.size() + 10, '=');
   std::printf("\n%s\n==== %s ====\n%s\n", bar.c_str(), title.c_str(), bar.c_str());

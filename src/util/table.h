@@ -25,9 +25,6 @@ class TablePrinter {
   /// Prints the table (header, separator, rows) to the stream.
   void Print(std::FILE* out = stdout) const;
 
-  /// Prints the table as CSV (for scripted consumption).
-  void PrintCsv(std::FILE* out) const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

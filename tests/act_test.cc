@@ -7,6 +7,7 @@
 #include "index/act.h"
 #include "raster/grid.h"
 #include "raster/hierarchical_raster.h"
+#include "raster/verify.h"
 #include "test_util.h"
 
 namespace dbsa::index {
@@ -73,7 +74,7 @@ TEST_P(ActRadixWidthTest, AgreesWithHierarchicalRaster) {
 
   for (const geom::Point& p :
        dbsa::testing::RandomPoints(geom::Box(10, 10, 246, 246), 3000, 77)) {
-    const CellKind kind = hr.Classify(p, grid);
+    const CellKind kind = raster::Classify(hr, p, grid);
     ActMatch m;
     const bool hit = act.LookupFirst(grid.LeafKey(p), &m);
     ASSERT_EQ(hit, kind != CellKind::kOutside)

@@ -80,7 +80,8 @@ TEST_P(BoundSweepTest, HausdorffWithinEpsilon) {
 
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     const geom::Polygon poly = MakeShape(shape, seed);
-    ASSERT_TRUE(poly.IsValid());
+    ASSERT_TRUE(poly.IsFinite());
+    ASSERT_GT(poly.Area(), 0.0);
     BoundCheck check;
     double achieved = eps;
     switch (builder) {

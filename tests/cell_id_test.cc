@@ -130,10 +130,5 @@ TEST(CellIdTest, FromLeafKeyMatchesFromXY) {
   }
 }
 
-TEST(CellIdTest, ToStringFormat) {
-  EXPECT_EQ(CellId::FromXY(3, 5, 2).ToString(), "L3:(5,2)");
-  EXPECT_EQ(CellId().ToString(), "invalid");
-}
-
 }  // namespace
 }  // namespace dbsa::raster

@@ -325,7 +325,7 @@ TEST_F(ClusterConformanceTest, EpochSkewIsTypedAndWildcardsKeepServing) {
 
   // Wildcard server (epoch 0, the rebuild-from-flags shape): serves any
   // pin, echoes epoch 0.
-  ShardServer wildcard(shard.state, shard.global_ids);
+  ShardServer wildcard(shard.state, shard.global_ids, ShardServer::Options());
   request.epoch = kEpoch + 3;
   {
     GatherPartial partial;

@@ -169,8 +169,8 @@ TEST_F(DeterminismTest, MixedWorkloadBitIdenticalAcrossRunsAndTelemetry) {
 TEST_F(DeterminismTest, ShardReplyFramesByteIdenticalAcrossInstances) {
   const auto sharded = core::ShardedState::Build(state_, {3});
   const core::ShardedState::Shard& slice = sharded->shard(0);
-  ShardServer first(slice.state, slice.global_ids);
-  ShardServer second(slice.state, slice.global_ids);
+  ShardServer first(slice.state, slice.global_ids, ShardServer::Options());
+  ShardServer second(slice.state, slice.global_ids, ShardServer::Options());
 
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   const raster::HierarchicalRaster hr =

@@ -33,15 +33,6 @@ TEST(DistanceTest, PolygonWithHoleDistance) {
   EXPECT_DOUBLE_EQ(DistanceToBoundary({5, 5}, poly), 1.0);
 }
 
-TEST(DistanceTest, MultiPolygonPicksClosestPart) {
-  MultiPolygon mp;
-  mp.Add(dbsa::testing::MakeRectPolygon(0, 0, 1, 1));
-  mp.Add(dbsa::testing::MakeRectPolygon(10, 0, 11, 1));
-  EXPECT_DOUBLE_EQ(DistanceToMultiPolygon({3, 0.5}, mp), 2.0);
-  EXPECT_DOUBLE_EQ(DistanceToMultiPolygon({9, 0.5}, mp), 1.0);
-  EXPECT_EQ(DistanceToMultiPolygon({10.5, 0.5}, mp), 0.0);
-}
-
 TEST(HausdorffTest, IdenticalRingsZero) {
   const Ring sq{{0, 0}, {2, 0}, {2, 2}, {0, 2}};
   EXPECT_NEAR(HausdorffSampled(sq, sq, 0.1), 0.0, 1e-12);

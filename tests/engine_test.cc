@@ -77,7 +77,7 @@ TEST_F(EngineTest, PointIndexModeReturnsValidRanges) {
         ExecuteAggregate(*state_, agg, attr, ErrorBound::Exact());
     for (const Mode mode : {Mode::kAuto, Mode::kPointIndex}) {
       for (const double eps : {1.0, 4.0, 16.0, 64.0}) {
-        const std::string label = std::string(join::AggKindName(agg)) + " mode " +
+        const std::string label = "agg " + std::to_string(static_cast<int>(agg)) + " mode " +
                                   std::to_string(static_cast<int>(mode)) + " eps " +
                                   std::to_string(eps);
         const AggregateAnswer ranged =
@@ -133,7 +133,7 @@ TEST_F(EngineTest, PointIndexPassengerSumReroutesToExact) {
     const AggregateAnswer exact =
         ExecuteAggregate(*state_, agg, attr, ErrorBound::Exact());
     for (const Mode mode : {Mode::kAuto, Mode::kPointIndex}) {
-      const std::string label = std::string(join::AggKindName(agg)) + " mode " +
+      const std::string label = "agg " + std::to_string(static_cast<int>(agg)) + " mode " +
                                 std::to_string(static_cast<int>(mode));
       const AggregateAnswer rerouted =
           ExecuteAggregate(*state_, agg, attr, ErrorBound::Absolute(8.0), mode);

@@ -118,7 +118,8 @@ MixedEpochCluster MakeMixedEpochCluster(
         [primary, drop](const std::string& request) {
           if (drop->load()) return std::string();  // Kill the connection.
           return primary->Handle(request);
-        }));
+        },
+        ShardListener::Options()));
     const Endpoint primary_endpoint = cluster.listeners.back()->endpoint();
 
     ShardServer::Options replica_options;
@@ -129,7 +130,8 @@ MixedEpochCluster MakeMixedEpochCluster(
         replica_options));
     ShardServer* replica = cluster.servers.back().get();
     cluster.listeners.push_back(std::make_unique<ShardListener>(
-        [replica](const std::string& request) { return replica->Handle(request); }));
+        [replica](const std::string& request) { return replica->Handle(request); },
+        ShardListener::Options()));
     cluster.placement.Add(primary_endpoint, cluster.listeners.back()->endpoint());
   }
   return cluster;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/engine_state.h"
@@ -52,7 +53,7 @@ TEST(HrTest, ClassificationMatchesUniformRaster) {
     for (uint32_t iy = 0; iy < side; ++iy) {
       for (uint32_t ix = 0; ix < side; ++ix) {
         const geom::Point p = grid.CellBoxXY(level, ix, iy).Center();
-        ASSERT_EQ(hr.Classify(p, grid), ur.Classify(p, grid))
+        ASSERT_EQ(Classify(hr, p, grid), ur.Classify(p, grid))
             << "cell (" << ix << "," << iy << ") at level " << level;
       }
     }
@@ -79,7 +80,9 @@ TEST(HrTest, MergesReduceCellCount) {
   const HierarchicalRaster hr = HierarchicalRaster::BuildEpsilon(star, grid, 2.0);
   EXPECT_LT(hr.NumCells(), ur.NumCells());
   // Boundary cells are never merged.
-  EXPECT_EQ(hr.NumBoundaryCells(), ur.cover().boundary.size());
+  const auto boundary = std::count_if(hr.cells().begin(), hr.cells().end(),
+                                      [](const HrCell& c) { return c.boundary; });
+  EXPECT_EQ(static_cast<size_t>(boundary), ur.cover().boundary.size());
 }
 
 TEST(HrTest, EpsilonBoundHolds) {
@@ -111,7 +114,7 @@ TEST_P(HrBudgetTest, RespectsBudgetAndCovers) {
     for (const geom::Point& p :
          dbsa::testing::RandomPoints(star.bounds(), 300, seed)) {
       if (star.Contains(p)) {
-        ASSERT_NE(hr.Classify(p, grid), CellKind::kOutside)
+        ASSERT_NE(Classify(hr, p, grid), CellKind::kOutside)
             << "budget " << budget << " seed " << seed;
       }
     }
@@ -142,8 +145,8 @@ TEST(HrTest, BudgetModeMatchesExactnessOnRect) {
   const Grid grid({0, 0}, 256.0);
   const geom::Polygon rect = MakeRectPolygon(64, 64, 192, 192);
   const HierarchicalRaster hr = HierarchicalRaster::BuildBudget(rect, grid, 64);
-  EXPECT_EQ(hr.Classify({128, 128}, grid), CellKind::kInterior);
-  EXPECT_EQ(hr.Classify({10, 10}, grid), CellKind::kOutside);
+  EXPECT_EQ(Classify(hr, {128, 128}, grid), CellKind::kInterior);
+  EXPECT_EQ(Classify(hr, {10, 10}, grid), CellKind::kOutside);
 }
 
 TEST(HrTest, PointOnGridAlignedEdgeIsNeverInterior) {
@@ -164,7 +167,7 @@ TEST(HrTest, PointOnGridAlignedEdgeIsNeverInterior) {
   ASSERT_FALSE(rect.Contains(p));
   const HierarchicalRaster hr =
       HierarchicalRaster::BuildEpsilon(rect, grid, grid.AchievedEpsilon(level));
-  EXPECT_EQ(hr.Classify(p, grid), CellKind::kBoundary);
+  EXPECT_EQ(Classify(hr, p, grid), CellKind::kBoundary);
 
   // End to end over a one-point table: the exact count, which refines the
   // boundary cells, is 0, and the level-8 range contains it.
@@ -198,6 +201,8 @@ TEST(HrTest, MemoryScalesWithCells) {
   const HierarchicalRaster budget = HierarchicalRaster::BuildBudget(star, grid, 128);
   for (const HierarchicalRaster* hr : {&coarse, &fine, &level, &budget}) {
     EXPECT_EQ(hr->cells().capacity(), hr->NumCells());
+    // The cells are all an HR holds.
+    EXPECT_EQ(hr->MemoryBytes(), hr->NumCells() * sizeof(HrCell));
   }
 }
 

@@ -161,9 +161,9 @@ TEST(PointIndexTest, RunWalkMatchesPerCellSearches) {
                        {"none", none}};
         for (const auto& input : kInputs) {
           const std::vector<raster::HrCell>& cells = input.cells;
-          const std::string where = std::string(SearchStrategyName(strategy)) +
-                                    " poly " + std::to_string(p) + " eps " +
-                                    std::to_string(eps) + " " + input.name;
+          const std::string where =
+              "strategy " + std::to_string(static_cast<int>(strategy)) + " poly " +
+              std::to_string(p) + " eps " + std::to_string(eps) + " " + input.name;
           const CellAggregate want = PerCellAggregate(index, cells, strategy);
           const CellAggregate got =
               index.QueryCells(cells.data(), cells.size(), strategy);

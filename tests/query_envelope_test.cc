@@ -478,7 +478,7 @@ TEST_F(QueryEnvelopeTest, MalformedQueriesAnswerInvalidArgument) {
   for (const join::AggKind agg :
        {join::AggKind::kSum, join::AggKind::kMin, join::AggKind::kMax}) {
     r = service.Execute(Query::Aggregate(agg), ok_bound).get();
-    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << join::AggKindName(agg);
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << "agg " << static_cast<int>(agg);
     EXPECT_NE(r.status.message().find("attribute"), std::string::npos);
   }
   // Degenerate polygon.

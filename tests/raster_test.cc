@@ -92,7 +92,8 @@ TEST(GridTest, LeafKeyConsistentWithCellBox) {
 TEST(GridTest, CoveringAddsMargin) {
   geom::Box data(10, 20, 110, 70);
   const Grid grid = Grid::Covering(data);
-  EXPECT_TRUE(grid.universe().Contains(data));
+  EXPECT_TRUE(grid.universe().Contains(data.min));
+  EXPECT_TRUE(grid.universe().Contains(data.max));
   EXPECT_GE(grid.side(), 100.0);
 }
 

@@ -467,30 +467,36 @@ TEST_F(ShardServerTest, WarmCacheWarmsOnlyRoutedRegionsPerShard) {
     const int level = base_->grid.LevelForEpsilon(eps);
     const std::vector<geom::Polygon>& polys = base_->regions->polys;
 
+    // Expected: exactly the regions whose HR cells route to each shard,
+    // by the scatter plan every query uses.
+    std::vector<std::vector<uint64_t>> expected(k), cached(k);
+    for (size_t j = 0; j < polys.size(); ++j) {
+      const raster::HierarchicalRaster hr =
+          raster::HierarchicalRaster::BuildLevel(polys[j], base_->grid, level);
+      for (const uint32_t s : service.sharded()->PlanScatter(hr, nullptr).shards) {
+        expected[s].push_back(j);
+      }
+      // A reference-only request for region j at the warmed level is
+      // served iff shard s cached that region's slice. (The service hands
+      // its servers out const; Handle is their thread-safe entry point.)
+      ScatterRequest reference;
+      reference.level = level;
+      reference.checksum = ApproxChecksum(hr.cells().data(), hr.cells().size());
+      reference.has_object = true;
+      reference.object = ObjectKey(j);
+      for (size_t s = 0; s < k; ++s) {
+        GatherPartial partial;
+        ShardServer* server = const_cast<ShardServer*>(service.shard_server(s));
+        ASSERT_TRUE(
+            GatherPartial::Decode(server->Handle(reference.Encode()), &partial).ok());
+        if (partial.status == GatherPartial::Disposition::kOk) cached[s].push_back(j);
+      }
+    }
     for (size_t s = 0; s < k; ++s) {
-      // Expected: exactly the regions whose HR cells route to shard s.
-      std::vector<uint64_t> expected;
-      for (size_t j = 0; j < polys.size(); ++j) {
-        const raster::HierarchicalRaster hr =
-            raster::HierarchicalRaster::BuildLevel(polys[j], base_->grid, level);
-        if (service.sharded()->ShardIntersects(s, hr.cells().data(),
-                                               hr.cells().size())) {
-          expected.push_back(j);
-        }
-      }
-      std::vector<uint64_t> cached;
-      for (const auto& [object, cached_level] : service.shard_server(s)->CachedKeys()) {
-        EXPECT_EQ(cached_level, level) << "k=" << k << " shard " << s;
-        EXPECT_EQ(object.hi, 0u) << "k=" << k << " shard " << s
-                                 << ": region keys only";
-        cached.push_back(object.lo);
-      }
-      std::sort(cached.begin(), cached.end());
-      std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(cached, expected) << "k=" << k << " shard " << s;
-      // The warm routed at least one region somewhere but no shard holds
-      // the full region table unless everything routes to it.
-      EXPECT_LE(cached.size(), polys.size());
+      EXPECT_EQ(cached[s], expected[s]) << "k=" << k << " shard " << s;
+      // ...and nothing else: no other key or level is cached.
+      EXPECT_EQ(service.shard_server(s)->stats().cache_entries, expected[s].size())
+          << "k=" << k << " shard " << s;
     }
   }
 }

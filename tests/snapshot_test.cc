@@ -320,7 +320,7 @@ TEST(SnapshotTest, SectionSpliceAcrossFilesIsDetected) {
 
 // ---- files -------------------------------------------------------------
 
-TEST(SnapshotTest, WriteFileThenLoadRoundTripsAndMissingIsNotFound) {
+TEST(SnapshotTest, WriteSnapshotFileThenLoadRoundTripsAndMissingIsNotFound) {
   const auto sharded = SmallSharded(2);
   SnapshotMeta meta;
   meta.epoch = 11;
@@ -329,7 +329,7 @@ TEST(SnapshotTest, WriteFileThenLoadRoundTripsAndMissingIsNotFound) {
   SnapshotWriter writer(meta);
   AddEngineStateSections(sharded->base(), &writer);
   const std::string path = "snapshot_test.tmp";
-  ASSERT_TRUE(writer.WriteFile(path).ok());
+  ASSERT_TRUE(WriteSnapshotFile(path, writer.Serialize()).ok());
   StatusOr<SnapshotReader> loaded = SnapshotReader::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->meta().epoch, 11u);
@@ -342,6 +342,16 @@ TEST(SnapshotTest, WriteFileThenLoadRoundTripsAndMissingIsNotFound) {
   StatusOr<SnapshotReader> missing = SnapshotReader::Load("definitely/not/here");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
+TEST(SnapshotTest, WriteSnapshotFileFailsTypedAndLeavesNoFile) {
+  const std::string path = "snapshot_test_missing_dir/client.snapshot";
+  const Status written = WriteSnapshotFile(path, "image bytes");
+  EXPECT_EQ(written.code(), StatusCode::kUnavailable);
+  EXPECT_NE(written.message().find(path), std::string::npos) << written.ToString();
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_EQ(f, nullptr);
+  if (f != nullptr) std::fclose(f);
 }
 
 // ---- cross-file skew ---------------------------------------------------

@@ -129,7 +129,8 @@ LoopbackSeam MakeLoopbackSeam(const std::shared_ptr<const core::ShardedState>& s
   for (size_t s = 0; s < sharded->num_shards(); ++s) {
     const core::ShardedState::Shard& shard = sharded->shard(s);
     seam.servers.push_back(
-        std::make_shared<ShardServer>(shard.state, shard.global_ids));
+        std::make_shared<ShardServer>(shard.state, shard.global_ids,
+                                      ShardServer::Options()));
     handlers.push_back([server = seam.servers.back()](const std::string& request) {
       return server->Handle(request);
     });
@@ -355,12 +356,14 @@ TEST_F(SocketTransportTest, StatsFramesScrapePerShardMetricsOverTheWire) {
   // A stats frame against a listener WITHOUT a registry falls through to
   // the shard handler, which answers a typed error partial — never a
   // hang, never a dropped connection.
-  ShardListener bare([](const std::string& request) {
-    GatherPartial partial;
-    partial.kind = ScatterRequest::Kind::kWarm;
-    (void)request;
-    return partial.Encode();
-  });
+  ShardListener bare(
+      [](const std::string& request) {
+        GatherPartial partial;
+        partial.kind = ScatterRequest::Kind::kWarm;
+        (void)request;
+        return partial.Encode();
+      },
+      ShardListener::Options());
   StatusOr<int> fd = DialTcp(bare.endpoint(), Deadline::After(2000));
   ASSERT_TRUE(fd.ok());
   const std::string request = StatsRequest().Encode();
@@ -506,9 +509,10 @@ TEST_F(SocketTransportTest, StalledPrimaryFailsOverToHealthyReplica) {
 
   const auto sharded = core::ShardedState::Build(base_, {1});
   const core::ShardedState::Shard& shard = sharded->shard(0);
-  ShardServer server(shard.state, shard.global_ids);
+  ShardServer server(shard.state, shard.global_ids, ShardServer::Options());
   ShardListener replica(
-      [&server](const std::string& request) { return server.Handle(request); });
+      [&server](const std::string& request) { return server.Handle(request); },
+      ShardListener::Options());
 
   ShardPlacement placement;
   placement.Add(Endpoint{"127.0.0.1", ntohs(addr.sin_port)}, replica.endpoint());
@@ -540,9 +544,10 @@ TEST_F(SocketTransportTest, StalledPrimaryFailsOverToHealthyReplica) {
 TEST_F(SocketTransportTest, ListenerSurvivesGarbageAndTruncation) {
   const auto sharded = core::ShardedState::Build(base_, {2});
   const core::ShardedState::Shard& shard = sharded->shard(0);
-  ShardServer server(shard.state, shard.global_ids);
+  ShardServer server(shard.state, shard.global_ids, ShardServer::Options());
   ShardListener listener(
-      [&server](const std::string& request) { return server.Handle(request); });
+      [&server](const std::string& request) { return server.Handle(request); },
+      ShardListener::Options());
   const Deadline deadline = Deadline::After(5000);
 
   // (a) Garbage length prefix: connection dropped, listener alive.
@@ -635,11 +640,12 @@ TEST(ShardPlacementTest, ParsesSpecWithCommentsAndOptionalReplicas) {
   EXPECT_EQ(placement->shards[1].replica.port, 8002);
   EXPECT_FALSE(placement->shards[2].has_replica);
 
-  // ToString -> Parse round-trips.
-  StatusOr<ShardPlacement> again = ShardPlacement::Parse(placement->ToString());
+  // Endpoint::ToString -> Parse round-trips.
+  StatusOr<ShardPlacement> again =
+      ShardPlacement::Parse("0 " + placement->shards[1].primary.ToString() + " " +
+                            placement->shards[0].replica.ToString() + "\n");
   ASSERT_TRUE(again.ok());
-  ASSERT_EQ(again->num_shards(), 3u);
-  EXPECT_EQ(again->shards[1].primary, placement->shards[1].primary);
+  EXPECT_EQ(again->shards[0].primary, placement->shards[1].primary);
   EXPECT_EQ(again->shards[0].replica, placement->shards[0].replica);
 }
 
@@ -673,7 +679,8 @@ TEST(ShardPlacementTest, BracketedIpv6HostsParseAndRoundTrip) {
   EXPECT_EQ(placement->shards[0].primary.host, "::1");
   EXPECT_EQ(placement->shards[0].primary.port, 7001);
   EXPECT_EQ(placement->shards[0].primary.ToString(), "[::1]:7001");
-  StatusOr<ShardPlacement> again = ShardPlacement::Parse(placement->ToString());
+  StatusOr<ShardPlacement> again =
+      ShardPlacement::Parse("0 " + placement->shards[0].primary.ToString() + "\n");
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->shards[0].primary, placement->shards[0].primary);
 }

@@ -50,6 +50,31 @@ std::vector<uint32_t> BruteForce(const std::vector<geom::Point>& pts,
   return out;
 }
 
+// The ids an index visits for a box query.
+template <typename Index>
+std::vector<uint32_t> VisitedIds(const Index& index, const geom::Box& query) {
+  std::vector<uint32_t> out;
+  index.VisitBox(query, [&out](uint32_t id) { out.push_back(id); });
+  return out;
+}
+
+// The grid index as the grid join uses it: the points of every cell in
+// CellRange(query), filtered by an exact test.
+std::vector<uint32_t> GridIds(const GridIndex& grid, const std::vector<geom::Point>& pts,
+                              const geom::Box& query) {
+  std::vector<uint32_t> out;
+  uint32_t x0, y0, x1, y1;
+  grid.CellRange(query, &x0, &y0, &x1, &y1);
+  for (uint32_t cy = y0; cy <= y1; ++cy) {
+    for (uint32_t cx = x0; cx <= x1; ++cx) {
+      grid.VisitCell(cx, cy, [&](uint32_t id) {
+        if (query.Contains(pts[id])) out.push_back(id);
+      });
+    }
+  }
+  return out;
+}
+
 void ExpectSameIds(std::vector<uint32_t> got, std::vector<uint32_t> want,
                    const char* label) {
   std::sort(got.begin(), got.end());
@@ -79,7 +104,6 @@ TEST_P(SpatialIndexTest, AllIndexesAgreeWithScan) {
   const GridIndex grid(pts.data(), pts.size(), universe, 32);
 
   Rng rng(99);
-  std::vector<uint32_t> got;
   for (int q = 0; q < 40; ++q) {
     const double w = rng.Uniform(5, 300);
     const double h = rng.Uniform(5, 300);
@@ -88,16 +112,11 @@ TEST_P(SpatialIndexTest, AllIndexesAgreeWithScan) {
     const geom::Box query(x0, y0, x0 + w, y0 + h);
     const auto want = BruteForce(pts, query);
 
-    rstar.QueryBox(query, &got);
-    ExpectSameIds(got, want, "rstar");
-    str.QueryBox(query, &got);
-    ExpectSameIds(got, want, "str");
-    quad.QueryBox(query, &got);
-    ExpectSameIds(got, want, "quad");
-    kd.QueryBox(query, &got);
-    ExpectSameIds(got, want, "kd");
-    grid.QueryBox(query, &got);
-    ExpectSameIds(got, want, "grid");
+    ExpectSameIds(VisitedIds(rstar, query), want, "rstar");
+    ExpectSameIds(VisitedIds(str, query), want, "str");
+    ExpectSameIds(VisitedIds(quad, query), want, "quad");
+    ExpectSameIds(VisitedIds(kd, query), want, "kd");
+    ExpectSameIds(GridIds(grid, pts, query), want, "grid");
   }
 }
 
@@ -116,11 +135,8 @@ TEST(RStarTreeTest, BoxEntriesAndDuplicates) {
     const double x = static_cast<double>(i % 10);
     tree.Insert(geom::Box(x, 0, x + 5, 5), i);
   }
-  std::vector<uint32_t> out;
-  tree.QueryBox(geom::Box(0, 0, 20, 5), &out);
-  EXPECT_EQ(out.size(), 500u);
-  tree.QueryBox(geom::Box(100, 100, 101, 101), &out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(VisitedIds(tree, geom::Box(0, 0, 20, 5)).size(), 500u);
+  EXPECT_TRUE(VisitedIds(tree, geom::Box(100, 100, 101, 101)).empty());
 }
 
 TEST(RStarTreeTest, ForcedReinsertOnOffEquivalence) {
@@ -134,13 +150,8 @@ TEST(RStarTreeTest, ForcedReinsertOnOffEquivalence) {
     b.Insert(geom::Box(pts[i], pts[i]), static_cast<uint32_t>(i));
   }
   EXPECT_EQ(a.size(), b.size());
-  std::vector<uint32_t> ra, rb;
   const geom::Box q(100, 100, 400, 400);
-  a.QueryBox(q, &ra);
-  b.QueryBox(q, &rb);
-  std::sort(ra.begin(), ra.end());
-  std::sort(rb.begin(), rb.end());
-  EXPECT_EQ(ra, rb);
+  ExpectSameIds(VisitedIds(a, q), VisitedIds(b, q), "reinsert on vs off");
 }
 
 TEST(RStarTreeTest, HeightGrowsLogarithmically) {
@@ -156,32 +167,24 @@ TEST(RStarTreeTest, HeightGrowsLogarithmically) {
 
 TEST(StrRTreeTest, EmptyAndSingle) {
   const StrRTree empty = StrRTree::Build({});
-  std::vector<uint32_t> out;
-  empty.QueryBox(geom::Box(0, 0, 1, 1), &out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(VisitedIds(empty, geom::Box(0, 0, 1, 1)).empty());
 
   const StrRTree one = StrRTree::Build({{geom::Box(1, 1, 2, 2), 7}});
-  one.QueryBox(geom::Box(0, 0, 3, 3), &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], 7u);
+  EXPECT_EQ(VisitedIds(one, geom::Box(0, 0, 3, 3)), std::vector<uint32_t>{7});
 }
 
 TEST(QuadTreeTest, DeepClusterSafety) {
   // Many duplicate points would recurse forever without the depth cap.
   std::vector<geom::Point> pts(500, geom::Point{500, 500});
   const QuadTree quad(pts.data(), pts.size(), geom::Box(0, 0, 1000, 1000), 16, 12);
-  std::vector<uint32_t> out;
-  quad.QueryBox(geom::Box(499, 499, 501, 501), &out);
-  EXPECT_EQ(out.size(), 500u);
+  EXPECT_EQ(VisitedIds(quad, geom::Box(499, 499, 501, 501)).size(), 500u);
 }
 
 TEST(KdTreeTest, DuplicateCoordinatesOnSplit) {
   std::vector<geom::Point> pts;
   for (int i = 0; i < 100; ++i) pts.push_back({50.0, static_cast<double>(i)});
   const KdTree kd(pts.data(), pts.size(), 4);
-  std::vector<uint32_t> out;
-  kd.QueryBox(geom::Box(50, 0, 50, 99), &out);
-  EXPECT_EQ(out.size(), 100u);
+  EXPECT_EQ(VisitedIds(kd, geom::Box(50, 0, 50, 99)).size(), 100u);
 }
 
 TEST(GridIndexTest, CellAccessors) {

@@ -1,4 +1,4 @@
-// Tests for the WKT reader/writer (Status-based error handling).
+// Tests for the WKT polygon reader (Status-based error handling).
 
 #include <gtest/gtest.h>
 
@@ -6,22 +6,6 @@
 
 namespace dbsa::geom {
 namespace {
-
-TEST(WktTest, ParsePoint) {
-  const auto p = ParseWktPoint("POINT (3.5 -2)");
-  ASSERT_TRUE(p.ok());
-  EXPECT_DOUBLE_EQ(p->x, 3.5);
-  EXPECT_DOUBLE_EQ(p->y, -2.0);
-}
-
-TEST(WktTest, ParsePointErrors) {
-  EXPECT_FALSE(ParseWktPoint("POINT 3 4").ok());
-  EXPECT_FALSE(ParseWktPoint("LINESTRING (0 0, 1 1)").ok());
-  EXPECT_FALSE(ParseWktPoint("POINT (1)").ok());
-  EXPECT_FALSE(ParseWktPoint("POINT (1 2) extra").ok());
-  EXPECT_EQ(ParseWktPoint("POINT (x y)").status().code(),
-            StatusCode::kInvalidArgument);
-}
 
 TEST(WktTest, ParsePolygon) {
   const auto poly = ParseWktPolygon("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))");
@@ -44,40 +28,8 @@ TEST(WktTest, ParsePolygonErrors) {
   EXPECT_FALSE(ParseWktPolygon("POLYGON ((0 0, 1 0, 1 1,").ok());
 }
 
-TEST(WktTest, ParseMultiPolygon) {
-  const auto mp = ParseWktMultiPolygon(
-      "MULTIPOLYGON (((0 0, 1 0, 1 1, 0 1, 0 0)), ((5 5, 6 5, 6 6, 5 6, 5 5)))");
-  ASSERT_TRUE(mp.ok());
-  EXPECT_EQ(mp->parts().size(), 2u);
-  EXPECT_DOUBLE_EQ(mp->Area(), 2.0);
-}
-
-TEST(WktTest, MultiPolygonAcceptsSinglePolygon) {
-  const auto mp = ParseWktMultiPolygon("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))");
-  ASSERT_TRUE(mp.ok());
-  EXPECT_EQ(mp->parts().size(), 1u);
-}
-
-TEST(WktTest, RoundTripPolygon) {
-  const std::string wkt = "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 3 1, 3 3, 1 3, 1 1))";
-  const auto poly = ParseWktPolygon(wkt);
-  ASSERT_TRUE(poly.ok());
-  const auto again = ParseWktPolygon(ToWkt(*poly));
-  ASSERT_TRUE(again.ok());
-  EXPECT_DOUBLE_EQ(again->Area(), poly->Area());
-  EXPECT_EQ(again->NumVertices(), poly->NumVertices());
-}
-
-TEST(WktTest, RoundTripPoint) {
-  const auto p = ParseWktPoint(ToWkt(geom::Point{1.25, -7.5}));
-  ASSERT_TRUE(p.ok());
-  EXPECT_DOUBLE_EQ(p->x, 1.25);
-  EXPECT_DOUBLE_EQ(p->y, -7.5);
-}
-
 TEST(WktTest, CaseInsensitiveKeyword) {
   EXPECT_TRUE(ParseWktPolygon("polygon ((0 0, 1 0, 1 1, 0 1, 0 0))").ok());
-  EXPECT_TRUE(ParseWktPoint("point (1 2)").ok());
 }
 
 }  // namespace

@@ -3,45 +3,24 @@
 //
 // Every bench prints (a) the paper's reported numbers for reference and
 // (b) our measurements at the bench's (laptop) scale. Absolute times are
-// not comparable — the shapes are what EXPERIMENTS.md tracks.
+// not comparable — the shapes are the target, and each figure bench
+// prints the shape it expects beside its table.
 
 #ifndef DBSA_BENCH_BENCH_UTIL_H_
 #define DBSA_BENCH_BENCH_UTIL_H_
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "core/dbsa.h"
 #include "join/si_join.h"
-#include "telemetry/histogram.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/timer.h"
 
 namespace dbsa::bench {
-
-/// Streaming latency percentiles for bench loops, backed by the SAME
-/// log2-bucket histogram the telemetry layer scrapes over the wire
-/// (telemetry::HistogramData) — one quantile implementation, one error
-/// model (bucket-width bounded; see src/telemetry/histogram.h). Use
-/// Percentiles (util/stats.h) only where a bench's contract needs EXACT
-/// order statistics.
-class LatencyRecorder {
- public:
-  void Record(double ms) { hist_.Record(ms); }
-  double Quantile(double p) const { return hist_.Quantile(p); }
-  double MeanMs() const {
-    return hist_.count ? hist_.sum_ms / static_cast<double>(hist_.count) : 0.0;
-  }
-  const telemetry::HistogramData& histogram() const { return hist_; }
-
- private:
-  telemetry::HistogramData hist_;
-};
 
 /// Parses "--name=value" style integer flags from argv.
 inline size_t FlagSize(int argc, char** argv, const char* name, size_t def) {
@@ -52,42 +31,6 @@ inline size_t FlagSize(int argc, char** argv, const char* name, size_t def) {
     }
   }
   return def;
-}
-
-/// Parses "--name=value" style string flags from argv.
-inline std::string FlagString(int argc, char** argv, const char* name,
-                              const std::string& def = "") {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return def;
-}
-
-/// Optional secondary sink for the JSON result lines (--json_out=PATH):
-/// every JsonLine::Print also appends the bare JSON object to the file,
-/// giving the perf trajectory a stable machine-readable path (the
-/// checked-in BENCH_*.json baselines) without grepping human output.
-inline std::FILE*& JsonOutFile() {
-  static std::FILE* file = nullptr;
-  return file;
-}
-
-inline void OpenJsonOut(const std::string& path) {
-  if (path.empty()) return;
-  JsonOutFile() = std::fopen(path.c_str(), "w");
-  if (JsonOutFile() == nullptr) {
-    std::fprintf(stderr, "cannot open --json_out=%s\n", path.c_str());
-  }
-}
-
-inline void CloseJsonOut() {
-  if (JsonOutFile() != nullptr) {
-    std::fclose(JsonOutFile());
-    JsonOutFile() = nullptr;
-  }
 }
 
 /// Standard bench universe: a 16.4 km "city" square. Small enough that a
@@ -135,56 +78,6 @@ inline void PrintScale(const std::string& what) {
   PrintNote("scale: " + what);
   PrintNote("(single-threaded; shapes, not absolute times, are the target)");
 }
-
-/// One machine-readable result record, printed as a single JSON object
-/// line prefixed with "JSON " so scripts can grep it out of the human
-/// output. The standard emission format for bench measurements.
-class JsonLine {
- public:
-  explicit JsonLine(const std::string& bench) { Add("bench", bench); }
-
-  JsonLine& Add(const std::string& key, const std::string& value) {
-    fields_.push_back("\"" + key + "\": \"" + value + "\"");
-    return *this;
-  }
-  JsonLine& Add(const std::string& key, const char* value) {
-    return Add(key, std::string(value));
-  }
-  JsonLine& Add(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    fields_.push_back("\"" + key + "\": " + buf);
-    return *this;
-  }
-  JsonLine& Add(const std::string& key, size_t value) {
-    fields_.push_back("\"" + key + "\": " + std::to_string(value));
-    return *this;
-  }
-  JsonLine& Add(const std::string& key, int value) {
-    fields_.push_back("\"" + key + "\": " + std::to_string(value));
-    return *this;
-  }
-
-  void Print(std::FILE* out = stdout) const {
-    PrintTo(out, /*prefix=*/true);
-    if (JsonOutFile() != nullptr) {
-      PrintTo(JsonOutFile(), /*prefix=*/false);
-      std::fflush(JsonOutFile());
-    }
-  }
-
- private:
-  void PrintTo(std::FILE* out, bool prefix) const {
-    std::fputs(prefix ? "JSON {" : "{", out);
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      std::fputs(i ? ", " : "", out);
-      std::fputs(fields_[i].c_str(), out);
-    }
-    std::fputs("}\n", out);
-  }
-
-  std::vector<std::string> fields_;
-};
 
 }  // namespace dbsa::bench
 

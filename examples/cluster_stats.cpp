@@ -51,9 +51,7 @@ dbsa::Status ScrapeShard(const dbsa::service::Endpoint& endpoint, int timeout_ms
   const std::string request = service::StatsRequest().Encode();
   Status status = service::SendAll(*fd, request.data(), request.size(), deadline);
   if (status.ok()) {
-    // Metrics text grows with the label space but stays far below frame
-    // limits; 64 MiB matches the transport's default cap.
-    StatusOr<std::string> frame = service::ReadFrame(*fd, 64u << 20, deadline);
+    StatusOr<std::string> frame = service::ReadFrame(*fd, deadline);
     if (frame.ok()) {
       service::StatsReply reply;
       status = service::StatsReply::Decode(*frame, &reply);

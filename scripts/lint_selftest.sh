@@ -7,7 +7,14 @@
 #
 # Checks that need tools the machine lacks (clang) self-skip; the CI
 # static-analysis job runs them with --require so they cannot skip there.
+#
+# Usage: lint_selftest.sh [build-dir]
+#   build-dir  the build whose make_corpus and snapshot_write legs 5 and
+#              6 check; defaults to the repository's build/. The ctest
+#              entry passes its own build directory.
 set -euo pipefail
+BUILD_DIR=build
+if [[ $# -gt 0 ]]; then BUILD_DIR=$(realpath -m -- "$1"); fi
 cd "$(dirname "$0")/.."
 
 fail=0
@@ -89,8 +96,8 @@ done
 # a re-implementation of them — and the gate must exit nonzero. Three
 # legs, one per failure mode the gate claims to catch: a stale seed, a
 # seed the encoders no longer emit, and an emitted seed that is missing.
-if [[ -x build/make_corpus ]]; then
-  if ! scripts/check_fuzz_corpus.sh >/dev/null; then
+if [[ -x "$BUILD_DIR/make_corpus" ]]; then
+  if ! scripts/check_fuzz_corpus.sh "$BUILD_DIR/make_corpus" >/dev/null; then
     err "check_fuzz_corpus.sh fails on the checked-in corpus (stale seeds?)"
   fi
   scratch=$(mktemp -d)
@@ -102,26 +109,26 @@ if [[ -x build/make_corpus ]]; then
   printf "$(printf '\\%03o' $((byte ^ 0xff)))" \
     | dd of="$scratch/scatter_select.bin" bs=1 seek=12 count=1 \
         conv=notrunc status=none
-  if scripts/check_fuzz_corpus.sh build/make_corpus "$scratch" >/dev/null 2>&1; then
+  if scripts/check_fuzz_corpus.sh "$BUILD_DIR/make_corpus" "$scratch" >/dev/null 2>&1; then
     err "corpus stale-seed leg: gate PASSED a corrupted seed — its cmp loop is dead"
   fi
   # Extra-seed leg: a checked-in seed the encoders no longer emit.
   rm -rf "$scratch"; scratch=$(mktemp -d)
   cp fuzz/corpus/parse_frame/*.bin "$scratch/"
   cp "$scratch/scatter_select.bin" "$scratch/zz_orphaned_seed.bin"
-  if scripts/check_fuzz_corpus.sh build/make_corpus "$scratch" >/dev/null 2>&1; then
+  if scripts/check_fuzz_corpus.sh "$BUILD_DIR/make_corpus" "$scratch" >/dev/null 2>&1; then
     err "corpus extra-seed leg: gate PASSED an orphaned seed — its no-longer-emitted loop is dead"
   fi
   # Missing-seed leg: an emitted seed absent from the corpus.
   rm -rf "$scratch"; scratch=$(mktemp -d)
   cp fuzz/corpus/parse_frame/*.bin "$scratch/"
   rm "$scratch/scatter_select.bin"
-  if scripts/check_fuzz_corpus.sh build/make_corpus "$scratch" >/dev/null 2>&1; then
+  if scripts/check_fuzz_corpus.sh "$BUILD_DIR/make_corpus" "$scratch" >/dev/null 2>&1; then
     err "corpus missing-seed leg: gate PASSED an incomplete corpus — its not-checked-in loop is dead"
   fi
   rm -rf "$scratch"
 else
-  echo "lint_selftest: build/make_corpus not built — corpus legs skipped (CI runs them)"
+  echo "lint_selftest: $BUILD_DIR/make_corpus not built — corpus legs skipped (CI runs them)"
 fi
 
 # ---- 6. golden-snapshot gate must reject a corrupted fixture ----------
@@ -130,11 +137,11 @@ fi
 # (scripts/lint_fixtures/bad_snapshot_golden: one XOR-flipped byte in
 # client.snapshot's section data) proves the gate's cmp loop is live;
 # the scratch legs prove the missing/extra-file loops are.
-if [[ -x build/snapshot_write ]]; then
-  if ! scripts/check_snapshot_golden.sh >/dev/null; then
+if [[ -x "$BUILD_DIR/snapshot_write" ]]; then
+  if ! scripts/check_snapshot_golden.sh "$BUILD_DIR/snapshot_write" >/dev/null; then
     err "check_snapshot_golden.sh fails on the checked-in fixture (stale snapshots?)"
   fi
-  if scripts/check_snapshot_golden.sh build/snapshot_write \
+  if scripts/check_snapshot_golden.sh "$BUILD_DIR/snapshot_write" \
        scripts/lint_fixtures/bad_snapshot_golden >/dev/null 2>&1; then
     err "golden corrupt leg: gate PASSED a bit-flipped snapshot — its cmp loop is dead"
   fi
@@ -142,19 +149,19 @@ if [[ -x build/snapshot_write ]]; then
   # Extra-file leg: a checked-in snapshot the writer no longer emits.
   cp tests/golden/snapshot/*.snapshot "$scratch/"
   cp "$scratch/client.snapshot" "$scratch/zz-orphan.snapshot"
-  if scripts/check_snapshot_golden.sh build/snapshot_write "$scratch" >/dev/null 2>&1; then
+  if scripts/check_snapshot_golden.sh "$BUILD_DIR/snapshot_write" "$scratch" >/dev/null 2>&1; then
     err "golden extra-file leg: gate PASSED an orphaned snapshot — its no-longer-emitted loop is dead"
   fi
   # Missing-file leg: an emitted snapshot absent from the fixture.
   rm -rf "$scratch"; scratch=$(mktemp -d)
   cp tests/golden/snapshot/*.snapshot "$scratch/"
   rm "$scratch/shard-1.snapshot"
-  if scripts/check_snapshot_golden.sh build/snapshot_write "$scratch" >/dev/null 2>&1; then
+  if scripts/check_snapshot_golden.sh "$BUILD_DIR/snapshot_write" "$scratch" >/dev/null 2>&1; then
     err "golden missing-file leg: gate PASSED an incomplete fixture — its not-checked-in loop is dead"
   fi
   rm -rf "$scratch"
 else
-  echo "lint_selftest: build/snapshot_write not built — golden snapshot legs skipped (CI runs them)"
+  echo "lint_selftest: $BUILD_DIR/snapshot_write not built — golden snapshot legs skipped (CI runs them)"
 fi
 
 # ---- 7. thread-safety gate must FAIL the off-lock fixture -------------

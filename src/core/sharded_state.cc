@@ -231,13 +231,6 @@ std::vector<uint32_t> ShardedState::SurvivingShards(const CellRoute* routes,
   return out;
 }
 
-std::vector<uint32_t> ShardedState::SurvivingShards(
-    const raster::HierarchicalRaster& hr) const {
-  const std::vector<CellRoute> routes =
-      MakeRoutes(hr.cells().data(), hr.cells().size());
-  return SurvivingShards(routes.data(), routes.size());
-}
-
 std::vector<raster::HrCell> ShardedState::PruneCellsForShard(
     size_t s, const raster::HrCell* cells, const CellRoute* routes,
     size_t num_cells) const {

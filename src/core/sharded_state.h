@@ -174,9 +174,6 @@ class ShardedState : public ShardSource {
   std::vector<uint32_t> SurvivingShards(const CellRoute* routes,
                                         size_t num_cells) const;
 
-  /// Convenience overload (tests, stats): routes computed on the fly.
-  std::vector<uint32_t> SurvivingShards(const raster::HierarchicalRaster& hr) const;
-
   /// Cells of `hr` that intersect shard `s` (the shard's scatter slice).
   /// This IS the message payload of the distribution seam: a serialized
   /// ScatterRequest (service/transport.h) carries exactly this slice to

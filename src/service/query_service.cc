@@ -104,13 +104,6 @@ QueryService::QueryService(std::shared_ptr<const core::EngineState> state,
     // slices live in those processes (shard_server_main), not here.
     SocketTransport::Options socket_options = options.socket_options;
     socket_options.registry = registry_;
-    if (options.rewarm_on_failover) {
-      // Demux thread -> pool task: the rewarm sends warm requests over
-      // THIS transport, so it must not run on the demux thread itself.
-      socket_options.on_failover = [this](size_t shard) {
-        pool_.Submit([this, shard]() { RewarmShard(shard); });
-      };
-    }
     socket_ = std::make_shared<SocketTransport>(options.placement, socket_options);
     router_ = std::make_unique<ShardRouter>(sharded_, socket_);
   } else if (options.use_transport) {
@@ -502,29 +495,6 @@ void QueryService::WarmCache(double epsilon) {
       router_->WarmObject(ObjectKey(static_cast<uint64_t>(j)), level, *hr);
     }
   });
-  // Remember the working set's epsilon so a post-failover rewarm replays
-  // exactly this warm for the promoted endpoint.
-  dbsa::MutexLock lock(warm_mu_);
-  last_warm_epsilon_ = epsilon;
-}
-
-void QueryService::RewarmShard(size_t shard) {
-  double epsilon = 0.0;
-  {
-    dbsa::MutexLock lock(warm_mu_);
-    epsilon = last_warm_epsilon_;
-  }
-  if (epsilon <= 0.0 || router_ == nullptr) return;  // Never warmed: nothing to replay.
-  if (shard >= sharded_->num_shards()) return;
-  const core::ExecHooks hooks = MakeHooks(ExecOptions{});
-  const std::vector<geom::Polygon>& polys = state_->regions->polys;
-  const int level = state_->grid.LevelForEpsilon(epsilon);
-  // Serial over regions: this runs on one pool worker already, and the
-  // warm traffic of a single shard should not crowd out query fan-outs.
-  for (size_t j = 0; j < polys.size(); ++j) {
-    const ApproxCache::HrPtr hr = hooks.hr_provider(j, polys[j], epsilon);
-    router_->WarmShard(shard, ObjectKey(static_cast<uint64_t>(j)), level, *hr);
-  }
 }
 
 }  // namespace dbsa::service

@@ -91,8 +91,8 @@ struct ServiceOptions {
   /// listens. When `num_shards` is left at its default (<= 1) the shard
   /// count is taken from the placement; otherwise the two must agree.
   ShardPlacement placement;
-  /// kSocket only: connection management knobs (timeouts, backoff,
-  /// failover behaviour, cost model) — see socket_transport.h.
+  /// kSocket only: connection timeouts and reconnect backoff — see
+  /// socket_transport.h.
   SocketTransport::Options socket_options;
 
   // ---- epoch-stamped snapshots (src/snapshot/) ----------------------
@@ -103,14 +103,6 @@ struct ServiceOptions {
   /// ShardServer::Options::serving_epoch. Zero (default): queries carry
   /// the wildcard epoch and accept any serving generation.
   uint64_t serving_epoch = 0;
-  /// kSocket only: when a shard's preferred endpoint changes (failover
-  /// to a replica, or failback), re-warm the newly serving endpoint's
-  /// per-shard cell cache with the routed slices of every region, at the
-  /// last WarmCache epsilon — off the query path, on a pool worker. A
-  /// freshly promoted replica then serves reference requests at primary
-  /// hit rates instead of a kNotCached round-trip per object. No-op
-  /// until WarmCache has been called once.
-  bool rewarm_on_failover = false;
 
   // ---- telemetry (src/telemetry/) -----------------------------------
   /// Mint a TraceContext per query and record per-stage spans (admission,
@@ -219,11 +211,6 @@ class QueryService {
   const ShardServer* shard_server(size_t s) const {
     return s < servers_.size() ? servers_[s].get() : nullptr;
   }
-  /// Loopback byte/message counters ({} when the seam is inactive or
-  /// carried by sockets — see socket_transport()).
-  LoopbackTransport::Stats transport_stats() const {
-    return loopback_ != nullptr ? loopback_->stats() : LoopbackTransport::Stats{};
-  }
   /// Non-null iff the seam runs over TCP (TransportKind::kSocket):
   /// connection/failover/timeout counters and the placement in use.
   const SocketTransport* socket_transport() const { return socket_.get(); }
@@ -236,12 +223,6 @@ class QueryService {
   QueryService(std::shared_ptr<const core::EngineState> state,
                std::shared_ptr<const core::ShardedState> preassembled,
                const ServiceOptions& options);
-
-  /// Post-failover cache rewarm of one shard (pool task; see
-  /// ServiceOptions::rewarm_on_failover): re-ships the routed cell slice
-  /// of every region whose cells route to `shard`, at the last WarmCache
-  /// epsilon.
-  void RewarmShard(size_t shard);
 
   /// Builds the cache-backed exec hooks for one query. When the counter
   /// pointers are non-null they receive this query's hit/miss tallies;
@@ -327,11 +308,6 @@ class QueryService {
   dbsa::Mutex pending_mu_;
   uint64_t next_ticket_ DBSA_GUARDED_BY(pending_mu_) = 1;
   std::vector<Pending> pending_ DBSA_GUARDED_BY(pending_mu_);
-
-  /// Epsilon of the most recent WarmCache call (0 = never warmed); what
-  /// a post-failover rewarm replays.
-  mutable dbsa::Mutex warm_mu_;
-  double last_warm_epsilon_ DBSA_GUARDED_BY(warm_mu_) = 0.0;
 };
 
 }  // namespace dbsa::service

@@ -615,28 +615,6 @@ size_t ShardRouter::WarmObject(const ObjectKey& object, int level,
   return scatter.shards.size();
 }
 
-bool ShardRouter::WarmShard(size_t shard, const ObjectKey& object, int level,
-                            const raster::HierarchicalRaster& hr) {
-  const raster::HrCell* cells = hr.cells().data();
-  const size_t num_cells = hr.cells().size();
-  const std::vector<core::ShardedState::CellRoute> routes =
-      sharded_->MakeRoutes(cells, num_cells);
-  if (!sharded_->ShardIntersects(shard, routes.data(), num_cells)) return false;
-  ScatterRequest request;
-  request.kind = ScatterRequest::Kind::kWarm;
-  request.bound_kind = query::BoundKind::kGridLevel;
-  request.level = level;
-  request.checksum = ApproxChecksum(cells, num_cells);
-  request.epoch = epoch_;
-  request.has_object = true;
-  request.object = object;
-  request.has_cells = true;
-  request.cells = sharded_->PruneCellsForShard(shard, cells, routes.data(), num_cells);
-  RoundtripDecode(*transport_, shard, request);
-  MarkCached(shard, Key{object, level}, true);
-  return true;
-}
-
 // ------------------------------------------ transport-backed entry points
 
 core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,

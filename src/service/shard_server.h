@@ -202,13 +202,6 @@ class ShardRouter : public core::ShardSource {
   size_t WarmObject(const ObjectKey& object, int level,
                     const raster::HierarchicalRaster& hr);
 
-  /// Warms ONLY `shard` with its pruned slice of `hr`, iff the
-  /// approximation routes there (returns false otherwise). The
-  /// post-failover rewarm path: one shard's newly serving endpoint gets
-  /// its cache back without re-shipping to the healthy ones.
-  bool WarmShard(size_t shard, const ObjectKey& object, int level,
-                 const raster::HierarchicalRaster& hr);
-
  private:
   using Key = ObjectLevelKey;
 

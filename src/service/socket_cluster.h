@@ -1,12 +1,11 @@
 // In-process socket-cluster scaffolding: the Build-sharded ->
 // ShardServer-per-shard -> ShardListener-per-endpoint -> ShardPlacement
-// bootstrap shared by the bench (service_throughput RunSocket), the demo
-// client (examples/socket_cluster_demo.cpp) and the transport tests.
-// One definition so every consumer stands up the SAME cluster shape —
-// drift here would silently bench or test a different deployment than
-// the one docs/operations.md documents. Real deployments use one
-// shard_server_main process per endpoint instead (same seam, external
-// processes).
+// bootstrap shared by the demo client (examples/socket_cluster_demo.cpp)
+// and the transport tests. One definition so every consumer stands up
+// the SAME cluster shape — drift here would silently test a different
+// deployment than the one docs/operations.md documents. Real deployments
+// use one shard_server_main process per endpoint instead (same seam,
+// external processes).
 
 #ifndef DBSA_SERVICE_SOCKET_CLUSTER_H_
 #define DBSA_SERVICE_SOCKET_CLUSTER_H_
@@ -33,21 +32,12 @@ struct InProcessShardCluster {
   std::vector<std::unique_ptr<ShardListener>> primaries;
   /// Empty unless with_replicas was set.
   std::vector<std::unique_ptr<ShardListener>> replicas;
-  /// Empty unless replica_own_server was set (the replica's servers,
-  /// indexed by shard; otherwise replicas share `servers`).
-  std::vector<std::unique_ptr<ShardServer>> replica_servers;
   ShardPlacement placement;
 };
 
 struct InProcessShardClusterOptions {
   /// Add a replica listener per shard (same server, failover port).
   bool with_replicas = false;
-  /// Give each replica listener its OWN ShardServer (own slice cache,
-  /// own registry) instead of sharing the primary's — the faithful
-  /// model of a real deployment, where the replica is a separate
-  /// process and fails over COLD. Leave false where the replica's
-  /// cache temperature does not matter (most tests).
-  bool replica_own_server = false;
   /// Hilbert ordering granularity for the shard cuts (must match the
   /// client's routing build — ShardingOptions::hilbert_level).
   int hilbert_level = 16;
@@ -89,19 +79,8 @@ inline InProcessShardCluster MakeInProcessShardClusterFromState(
         options.wrap_primary ? options.wrap_primary(s, handler) : handler,
         listen_options));
     if (options.with_replicas) {
-      ShardListener::Handler replica_handler = handler;
-      ShardListener::Options replica_listen_options = listen_options;
-      if (options.replica_own_server) {
-        cluster.replica_servers.push_back(std::make_unique<ShardServer>(
-            shard.state, shard.global_ids, server_options));
-        ShardServer* replica_server = cluster.replica_servers.back().get();
-        replica_handler = [replica_server](const std::string& request) {
-          return replica_server->Handle(request);
-        };
-        replica_listen_options.registry = replica_server->registry();
-      }
-      cluster.replicas.push_back(std::make_unique<ShardListener>(
-          replica_handler, replica_listen_options));
+      cluster.replicas.push_back(
+          std::make_unique<ShardListener>(handler, listen_options));
       cluster.placement.Add(cluster.primaries.back()->endpoint(),
                             cluster.replicas.back()->endpoint());
     } else {

@@ -116,30 +116,13 @@ Status SendAll(int fd, const char* data, size_t n, const Deadline& deadline) {
   return Status::OK();
 }
 
-StatusOr<std::string> ReadFrame(int fd, size_t max_frame_bytes,
-                                const Deadline& deadline,
-                                const Deadline* first_byte_deadline) {
+StatusOr<std::string> ReadFrame(int fd, const Deadline& deadline) {
   char prefix[4];
-  // The wait for the FIRST byte may be capped tighter than the rest of
-  // the frame: once the peer has started answering, the transfer is
-  // making progress and gets the full deadline.
-  const Status got_first =
-      RecvExactly(fd, prefix, 1,
-                  first_byte_deadline != nullptr ? *first_byte_deadline : deadline);
-  if (!got_first.ok()) return got_first;
-  const Status got_prefix =
-      RecvExactly(fd, prefix + 1, sizeof(prefix) - 1, deadline);
+  const Status got_prefix = RecvExactly(fd, prefix, sizeof(prefix), deadline);
   if (!got_prefix.ok()) return got_prefix;
   const uint32_t length = LoadLe32(prefix);
-  // A frame payload is at least magic+version+type (4 bytes, see
-  // transport.h). Anything outside the window means the stream is not
-  // speaking our framing at all — there is no way to resynchronize, so
-  // the caller must drop the connection.
-  if (length < 4 || static_cast<size_t>(length) > max_frame_bytes) {
-    return Status::InvalidArgument("frame length " + std::to_string(length) +
-                                   " outside [4, " +
-                                   std::to_string(max_frame_bytes) + "]");
-  }
+  const Status framed = CheckFrameLength(length);
+  if (!framed.ok()) return framed;
   std::string frame;
   frame.resize(kWireLengthSize + static_cast<size_t>(length));
   // dbsa-lint-allow(memcpy): splicing the already-received length prefix
@@ -247,7 +230,6 @@ SocketTransport::SocketTransport(ShardPlacement placement, const Options& option
       hedge_wins_(registry_->GetCounter("dbsa_socket_hedge_wins_total")),
       resolves_(registry_->GetCounter("dbsa_socket_resolves_total")) {
   DBSA_CHECK(placement_.num_shards() > 0);
-  DBSA_CHECK(options_.max_dial_attempts >= 1);
   muxes_.reserve(placement_.num_shards());
   roundtrip_ms_.reserve(placement_.num_shards());
   for (size_t s = 0; s < placement_.num_shards(); ++s) {
@@ -405,11 +387,10 @@ uint64_t SocketTransport::Send(size_t shard, std::string request, Done done) {
   op.done = std::move(done);
   op.deadline = Deadline::After(options_.roundtrip_timeout_ms);
   op.start = std::chrono::steady_clock::now();
-  const int hedge_ms = options_.hedge_timeout_ms < 0
-                           ? options_.roundtrip_timeout_ms / 2
-                           : options_.hedge_timeout_ms;
-  if (HasEndpoint(shard, kReplica) && hedge_ms > 0 && !op.deadline.infinite() &&
-      hedge_ms < options_.roundtrip_timeout_ms) {
+  // The hedge fires at half the roundtrip budget (see Options); with no
+  // budget there is no hedge.
+  const int hedge_ms = options_.roundtrip_timeout_ms / 2;
+  if (HasEndpoint(shard, kReplica) && hedge_ms > 0) {
     op.hedge_at = Deadline::After(hedge_ms);
   }
   EnsureThread(shard);
@@ -424,7 +405,6 @@ uint64_t SocketTransport::Send(size_t shard, std::string request, Done done) {
 
 void SocketTransport::MuxLoop(size_t shard) {
   Mux& mux = *muxes_[shard];
-  const int max_dials = options_.max_dial_attempts;
 
   // Completions are collected here and fired at the end of each
   // iteration, outside every lock and with the engine state consistent
@@ -434,9 +414,6 @@ void SocketTransport::MuxLoop(size_t shard) {
     StatusOr<std::string> result;
   };
   std::vector<Fired> fired;
-  /// Set when a reply flips mux.preferred; drained (and the on_failover
-  /// hook fired) at the end of the iteration, after the completions.
-  bool preferred_switched = false;
 
   const auto queued_on = [&](int ep, uint64_t corr) {
     const auto& q = mux.queue[ep];
@@ -454,11 +431,6 @@ void SocketTransport::MuxLoop(size_t shard) {
     if (it == mux.ops.end()) return;
     Op& op = it->second;
     unqueue(corr);
-    for (int ep = 0; ep < 2; ++ep) {
-      if (op.inflight[ep] && mux.conns[ep].inflight > 0) {
-        --mux.conns[ep].inflight;
-      }
-    }
     if (result.ok()) {
       messages_->Add(1);
       request_bytes_->Add(op.request.size());
@@ -492,13 +464,13 @@ void SocketTransport::MuxLoop(size_t shard) {
     std::vector<uint64_t> exhausted;
     for (const uint64_t corr : mux.queue[ep]) {
       Op& op = mux.ops[corr];
-      if (op.dials[ep] < max_dials) {
+      if (op.dials[ep] < kMaxDialAttempts) {
         keep.push_back(corr);
         continue;
       }
       const int other = 1 - ep;
       if (op.inflight[other]) continue;  // A hedged copy is still out there.
-      if (HasEndpoint(shard, other) && op.dials[other] < max_dials &&
+      if (HasEndpoint(shard, other) && op.dials[other] < kMaxDialAttempts &&
           !queued_on(other, corr)) {
         mux.queue[other].push_back(corr);
         op.where = other;
@@ -522,7 +494,6 @@ void SocketTransport::MuxLoop(size_t shard) {
     conn.fd = -1;
     conn.inbuf.clear();
     conn.outbuf.clear();
-    conn.inflight = 0;
     conn.last_error = why;
     std::vector<uint64_t> orphans;
     // dbsa-lint-allow(determinism): failure harvest — every collected op
@@ -540,10 +511,10 @@ void SocketTransport::MuxLoop(size_t shard) {
       }
       const int other = 1 - ep;
       if (op.inflight[other]) continue;  // The hedged copy races on.
-      if (op.dials[ep] < max_dials && !queued_on(ep, corr)) {
+      if (op.dials[ep] < kMaxDialAttempts && !queued_on(ep, corr)) {
         mux.queue[ep].push_back(corr);  // Redial budget left: resend here.
         op.where = ep;
-      } else if (HasEndpoint(shard, other) && op.dials[other] < max_dials &&
+      } else if (HasEndpoint(shard, other) && op.dials[other] < kMaxDialAttempts &&
                  !queued_on(other, corr)) {
         mux.queue[other].push_back(corr);  // Fail over.
         op.where = other;
@@ -627,7 +598,7 @@ void SocketTransport::MuxLoop(size_t shard) {
         op.hedged = true;
         const int other = 1 - op.where;
         if (!HasEndpoint(shard, other) || op.inflight[other] ||
-            queued_on(other, corr) || op.dials[other] >= max_dials) {
+            queued_on(other, corr) || op.dials[other] >= kMaxDialAttempts) {
           continue;
         }
         if (op.inflight[op.where]) {
@@ -694,18 +665,15 @@ void SocketTransport::MuxLoop(size_t shard) {
         }
       }
       if (conn.fd >= 0) {
-        const size_t cap = options_.max_inflight_per_connection;
-        while (!mux.queue[ep].empty() && (cap == 0 || conn.inflight < cap)) {
-          const uint64_t corr = mux.queue[ep].front();
-          mux.queue[ep].pop_front();
+        for (const uint64_t corr : mux.queue[ep]) {
           Op& op = mux.ops[corr];
           if (op.inflight[ep]) continue;  // Already racing on this conn.
           conn.outbuf.append(op.request);
           op.inflight[ep] = true;
           op.where = ep;
           if (op.first_endpoint < 0) op.first_endpoint = ep;
-          ++conn.inflight;
         }
+        mux.queue[ep].clear();
       }
     }
 
@@ -810,14 +778,9 @@ void SocketTransport::MuxLoop(size_t shard) {
         if (dead) continue;
         while (conn.inbuf.size() >= kWireLengthSize) {
           const uint32_t length = LoadLe32(conn.inbuf.data());
-          if (length < 4 ||
-              static_cast<size_t>(length) > options_.max_frame_bytes) {
-            conn_dead(ep,
-                      Status::InvalidArgument(
-                          "frame length " + std::to_string(length) +
-                          " outside [4, " +
-                          std::to_string(options_.max_frame_bytes) + "]"),
-                      /*protocol=*/true);
+          const Status framed = CheckFrameLength(length);
+          if (!framed.ok()) {
+            conn_dead(ep, framed, /*protocol=*/true);
             break;
           }
           const size_t frame_size = kWireLengthSize + static_cast<size_t>(length);
@@ -838,7 +801,6 @@ void SocketTransport::MuxLoop(size_t shard) {
           if (op.hedged && op.first_endpoint >= 0 && ep != op.first_endpoint) {
             hedge_wins_->Add(1);
           }
-          if (ep != mux.preferred) preferred_switched = true;
           mux.preferred = ep;  // Sticky: the endpoint that answered serves next.
           complete(corr, std::move(frame));
         }
@@ -848,13 +810,6 @@ void SocketTransport::MuxLoop(size_t shard) {
     // ---- 7. Fire completions with the engine consistent again.
     for (Fired& f : fired) f.done(std::move(f.result));
     fired.clear();
-    if (preferred_switched) {
-      // The serving endpoint changed (failover or failback): notify after
-      // the completions so the observer sees a consistent engine. Same
-      // deferred discipline as `fired`.
-      preferred_switched = false;
-      if (options_.on_failover) options_.on_failover(shard);
-    }
   }
 }
 
@@ -933,7 +888,7 @@ ShardListener::ShardListener(Handler handler, const Options& options)
     : handler_(std::move(handler)), options_(options) {
   DBSA_CHECK(handler_ != nullptr);
   StatusOr<int> bound =
-      BindListener(options_.host, options_.port, options_.backlog, &port_);
+      BindListener(options_.host, options_.port, kBacklog, &port_);
   if (!bound.ok()) throw StatusException(bound.status());
   listen_fd_ = bound.value();
   const size_t n_workers = std::max<size_t>(1, options_.handler_threads);
@@ -983,7 +938,7 @@ void ShardListener::AcceptLoop() {
       // keep serving the live ones. Only this thread registers
       // connections, so the check cannot race RegisterConn.
       dbsa::MutexLock lock(conns_mu_);
-      if (live_fds_.size() >= options_.max_connections) {
+      if (live_fds_.size() >= kMaxConnections) {
         close(fd);
         continue;
       }
@@ -1030,7 +985,7 @@ void ShardListener::ConnectionLoop(std::shared_ptr<Conn> conn) {
     // pipeline aggressively; partial frames wait for the next read).
     while (buf.size() >= kWireLengthSize) {
       const uint32_t length = LoadLe32(buf.data());
-      if (length < 4 || static_cast<size_t>(length) > options_.max_frame_bytes) {
+      if (!CheckFrameLength(length).ok()) {
         // Not our framing: the stream cannot be resynchronized. Drop the
         // connection; the listener itself keeps accepting.
         bad_frames_.fetch_add(1, std::memory_order_relaxed);
@@ -1069,7 +1024,7 @@ void ShardListener::ConnectionLoop(std::shared_ptr<Conn> conn) {
           PatchCorrelation(&stats_response, PeekCorrelation(frame));
           dbsa::MutexLock wl(conn->write_mu);
           if (!SendAll(fd, stats_response.data(), stats_response.size(),
-                       Deadline::After(options_.write_timeout_ms))
+                       Deadline::After(kWriteTimeoutMs))
                    .ok()) {
             open = false;
             break;
@@ -1124,10 +1079,10 @@ void ShardListener::WorkerLoop() {
     // echoes it; raw test handlers get it stamped here).
     PatchCorrelation(&response, PeekCorrelation(work.frame));
     // Bounded write under the per-connection lock: a client that stops
-    // draining must not pin this worker forever (write_timeout_ms).
+    // draining must not pin this worker forever (kWriteTimeoutMs).
     dbsa::MutexLock wl(work.conn->write_mu);
     if (!SendAll(work.conn->fd, response.data(), response.size(),
-                 Deadline::After(options_.write_timeout_ms))
+                 Deadline::After(kWriteTimeoutMs))
              .ok()) {
       work.conn->open.store(false, std::memory_order_release);
       shutdown(work.conn->fd, SHUT_RDWR);

@@ -127,14 +127,11 @@ Status SendAll(int fd, const char* data, size_t n, const Deadline& deadline);
 
 /// Reads one complete length-prefixed frame ([u32 len][len bytes]) and
 /// returns it INCLUDING the prefix (transport.h decoders take the full
-/// frame). A length prefix outside [4, max_frame_bytes] is rejected with
-/// kInvalidArgument without reading further — the stream is then
-/// unsynchronized and the caller must drop the connection. When
-/// `first_byte_deadline` is set, only the wait for the frame's FIRST
-/// byte is bounded by it; the rest of the frame runs under `deadline`.
-StatusOr<std::string> ReadFrame(int fd, size_t max_frame_bytes,
-                                const Deadline& deadline,
-                                const Deadline* first_byte_deadline = nullptr);
+/// frame). A length prefix outside the framing window (CheckFrameLength)
+/// is rejected with kInvalidArgument without reading further — the
+/// stream is then unsynchronized and the caller must drop the
+/// connection.
+StatusOr<std::string> ReadFrame(int fd, const Deadline& deadline);
 
 // ------------------------------------------------------------- client
 
@@ -150,47 +147,20 @@ class SocketTransport : public Transport {
     /// Budget for one request end to end: every dial, send, recv,
     /// reconnect, hedge and failover on its behalf shares this deadline.
     /// <= 0 means no timeout (tests only — production callers should
-    /// always bound).
+    /// always bound). It also sets the tail-latency hedge: a request
+    /// with no reply after HALF this budget, whose shard has an untried
+    /// second endpoint, sends a DUPLICATE there; the first reply wins and
+    /// the loser is dropped by correlation id. A healthy endpoint whose
+    /// query legitimately computes longer than the hedge does the work
+    /// twice, so size this above twice the worst-case server latency.
     int roundtrip_timeout_ms = 10000;
     /// Base reconnect backoff; doubles per consecutive failed dial to
     /// the same endpoint (25, 50, 100, ... ms, saturating at 10 s).
     int reconnect_backoff_ms = 25;
-    /// Tail-latency hedge: a request with no reply after this budget
-    /// whose shard has an untried second endpoint sends a DUPLICATE
-    /// there; the first reply wins and the loser is dropped by
-    /// correlation id. Fires on any cause of tail latency — wedged peer,
-    /// dead connection, genuinely slow server — not just connect
-    /// failure. < 0 = half of roundtrip_timeout_ms (default); 0 disables
-    /// (a wedged first endpoint may then consume the whole deadline).
-    /// Tradeoff inherent to hedging: a healthy endpoint whose query
-    /// legitimately computes longer than the hedge does the work twice —
-    /// size it above the workload's worst-case server latency.
-    int hedge_timeout_ms = -1;
-    /// Fresh dial attempts per endpoint per request (>= 1). Discovering
-    /// that the established connection died costs no attempt; only
-    /// dials made while this request waits are charged to it.
-    int max_dial_attempts = 2;
-    /// Frames larger than this are rejected (stream desync guard).
-    size_t max_frame_bytes = size_t{64} << 20;
-    /// Cap on requests in flight per connection; further requests queue
-    /// client-side. 0 = unlimited (multiplex freely). 1 reproduces the
-    /// retired one-blocking-call-per-message discipline — the bench's
-    /// baseline arm.
-    size_t max_inflight_per_connection = 0;
     /// Registry the transport's dbsa_socket_* metrics live in (shared
     /// with the owning QueryService so one scrape covers the whole
     /// client); null gets a private one.
     std::shared_ptr<telemetry::MetricRegistry> registry;
-    /// Fired (from the shard's demux thread, outside every transport
-    /// lock) when the shard's PREFERRED endpoint changes — a reply
-    /// arrived from a different endpoint than the one serving until now,
-    /// i.e. a failover (or failback). The newly preferred endpoint may
-    /// have a cold cache: QueryService wires its post-failover replica
-    /// rewarm here (ServiceOptions::rewarm_on_failover). Must not call
-    /// back into the transport synchronously with work that blocks on
-    /// THIS shard's replies (it runs on the demux thread) — enqueue
-    /// instead.
-    std::function<void(size_t shard)> on_failover;
   };
 
   SocketTransport(ShardPlacement placement, const Options& options);
@@ -235,6 +205,10 @@ class SocketTransport : public Transport {
  private:
   /// Endpoint index within a shard's placement entry.
   enum : int { kPrimary = 0, kReplica = 1 };
+  /// Fresh dials per endpoint per request. Discovering that the
+  /// established connection died costs no attempt; only dials made while
+  /// the request waits are charged to it.
+  static constexpr int kMaxDialAttempts = 2;
 
   /// One pending request, owned by the shard's demux loop.
   struct Op {
@@ -256,7 +230,6 @@ class SocketTransport : public Transport {
     int fd = -1;
     std::string inbuf;
     std::string outbuf;
-    size_t inflight = 0;  ///< Ops with a copy outstanding here.
     bool ever_connected = false;
     int dial_failures = 0;  ///< Consecutive, drives backoff.
     Deadline backoff_until = Deadline{std::chrono::steady_clock::time_point::min()};
@@ -337,17 +310,6 @@ class ShardListener {
     std::string host = "127.0.0.1";
     /// 0 = ephemeral: the OS picks, port() reports the real one.
     uint16_t port = 0;
-    int backlog = 64;
-    size_t max_frame_bytes = size_t{64} << 20;
-    /// Budget for writing one response back to the client. A client
-    /// that stops draining its socket would otherwise pin a worker (and
-    /// the response buffer) in an unbounded send — the connection is
-    /// dropped instead. <= 0 means no timeout.
-    int write_timeout_ms = 30000;
-    /// Cap on simultaneously served connections (thread-per-connection:
-    /// this bounds the thread count). Connections accepted past the cap
-    /// are closed immediately; the listener keeps serving the rest.
-    size_t max_connections = 256;
     /// Worker threads running `handler` (shared across connections).
     /// This is the server-side concurrency of one listener: multiplexed
     /// requests on one connection execute on up to this many cores, and
@@ -435,6 +397,15 @@ class ShardListener {
   bool workers_stop_ DBSA_GUARDED_BY(work_mu_) = false;
   std::vector<std::thread> workers_;
   static constexpr size_t kMaxQueuedWork = 1024;
+  static constexpr int kBacklog = 64;
+  /// Budget for writing one response back. A client that stops draining
+  /// its socket would otherwise pin a worker (and the response buffer)
+  /// in an unbounded send; the connection is dropped instead.
+  static constexpr int kWriteTimeoutMs = 30000;
+  /// Cap on simultaneously served connections (thread-per-connection:
+  /// this bounds the thread count). Connections accepted past the cap
+  /// are closed at once; the listener keeps serving the rest.
+  static constexpr size_t kMaxConnections = 256;
 
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> frames_{0};

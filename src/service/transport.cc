@@ -69,6 +69,15 @@ Status ParseFrame(const std::string& bytes, MessageType* type,
   return Status::OK();
 }
 
+Status CheckFrameLength(uint32_t length) {
+  if (length >= 4 && static_cast<size_t>(length) <= kMaxFrameBytes) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("frame length " + std::to_string(length) +
+                                 " outside [4, " + std::to_string(kMaxFrameBytes) +
+                                 "]");
+}
+
 uint64_t PeekCorrelation(const std::string& frame) {
   if (frame.size() < kWireEnvelopeSize) return 0;
   return util::LoadWire<uint64_t>(frame.data() + kWireCorrelationOffset);
@@ -462,14 +471,6 @@ std::string Roundtrip(Transport& transport, size_t shard, std::string request) {
   while (!state->ready) state->cv.Wait(lock);
   if (!state->status.ok()) throw StatusException(state->status);
   return std::move(state->frame);
-}
-
-LoopbackTransport::Stats LoopbackTransport::stats() const {
-  Stats s;
-  s.messages = messages_->Value();
-  s.request_bytes = request_bytes_->Value();
-  s.response_bytes = response_bytes_->Value();
-  return s;
 }
 
 }  // namespace dbsa::service

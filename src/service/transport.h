@@ -92,6 +92,9 @@ inline constexpr uint8_t kWireVersion = 5;
 /// The length field counts everything AFTER itself (header remainder +
 /// payload), so a framed message is kWireLengthSize + length bytes long.
 inline constexpr size_t kWireLengthSize = sizeof(uint32_t);
+/// Largest length field either end of a stream accepts. A larger claim
+/// is not a frame of ours but a desynchronized or hostile stream.
+inline constexpr size_t kMaxFrameBytes = size_t{64} << 20;
 inline constexpr size_t kWireMagicOffset = kWireLengthSize;
 inline constexpr size_t kWireVersionOffset =
     kWireMagicOffset + sizeof(kWireMagic);
@@ -240,6 +243,14 @@ class WireReader {
 Status ParseFrame(const std::string& bytes, MessageType* type,
                   const char** payload, size_t* payload_size,
                   uint64_t* correlation = nullptr);
+
+/// The stream framing window, enforced by every reader of a byte stream
+/// before it buffers a frame: OK iff `length` lies in [4, kMaxFrameBytes].
+/// The lower end is magic+version+type, so a frame of any version still
+/// reaches ParseFrame and gets its typed skew rejection. Otherwise
+/// kInvalidArgument: the stream cannot be resynchronized and the caller
+/// must drop the connection.
+Status CheckFrameLength(uint32_t length);
 
 /// Reads the correlation id of a framed message without validating the
 /// rest of the envelope (0 if the frame is too short to carry one).
@@ -429,15 +440,6 @@ class LoopbackTransport : public Transport {
 
   size_t num_shards() const override { return handlers_.size(); }
   uint64_t Send(size_t shard, std::string request, Done done) override;
-
-  struct Stats {
-    uint64_t messages = 0;
-    uint64_t request_bytes = 0;
-    uint64_t response_bytes = 0;
-  };
-  /// Thin read of the registry counters (kept for callers that predate
-  /// the MetricRegistry migration).
-  Stats stats() const;
 
  private:
   std::vector<Handler> handlers_;

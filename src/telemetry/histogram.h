@@ -1,9 +1,8 @@
 // Fixed-boundary latency histogram VALUE type — the bucket math shared by
-// the lock-free telemetry::Histogram metric (telemetry/metrics.h), the
-// quantile view of util::RunningStats, and the bench latency summaries
-// (bench/bench_util.h). Keeping one definition means the registry's wire
-// exposition, the slow-query log and the bench reports all agree on what
-// "p95" means.
+// the lock-free telemetry::Histogram metric (telemetry/metrics.h) and the
+// quantile view of util::RunningStats. Keeping one definition means the
+// registry's wire exposition, the slow-query log and the benchmark's
+// histogram readouts all agree on what "p95" means.
 //
 // Boundaries are log2-spaced milliseconds: bucket i counts samples in
 // (UpperBound(i-1), UpperBound(i)] with UpperBound(i) = 0.001 * 2^i, from

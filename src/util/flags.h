@@ -2,8 +2,8 @@
 // (shard_server_main, examples). One definition so every binary in a
 // cluster parses flags identically — the socket walkthrough depends on
 // client and servers agreeing on dataset flags byte for byte.
-// (bench/bench_util.h has a separate richer parser for bench-only
-// conveniences; these are the deployment-facing ones.)
+// (bench/bench_util.h keeps its own integer-flag parser for the figure
+// benches; these are the deployment-facing ones.)
 
 #ifndef DBSA_UTIL_FLAGS_H_
 #define DBSA_UTIL_FLAGS_H_

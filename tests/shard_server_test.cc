@@ -50,9 +50,19 @@ void ExpectRowsIdentical(const core::AggregateAnswer& got,
 struct Seam {
   std::shared_ptr<const core::ShardedState> sharded;
   std::vector<std::shared_ptr<ShardServer>> servers;
+  /// What the transport records its dbsa_loopback_* counters into.
+  std::shared_ptr<telemetry::MetricRegistry> registry =
+      std::make_shared<telemetry::MetricRegistry>();
   std::shared_ptr<LoopbackTransport> transport;
   std::unique_ptr<ShardRouter> router;
 };
+
+/// One of the loopback transport's counters ("messages",
+/// "request_bytes", "response_bytes"), read through its registry.
+uint64_t LoopbackCounter(telemetry::MetricRegistry& registry,
+                         const std::string& name) {
+  return registry.GetCounter("dbsa_loopback_" + name + "_total")->Value();
+}
 
 Seam MakeSeam(const std::shared_ptr<const core::EngineState>& base, size_t k,
               size_t cache_budget_bytes = size_t{8} << 20) {
@@ -69,7 +79,8 @@ Seam MakeSeam(const std::shared_ptr<const core::EngineState>& base, size_t k,
       return server->Handle(request);
     });
   }
-  seam.transport = std::make_shared<LoopbackTransport>(std::move(handlers));
+  seam.transport =
+      std::make_shared<LoopbackTransport>(std::move(handlers), seam.registry);
   seam.router = std::make_unique<ShardRouter>(seam.sharded, seam.transport);
   return seam;
 }
@@ -199,7 +210,7 @@ TEST_F(ShardServerTest, ZeroSurvivingShardsAnswersZeroAcrossTheSeam) {
   const geom::Polygon far_poly = MakeRectPolygon(3000, 1000, 3800, 2000);
   const raster::HierarchicalRaster hr =
       raster::HierarchicalRaster::BuildEpsilon(far_poly, base->grid, 8.0);
-  ASSERT_TRUE(seam.sharded->SurvivingShards(hr).empty());
+  ASSERT_TRUE(seam.sharded->PlanScatter(hr, nullptr).shards.empty());
 
   const ErrorBound bound = ErrorBound::Absolute(8.0);
   const join::ResultRange got = ExecuteCount(*seam.router, far_poly, bound).range;
@@ -210,7 +221,7 @@ TEST_F(ShardServerTest, ZeroSurvivingShardsAnswersZeroAcrossTheSeam) {
   EXPECT_EQ(got.estimate, 0.0);
   EXPECT_TRUE(ExecuteSelect(*seam.router, far_poly, bound).ids.empty());
   // No messages at all crossed the transport for the empty scatter set.
-  EXPECT_EQ(seam.transport->stats().messages, 0u);
+  EXPECT_EQ(LoopbackCounter(*seam.registry, "messages"), 0u);
 }
 
 TEST_F(ShardServerTest, TransportServiceByteMatchesUnshardedEngine) {
@@ -246,7 +257,7 @@ TEST_F(ShardServerTest, TransportServiceByteMatchesUnshardedEngine) {
   for (const Submission& sub : workload) service.Submit(sub.query, sub.options);
   const std::vector<Result> results = service.Drain();
   ASSERT_EQ(results.size(), workload.size());
-  EXPECT_GT(service.transport_stats().messages, 0u);
+  EXPECT_GT(LoopbackCounter(*service.registry(), "messages"), 0u);
 
   for (size_t i = 0; i < results.size(); ++i) {
     dbsa::testing::ExpectSamePayload(results[i], Reference(*base_, workload[i]),
@@ -274,11 +285,13 @@ TEST_F(ShardServerTest, ReferenceRequestsShipFewerBytesOnRepeat) {
   const join::CellAggregate cold =
       seam.router->ScatterGather(hr, &object, level,
                                  query::ErrorBound::Absolute(4.0), {}, nullptr);
-  const LoopbackTransport::Stats after_cold = seam.transport->stats();
+  const uint64_t cold_messages = LoopbackCounter(*seam.registry, "messages");
+  const uint64_t cold_bytes = LoopbackCounter(*seam.registry, "request_bytes");
   const join::CellAggregate warm =
       seam.router->ScatterGather(hr, &object, level,
                                  query::ErrorBound::Absolute(4.0), {}, nullptr);
-  const LoopbackTransport::Stats after_warm = seam.transport->stats();
+  const uint64_t all_messages = LoopbackCounter(*seam.registry, "messages");
+  const uint64_t all_bytes = LoopbackCounter(*seam.registry, "request_bytes");
 
   // Identical partials either way (the cached slice is the pruned slice).
   EXPECT_EQ(warm.count, cold.count);
@@ -287,13 +300,11 @@ TEST_F(ShardServerTest, ReferenceRequestsShipFewerBytesOnRepeat) {
   EXPECT_EQ(warm.boundary_sum, cold.boundary_sum);
   // The repeat pass referenced the per-shard caches: same message count,
   // far fewer request bytes (no cell payloads).
-  const uint64_t cold_bytes = after_cold.request_bytes;
-  const uint64_t warm_bytes = after_warm.request_bytes - after_cold.request_bytes;
-  EXPECT_EQ(after_warm.messages, 2 * after_cold.messages);
-  EXPECT_LT(warm_bytes, cold_bytes / 4);
+  EXPECT_EQ(all_messages, 2 * cold_messages);
+  EXPECT_LT(all_bytes - cold_bytes, cold_bytes / 4);
   size_t hits = 0;
   for (const auto& server : seam.servers) hits += server->stats().cache_hits;
-  EXPECT_EQ(hits, after_cold.messages);  // Every repeat probe was a hit.
+  EXPECT_EQ(hits, cold_messages);  // Every repeat probe was a hit.
 }
 
 TEST_F(ShardServerTest, EvictedSliceFallsBackToInlineShipping) {

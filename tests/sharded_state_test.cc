@@ -185,7 +185,7 @@ TEST_F(ShardedStateTest, SelectivePolygonPrunesShards) {
   const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);
   const raster::HierarchicalRaster hr =
       raster::HierarchicalRaster::BuildEpsilon(corner, base_->grid, 8.0);
-  const std::vector<uint32_t> surviving = sharded->SurvivingShards(hr);
+  const std::vector<uint32_t> surviving = sharded->PlanScatter(hr, nullptr).shards;
   // A ~0.5% viewport touches a handful of Hilbert-local shards, not all.
   EXPECT_GE(surviving.size(), 1u);
   EXPECT_LT(surviving.size(), 8u);
@@ -215,7 +215,7 @@ TEST_F(ShardedStateTest, QueryOutsideEveryShardPrunesToZero) {
   const geom::Polygon far_poly = MakeRectPolygon(3000, 1000, 3800, 2000);
   const raster::HierarchicalRaster hr =
       raster::HierarchicalRaster::BuildEpsilon(far_poly, base->grid, 8.0);
-  EXPECT_TRUE(sharded->SurvivingShards(hr).empty());
+  EXPECT_TRUE(sharded->PlanScatter(hr, nullptr).shards.empty());
 
   const join::ResultRange got = ExecuteCount(*sharded, far_poly,
                                              ErrorBound::Absolute(8.0)).range;

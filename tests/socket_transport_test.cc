@@ -15,7 +15,10 @@
 //     primary, replica up        -> failover within the deadline (the
 //                                   first hop gets half the budget);
 //   * garbage / truncated bytes  -> the listener drops the connection
-//                                   and keeps serving (fuzzed).
+//                                   and keeps serving (fuzzed);
+//   * length prefix outside the
+//     framing window from a
+//     server                     -> kInvalidArgument, never retried.
 //
 // Plus ShardPlacement spec parsing. docs/wire-format.md and
 // docs/operations.md describe the contracts these tests pin.
@@ -29,6 +32,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dbsa.h"
@@ -43,6 +47,7 @@
 #include "test_util.h"
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -321,8 +326,7 @@ TEST_F(SocketTransportTest, StatsFramesScrapePerShardMetricsOverTheWire) {
     ASSERT_TRUE(SendAll(fd.value(), request.data(), request.size(),
                         Deadline::After(2000))
                     .ok());
-    StatusOr<std::string> frame =
-        ReadFrame(fd.value(), size_t{64} << 20, Deadline::After(5000));
+    StatusOr<std::string> frame = ReadFrame(fd.value(), Deadline::After(5000));
     close(fd.value());
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     StatsReply reply;
@@ -370,8 +374,7 @@ TEST_F(SocketTransportTest, StatsFramesScrapePerShardMetricsOverTheWire) {
   ASSERT_TRUE(SendAll(fd.value(), request.data(), request.size(),
                       Deadline::After(2000))
                   .ok());
-  StatusOr<std::string> frame =
-      ReadFrame(fd.value(), size_t{64} << 20, Deadline::After(5000));
+  StatusOr<std::string> frame = ReadFrame(fd.value(), Deadline::After(5000));
   close(fd.value());
   ASSERT_TRUE(frame.ok());
 }
@@ -489,6 +492,124 @@ TEST_F(SocketTransportTest, SilentPeerIsDeadlineExceeded) {
   close(silent_fd);
 }
 
+/// A raw TCP peer that answers the first request byte on each
+/// connection with nothing but `length` as a 4-byte length prefix, then
+/// holds the connection open until destroyed: a close would read as a
+/// connection loss, which the client retries, and a bad prefix must not
+/// be retried.
+class BadPrefixPeer {
+ public:
+  explicit BadPrefixPeer(uint32_t length) {
+    for (int i = 0; i < 4; ++i) prefix_[i] = static_cast<char>(length >> (8 * i));
+    listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;  // Ephemeral.
+    socklen_t addr_len = sizeof(addr);
+    bound_ = listen_fd_ >= 0 &&
+             bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+             listen(listen_fd_, 4) == 0 &&
+             getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len) == 0;
+    port_ = ntohs(addr.sin_port);
+    if (bound_) thread_ = std::thread([this]() { Serve(); });
+  }
+  ~BadPrefixPeer() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+    for (const int fd : conns_) close(fd);
+    if (listen_fd_ >= 0) close(listen_fd_);
+  }
+  BadPrefixPeer(const BadPrefixPeer&) = delete;
+  BadPrefixPeer& operator=(const BadPrefixPeer&) = delete;
+
+  bool bound() const { return bound_; }
+  Endpoint endpoint() const { return Endpoint{"127.0.0.1", port_}; }
+
+ private:
+  void Serve() {
+    while (!stop_.load()) {
+      pollfd p{listen_fd_, POLLIN, 0};
+      if (poll(&p, 1, /*timeout_ms=*/20) <= 0) continue;
+      const int fd = accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) continue;
+      conns_.push_back(fd);
+      pollfd c{fd, POLLIN, 0};
+      char byte = 0;
+      if (poll(&c, 1, /*timeout_ms=*/5000) == 1 && recv(fd, &byte, 1, 0) == 1) {
+        (void)!send(fd, prefix_, sizeof(prefix_), MSG_NOSIGNAL);
+      }
+    }
+  }
+
+  char prefix_[4] = {};
+  int listen_fd_ = -1;
+  bool bound_ = false;
+  uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::vector<int> conns_;  ///< Serve()'s own until the join.
+  std::thread thread_;
+};
+
+TEST_F(SocketTransportTest, MalformedLengthPrefixFromServerIsInvalidArgument) {
+  for (const uint32_t length : {uint32_t{3}, static_cast<uint32_t>(kMaxFrameBytes + 1)}) {
+    SCOPED_TRACE("length prefix " + std::to_string(length));
+    BadPrefixPeer peer(length);
+    ASSERT_TRUE(peer.bound());
+    const std::string request = ScatterRequest().Encode();
+
+    // The demux loop: a typed kInvalidArgument, not a hang or a timeout.
+    {
+      ShardPlacement placement;
+      placement.Add(peer.endpoint());
+      SocketTransport transport(placement, {});
+      try {
+        Roundtrip(transport, 0, request);
+        FAIL() << "expected StatusException";
+      } catch (const StatusException& e) {
+        EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument)
+            << e.status().ToString();
+      }
+    }
+
+    // ReadFrame on a raw connection.
+    {
+      const Deadline deadline = Deadline::After(5000);
+      StatusOr<int> fd = DialTcp(peer.endpoint(), deadline);
+      ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+      ASSERT_TRUE(SendAll(fd.value(), request.data(), request.size(), deadline).ok());
+      StatusOr<std::string> frame = ReadFrame(fd.value(), deadline);
+      close(fd.value());
+      EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument)
+          << frame.status().ToString();
+    }
+
+    // A protocol violation is a bug, not an outage: with a healthy
+    // replica placed and a budget far from its hedge, the request fails
+    // typed and the replica never sees it.
+    {
+      ShardListener replica(
+          [](const std::string&) { return GatherPartial().Encode(); },
+          ShardListener::Options());
+      ShardPlacement placement;
+      placement.Add(peer.endpoint(), replica.endpoint());
+      SocketTransport::Options options;
+      options.roundtrip_timeout_ms = 60000;
+      SocketTransport transport(placement, options);
+      try {
+        Roundtrip(transport, 0, request);
+        FAIL() << "expected StatusException";
+      } catch (const StatusException& e) {
+        EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument)
+            << e.status().ToString();
+      }
+      EXPECT_EQ(replica.stats().frames, 0u);
+      EXPECT_EQ(transport.stats().failovers, 0u);
+    }
+  }
+}
+
 TEST_F(SocketTransportTest, StalledPrimaryFailsOverToHealthyReplica) {
   // A primary that accepts (kernel backlog) but never answers must NOT
   // consume the whole roundtrip deadline: the first hop is capped at
@@ -550,16 +671,19 @@ TEST_F(SocketTransportTest, ListenerSurvivesGarbageAndTruncation) {
       ShardListener::Options());
   const Deadline deadline = Deadline::After(5000);
 
-  // (a) Garbage length prefix: connection dropped, listener alive.
-  {
+  // (a) Length prefix outside the framing window, above it and below
+  // it: connection dropped, listener alive.
+  for (const std::string& garbage :
+       {std::string("\xff\xff\xff\xff not a frame at all"),
+        std::string("\x03\x00\x00\x00xyz", 7)}) {
     StatusOr<int> fd = DialTcp(listener.endpoint(), deadline);
     ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-    const char garbage[] = "\xff\xff\xff\xff not a frame at all";
-    ASSERT_TRUE(SendAll(fd.value(), garbage, sizeof(garbage), deadline).ok());
-    StatusOr<std::string> response = ReadFrame(fd.value(), 1 << 20, deadline);
+    ASSERT_TRUE(SendAll(fd.value(), garbage.data(), garbage.size(), deadline).ok());
+    StatusOr<std::string> response = ReadFrame(fd.value(), deadline);
     EXPECT_FALSE(response.ok());  // Dropped, not answered.
     close(fd.value());
   }
+  EXPECT_EQ(listener.stats().bad_frames, 2u);
 
   // (b) Truncated frame: a valid header promising more bytes than sent,
   // then a close — the listener just drops the half-frame.
@@ -581,7 +705,7 @@ TEST_F(SocketTransportTest, ListenerSurvivesGarbageAndTruncation) {
     std::string frame = ScatterRequest().Encode();
     frame[5] ^= 0x5a;  // Break the magic.
     ASSERT_TRUE(SendAll(fd.value(), frame.data(), frame.size(), deadline).ok());
-    StatusOr<std::string> response = ReadFrame(fd.value(), 1 << 20, deadline);
+    StatusOr<std::string> response = ReadFrame(fd.value(), deadline);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     GatherPartial partial;
     ASSERT_TRUE(GatherPartial::Decode(response.value(), &partial).ok());

@@ -174,31 +174,5 @@ TEST(TransportMuxTest, AsyncSendsCompleteOutOfOrderWithExactPairing) {
   EXPECT_EQ(transport.stats().messages, kFast + 1);
 }
 
-TEST(TransportMuxTest, BlockingEquivalentCapStillCorrelates) {
-  // max_inflight_per_connection = 1 degrades the mux to one-at-a-time
-  // (the bench's "blocking" arm). Same hammer, same correctness bar.
-  EchoCluster cluster(/*handler_threads=*/4);
-  SocketTransport::Options options;
-  options.max_inflight_per_connection = 1;
-  SocketTransport transport(cluster.placement, options);
-
-  constexpr size_t kThreads = 4;
-  constexpr uint64_t kPerThread = 25;
-  std::atomic<size_t> mismatches{0};
-  std::vector<std::thread> clients;
-  for (size_t t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&, t]() {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        const uint64_t nonce = (uint64_t{t} << 32) | (i + 1);
-        const std::string reply = Roundtrip(transport, 0, NonceRequest(nonce));
-        if (ReplyNonce(reply) != (nonce ^ kEchoMask)) mismatches.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& c : clients) c.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_EQ(transport.stats().messages, kThreads * kPerThread);
-}
-
 }  // namespace
 }  // namespace dbsa::service

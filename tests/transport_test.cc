@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -431,7 +432,8 @@ TEST(LoopbackTransportTest, DispatchesToHandlersAndCounts) {
       return partial.Encode();
     });
   }
-  LoopbackTransport transport(std::move(handlers));
+  const auto registry = std::make_shared<telemetry::MetricRegistry>();
+  LoopbackTransport transport(std::move(handlers), registry);
   ASSERT_EQ(transport.num_shards(), 3u);
 
   ScatterRequest req;
@@ -446,10 +448,11 @@ TEST(LoopbackTransportTest, DispatchesToHandlersAndCounts) {
         GatherPartial::Decode(Roundtrip(transport, s, encoded), &partial).ok());
     EXPECT_EQ(partial.cells_cached, s * 100 + encoded.size());
   }
-  const LoopbackTransport::Stats stats = transport.stats();
-  EXPECT_EQ(stats.messages, 3u);
-  EXPECT_EQ(stats.request_bytes, 3 * encoded.size());
-  EXPECT_GT(stats.response_bytes, 0u);
+  EXPECT_EQ(registry->GetCounter("dbsa_loopback_messages_total")->Value(), 3u);
+  EXPECT_EQ(registry->GetCounter("dbsa_loopback_request_bytes_total")->Value(),
+            3 * encoded.size());
+  EXPECT_GT(registry->GetCounter("dbsa_loopback_response_bytes_total")->Value(),
+            0u);
 
   EXPECT_THROW(Roundtrip(transport, 3, encoded), std::runtime_error);
 }

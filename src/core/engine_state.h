@@ -145,9 +145,9 @@ void RunMaybeParallel(const ExecHooks& hooks, size_t n,
 //                 (service/shard_server.h).
 //
 // Every source answers byte-identically: plans resolve against base()
-// alone, a sharded source gathers its per-shard partials in ascending
-// shard order and re-sorts its selection to the index's canonical
-// (leaf key, row id) order.
+// alone, and a sharded source gathers its per-shard partials in ascending
+// shard order and merges its shards' selections, each already in the
+// index's canonical (leaf key, row id) order.
 
 struct EngineState;
 

@@ -305,10 +305,10 @@ std::vector<uint32_t> ShardedState::SelectIds(const Probe& probe,
   DBSA_CHECK(has_slices());  // Routing-only builds: ShardRouter only.
   const raster::HierarchicalRaster& hr = probe.hr;
   const Scatter scatter = PlanScatter(hr, probe.touched);
-  // Scatter: each surviving shard selects its local rows, remapped to
-  // base-table ids.
+  // Scatter: each surviving shard selects its local rows as a keyed run
+  // of base-table ids.
   const size_t n = scatter.shards.size();
-  std::vector<std::vector<uint32_t>> per_shard(n);
+  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> runs(n);
   std::vector<size_t> per_shard_cells(n, 0);
   RunMaybeParallel(hooks, n, [&](size_t t) {
     const Shard& shard = shards_[scatter.shards[t]];
@@ -316,21 +316,12 @@ std::vector<uint32_t> ShardedState::SelectIds(const Probe& probe,
         scatter.shards[t], hr.cells().data(), scatter.routes.data(),
         hr.cells().size());
     per_shard_cells[t] = slice.size();
-    std::vector<uint32_t> local;
-    shard.state->point_index->SelectIds(slice.data(), slice.size(),
-                                        join::SearchStrategy::kRadixSpline, &local);
-    per_shard[t].reserve(local.size());
-    for (const uint32_t l : local) per_shard[t].push_back(shard.global_ids[l]);
+    runs[t] = SelectKeyedIds(*shard.state, shard.global_ids, slice.data(),
+                             slice.size());
   });
   *cells = 0;
   for (const size_t c : per_shard_cells) *cells += c;
-  std::vector<std::pair<uint64_t, uint32_t>> keyed;
-  for (const std::vector<uint32_t>& ids : per_shard) {
-    for (const uint32_t id : ids) {
-      keyed.emplace_back(base_->grid.LeafKey(base_->points->locs[id]), id);
-    }
-  }
-  return GatherIds(std::move(keyed));
+  return GatherIds(std::move(runs));
 }
 
 join::CellAggregate GatherCells(const std::vector<join::CellAggregate>& partials) {
@@ -339,16 +330,60 @@ join::CellAggregate GatherCells(const std::vector<join::CellAggregate>& partials
   return agg;
 }
 
-std::vector<uint32_t> GatherIds(std::vector<std::pair<uint64_t, uint32_t>> keyed) {
+std::vector<uint32_t> GatherIds(
+    std::vector<std::vector<std::pair<uint64_t, uint32_t>>> runs) {
   // The unsharded index emits ids in (leaf key, row id) order — disjoint
   // cells ascending, canonical tie-break inside each cell (see
-  // PrefixSumIndex::Build) — so sorting the union by the same key
-  // restores that order exactly.
-  std::sort(keyed.begin(), keyed.end());
+  // PrefixSumIndex::Build). Shards partition the rows, so no pair occurs
+  // in two runs, and merging the ascending runs pairwise restores that
+  // order exactly.
+  while (runs.size() > 1) {
+    std::vector<std::vector<std::pair<uint64_t, uint32_t>>> merged;
+    merged.reserve((runs.size() + 1) / 2);
+    for (size_t r = 0; r + 1 < runs.size(); r += 2) {
+      std::vector<std::pair<uint64_t, uint32_t>> out(runs[r].size() +
+                                                     runs[r + 1].size());
+      std::merge(runs[r].begin(), runs[r].end(), runs[r + 1].begin(),
+                 runs[r + 1].end(), out.begin());
+      merged.push_back(std::move(out));
+    }
+    if (runs.size() % 2 == 1) merged.push_back(std::move(runs.back()));
+    runs = std::move(merged);
+  }
   std::vector<uint32_t> ids;
-  ids.reserve(keyed.size());
-  for (const auto& [key, id] : keyed) ids.push_back(id);
+  if (runs.empty()) return ids;
+  ids.reserve(runs[0].size());
+  for (const auto& [key, id] : runs[0]) ids.push_back(id);
   return ids;
+}
+
+std::vector<std::pair<uint64_t, uint32_t>> SelectKeyedIds(
+    const EngineState& slice, const std::vector<uint32_t>& global_ids,
+    const raster::HrCell* cells, size_t num_cells) {
+  DBSA_CHECK(slice.point_index.has_value());
+  const join::PointIndex& point_index = *slice.point_index;
+  // Position ranges first, so the output is sized once.
+  std::vector<join::PositionRange> ranges;
+  size_t total = 0;
+  point_index.ForEachRun(cells, num_cells, join::SearchStrategy::kRadixSpline,
+                         /*split_on_flag=*/false,
+                         [&](join::PositionRange pos, bool /*boundary*/) {
+                           if (pos.hi <= pos.lo) return;
+                           ranges.push_back(pos);
+                           total += pos.hi - pos.lo;
+                         });
+  // Each point's leaf key sits in the index's sorted key array at its
+  // position: read in order, it needs neither the point nor the grid.
+  const index::PrefixSumIndex& prefix = point_index.prefix_index();
+  const std::vector<uint64_t>& keys = prefix.keys().keys();
+  std::vector<std::pair<uint64_t, uint32_t>> keyed;
+  keyed.reserve(total);
+  for (const join::PositionRange& pos : ranges) {
+    for (size_t i = pos.lo; i < pos.hi; ++i) {
+      keyed.emplace_back(keys[i], global_ids[prefix.IdAt(i)]);
+    }
+  }
+  return keyed;
 }
 
 AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,

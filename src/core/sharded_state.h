@@ -19,7 +19,8 @@
 //   execute  each surviving shard answers its cell subset from its local
 //            point index (fanned out via ExecHooks::parallel_for);
 //   gather   shard partials merge in ascending shard order via
-//            CellAggregate::Merge (GatherCells), and the executor combines
+//            CellAggregate::Merge (GatherCells), selections merge their
+//            shards' keyed runs (GatherIds), and the executor combines
 //            regions exactly like the unsharded point-index plan.
 //
 // Merge identity: shards partition the points, every point's home cell
@@ -222,9 +223,21 @@ inline constexpr size_t kShardFanOutMinCells = 256;
 /// sums compensated pairs, so the fold is exact) ...
 join::CellAggregate GatherCells(const std::vector<join::CellAggregate>& partials);
 
-/// ... and a selection's (leaf key, base row id) pairs re-sort to the
-/// (key, row) order the unsharded index emits, keys stripped.
-std::vector<uint32_t> GatherIds(std::vector<std::pair<uint64_t, uint32_t>> keyed);
+/// ... and a selection's runs, one per surviving shard in ascending shard
+/// order, each strictly ascending in (leaf key, base row id), merge into
+/// the (key, row) order the unsharded index emits, keys stripped.
+std::vector<uint32_t> GatherIds(
+    std::vector<std::vector<std::pair<uint64_t, uint32_t>>> runs);
+
+/// One shard's selection as a gather run: the (leaf key, base row id) of
+/// every point of `slice` that `cells` cover, keys read from the slice's
+/// own point index and row ids remapped through `global_ids` (local row →
+/// base row). For Z-ordered cells the run is strictly ascending: the
+/// index holds its points in (key, local row) order, and `global_ids` is
+/// ascending. Needs slice.point_index.
+std::vector<std::pair<uint64_t, uint32_t>> SelectKeyedIds(
+    const EngineState& slice, const std::vector<uint32_t>& global_ids,
+    const raster::HrCell* cells, size_t num_cells);
 
 /// The sharded entry points (forwards to the ShardSource executors in
 /// core/engine_state.h). Results are byte-identical to the whole state's

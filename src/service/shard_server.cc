@@ -180,17 +180,10 @@ GatherPartial ShardServer::Dispatch(const ScatterRequest& request) {
     }
     case ScatterRequest::Kind::kSelectIds: {
       out.probe_cells = num_cells;
-      std::vector<uint32_t> local;
-      state_->point_index->SelectIds(cells, num_cells,
-                                     join::SearchStrategy::kRadixSpline, &local);
-      out.keyed_ids.reserve(local.size());
-      // Keys computed from the shard's own copy of the point (identical
-      // bits to the base table row), ids remapped to base rows: the
-      // router needs no point data to canonicalize the gather.
-      for (const uint32_t l : local) {
-        out.keyed_ids.emplace_back(state_->grid.LeafKey(state_->points->locs[l]),
-                                   global_ids_[l]);
-      }
+      // Keys from the slice's own index (the base grid's leaf keys), ids
+      // remapped to base rows: the router merges the runs with no point
+      // data.
+      out.keyed_ids = core::SelectKeyedIds(*state_, global_ids_, cells, num_cells);
       break;
     }
     case ScatterRequest::Kind::kWarm:
@@ -577,18 +570,18 @@ std::vector<uint32_t> ShardRouter::SelectIds(const core::Probe& probe,
       GatherFromShards(ScatterRequest::Kind::kSelectIds, &object, probe.level,
                        probe.bound, probe.hr, scatter, hooks);
   // Cells are counted per shard slice, exact even on cache-reference hits
-  // (the partials report them).
-  std::vector<std::pair<uint64_t, uint32_t>> keyed;
-  {
-    telemetry::SpanTimer gather_span(hooks.trace, "gather");
-    *cells = 0;
-    for (GatherPartial& partial : partials) {
-      *cells += partial.probe_cells;
-      keyed.insert(keyed.end(), partial.keyed_ids.begin(),
-                   partial.keyed_ids.end());
-    }
+  // (the partials report them). Each partial's pairs are one ascending run
+  // (GatherPartial::Decode enforces it), positional in the ascending
+  // survivor list.
+  telemetry::SpanTimer gather_span(hooks.trace, "gather");
+  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> runs;
+  runs.reserve(partials.size());
+  *cells = 0;
+  for (GatherPartial& partial : partials) {
+    *cells += partial.probe_cells;
+    runs.push_back(std::move(partial.keyed_ids));
   }
-  return core::GatherIds(std::move(keyed));
+  return core::GatherIds(std::move(runs));
 }
 
 size_t ShardRouter::WarmObject(const ObjectKey& object, int level,

@@ -13,9 +13,9 @@
 // executes scatter/gather over a Transport. The results are
 // BYTE-IDENTICAL to the in-process sharded engine: cell aggregates
 // travel as IEEE-754 bit patterns and merge in ascending shard order;
-// selections travel as (leaf key, base row id) pairs and re-sort to the
-// canonical (key, row) order (see core/sharded_state.h for the merge
-// identity; tested in shard_server_test.cc).
+// selections travel as (leaf key, base row id) runs, ascending per shard,
+// and merge into the canonical (key, row) order (see core/sharded_state.h
+// for the merge identity; tested in shard_server_test.cc).
 //
 // Per-shard HR cache: a shard caches the routed cell slice of each
 // approximation it has seen, keyed by (ApproxCache object key, epsilon

@@ -177,9 +177,6 @@ class SocketTransport : public Transport {
   /// malformed response stream.
   uint64_t Send(size_t shard, std::string request, Done done) override;
 
-  const ShardPlacement& placement() const { return placement_; }
-  const Options& options() const { return options_; }
-
   struct Stats {
     uint64_t messages = 0;        ///< Successfully completed requests.
     uint64_t request_bytes = 0;   ///< Of successful requests.

@@ -353,6 +353,12 @@ dbsa::Status GatherPartial::Decode(const std::string& bytes, GatherPartial* out)
       for (uint32_t i = 0; i < n; ++i) {
         const uint64_t key = r.U64();
         const uint32_t id = r.U32();
+        // The gather merges the shards' runs (core::GatherIds), which
+        // needs each run strictly ascending in (leaf key, row id).
+        if (i > 0 && !(out->keyed_ids.back() < std::make_pair(key, id))) {
+          return Status::InvalidArgument(
+              "select ids not strictly ascending in (leaf key, row id)");
+        }
         out->keyed_ids.emplace_back(key, id);
       }
       break;

@@ -347,7 +347,8 @@ struct GatherPartial {
   /// kAggregateCells: the shard's cell aggregate (doubles bit-exact,
   /// compensated SUM pairs included).
   join::CellAggregate aggregate;
-  /// kSelectIds: (base-grid leaf key, base-table row id), ascending.
+  /// kSelectIds: (base-grid leaf key, base-table row id), strictly
+  /// ascending — one gather run; Decode rejects any other order.
   std::vector<std::pair<uint64_t, uint32_t>> keyed_ids;
   /// kSelectIds: cells of the slice the shard probed — reported even on
   /// cache-reference hits (the server knows its slice size when the

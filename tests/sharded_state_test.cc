@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dbsa.h"
@@ -263,6 +265,79 @@ TEST_F(ShardedStateTest, ShardedQueryServiceByteMatchesUnshardedEngine) {
     dbsa::testing::ExpectSamePayload(results[i],
                                      dbsa::testing::Reference(*base_, workload[i]),
                                      "request " + std::to_string(i));
+  }
+}
+
+// ---- the selection merge -----------------------------------------------
+
+TEST(GatherIdsTest, MergesRunsByKeyThenRowId) {
+  using Run = std::vector<std::pair<uint64_t, uint32_t>>;
+  // Equal keys in two runs, their ids in reverse run order: the second
+  // run's (5, 2) goes before the first run's (5, 3).
+  EXPECT_EQ(GatherIds({Run{{5, 3}, {9, 1}}, Run{{5, 2}, {7, 4}}}),
+            (std::vector<uint32_t>{2, 3, 4, 1}));
+  // Three interleaved runs (an odd count leaves one unpaired per round).
+  EXPECT_EQ(GatherIds({Run{{1, 10}, {4, 13}, {8, 16}}, Run{{2, 11}, {5, 14}},
+                       Run{{3, 12}, {6, 15}, {9, 17}}}),
+            (std::vector<uint32_t>{10, 11, 12, 13, 14, 15, 16, 17}));
+  // An empty run among others, one run alone, and no runs at all.
+  EXPECT_EQ(GatherIds({Run{{2, 7}}, Run{}, Run{{1, 8}}}),
+            (std::vector<uint32_t>{8, 7}));
+  EXPECT_EQ(GatherIds({Run{{4, 1}, {4, 9}}}), (std::vector<uint32_t>{1, 9}));
+  EXPECT_TRUE(GatherIds({}).empty());
+}
+
+TEST(ShardedSelectTest, EqualKeysAcrossEveryShardCutMergeLikeUnsharded) {
+  // 3,000 of 5,000 points share one location, interleaved in row order
+  // with the rest. They share one curve cell, so in the (rank, row)
+  // order the cut uses they form one block longer than half the points,
+  // and every cut at K = 2 or 7 splits it: equal leaf keys reach the
+  // gather from two or more shards.
+  data::TaxiConfig taxi_config;
+  taxi_config.universe = geom::Box(0, 0, 4096, 4096);
+  data::PointSet points = data::GenerateTaxiPoints(5000, taxi_config);
+  const geom::Point hot{2048.3, 1900.7};
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (i % 5 < 3) points.locs[i] = hot;
+  }
+  data::RegionConfig region_config;
+  region_config.universe = taxi_config.universe;
+  region_config.num_polygons = 8;
+  const auto base =
+      BuildEngineState(std::move(points), data::GenerateRegions(region_config));
+  const geom::Polygon around = MakeRectPolygon(1800, 1650, 2300, 2150);
+
+  for (const size_t k : {size_t{2}, size_t{7}}) {
+    const std::string label = "k=" + std::to_string(k);
+    const auto sharded = ShardedState::Build(base, {k});
+    size_t shards_holding_hot = 0;
+    for (size_t s = 0; s < sharded->num_shards(); ++s) {
+      const std::vector<uint32_t>& ids = sharded->shard(s).global_ids;
+      shards_holding_hot += std::any_of(ids.begin(), ids.end(), [&](uint32_t id) {
+        return base->points->locs[id] == hot;
+      });
+    }
+    EXPECT_GE(shards_holding_hot, 2u) << label;
+
+    service::ServiceOptions options;
+    options.num_threads = 2;
+    options.num_shards = k;
+    options.use_transport = true;
+    service::QueryService seam(base, options);
+    for (const double eps : {4.0, 16.0}) {
+      const std::string at = label + " eps=" + std::to_string(eps);
+      const std::vector<uint32_t> want =
+          ExecuteSelect(*base, around, ErrorBound::Absolute(eps)).ids;
+      EXPECT_GE(want.size(), 3000u) << at;
+      EXPECT_EQ(ExecuteSelect(*sharded, around, ErrorBound::Absolute(eps)).ids, want)
+          << at << " in-process";
+      EXPECT_EQ(seam.Execute(service::Query::Select(around),
+                             dbsa::testing::Options(ErrorBound::Absolute(eps)))
+                    .get()
+                    .ids,
+                want)
+          << at << " loopback";
+    }
   }
 }
 

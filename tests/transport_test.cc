@@ -14,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "raster/cell_id.h"
@@ -322,6 +323,29 @@ TEST(GatherPartialTest, SelectWarmAndErrorRoundTrip) {
   ASSERT_TRUE(GatherPartial::Decode(not_cached.Encode(), &got).ok());
   EXPECT_EQ(got.status, GatherPartial::Disposition::kNotCached);
   EXPECT_EQ(got.ToStatus().code(), StatusCode::kNotFound);
+}
+
+TEST(GatherPartialTest, SelectPairsMustBeStrictlyAscending) {
+  // The router merges each shard's pairs as one ascending run
+  // (core::GatherIds), so a run out of (leaf key, row id) order is a
+  // malformed partial.
+  GatherPartial partial;
+  partial.kind = ScatterRequest::Kind::kSelectIds;
+  GatherPartial got;
+  const std::vector<std::vector<std::pair<uint64_t, uint32_t>>> bad_runs = {
+      {{42, 7}, {41, 8}},            // key descends
+      {{42, 8}, {42, 7}},            // equal keys, row id descends
+      {{40, 1}, {42, 7}, {42, 7}}};  // a repeated pair
+  for (const auto& bad : bad_runs) {
+    partial.keyed_ids = bad;
+    EXPECT_EQ(GatherPartial::Decode(partial.Encode(), &got).code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Equal keys with ascending row ids (one cell holding several points)
+  // round-trip.
+  partial.keyed_ids = {{42, 7}, {42, 8}, {43, 1}};
+  ASSERT_TRUE(GatherPartial::Decode(partial.Encode(), &got).ok());
+  EXPECT_EQ(got.keyed_ids, partial.keyed_ids);
 }
 
 TEST(GatherPartialTest, RejectsUnknownStatusCode) {

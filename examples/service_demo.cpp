@@ -9,9 +9,13 @@
 //      actually guaranteed, HR level served, cells touched, cache hits —
 //      the paper's bound as an observable, not a float argument.
 //
+// Exits 1 if any query fails, so CI sees a failed query.
+//
 // Build & run:  ./build/example_service_demo
 
 #include <cstdio>
+#include <future>
+#include <vector>
 
 #include "core/dbsa.h"
 
@@ -54,50 +58,52 @@ int main() {
   service::ExecOptions exact;  // "no approximation at all".
   exact.bound = query::ErrorBound::Exact();
 
+  std::vector<std::future<service::Result>> futures;  // In submission order.
   for (int burst = 0; burst < 3; ++burst) {
-    service.Submit(service::Query::Aggregate(join::AggKind::kCount), within_10m);
-    service.Submit(
+    futures.push_back(
+        service.Execute(service::Query::Aggregate(join::AggKind::kCount), within_10m));
+    futures.push_back(service.Execute(
         service::Query::Aggregate(join::AggKind::kSum, core::Attr::kFare),
-        within_10m);
+        within_10m));
   }
   geom::Polygon viewport = geom::ParseWktPolygon(
                                "POLYGON ((4000 4000, 12000 5000, 12000 12000, "
                                "8000 10000, 4000 12000, 4000 4000))")
                                .value();
-  service.Submit(service::Query::Count(viewport), at_level);
-  service.Submit(service::Query::Count(viewport), exact);
-  service.Submit(service::Query::Select(viewport), at_level);
+  futures.push_back(service.Execute(service::Query::Count(viewport), at_level));
+  futures.push_back(service.Execute(service::Query::Count(viewport), exact));
+  futures.push_back(service.Execute(service::Query::Select(viewport), at_level));
 
-  // 4. Drain and read the achieved bound off every Result.
-  for (const service::Result& r : service.Drain()) {
+  // 4. Wait for each Result and read the achieved bound off it.
+  size_t failed = 0;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const service::Result r = futures[i].get();
     if (!r.ok()) {
-      std::printf("#%llu FAILED: %s\n", static_cast<unsigned long long>(r.ticket),
-                  r.status.ToString().c_str());
+      std::printf("#%zu FAILED: %s\n", i, r.status.ToString().c_str());
+      ++failed;
       continue;
     }
     const service::BoundReport& b = r.bound;
     switch (r.kind) {
       case service::QueryKind::kAggregate:
         std::printf(
-            "#%llu %-14s rows=%zu  asked %s, served eps<=%.3f (level %d), "
+            "#%zu %-14s rows=%zu  asked %s, served eps<=%.3f (level %d), "
             "%zu cells, cache %zu/%zu hit/miss\n",
-            static_cast<unsigned long long>(r.ticket),
-            query::PlanKindName(r.aggregate.stats.plan), r.aggregate.rows.size(),
+            i, query::PlanKindName(r.aggregate.stats.plan), r.aggregate.rows.size(),
             b.requested.ToString().c_str(), b.epsilon_achieved, b.hr_level,
             b.cells_touched, b.hr_cache_hits, b.hr_cache_misses);
         break;
       case service::QueryKind::kCount:
         std::printf(
-            "#%llu viewport count  %.0f in [%.0f, %.0f]  asked %s, served "
+            "#%zu viewport count  %.0f in [%.0f, %.0f]  asked %s, served "
             "eps<=%.3f (level %d)\n",
-            static_cast<unsigned long long>(r.ticket), r.range.estimate,
-            r.range.lo, r.range.hi, b.requested.ToString().c_str(),
-            b.epsilon_achieved, b.hr_level);
+            i, r.range.estimate, r.range.lo, r.range.hi,
+            b.requested.ToString().c_str(), b.epsilon_achieved, b.hr_level);
         break;
       case service::QueryKind::kSelect:
-        std::printf("#%llu select          %zu ids  (%s via %s path)\n",
-                    static_cast<unsigned long long>(r.ticket), r.ids.size(),
-                    b.requested.ToString().c_str(), ExecPathName(b.path));
+        std::printf("#%zu select          %zu ids  (%s via %s path)\n", i,
+                    r.ids.size(), b.requested.ToString().c_str(),
+                    ExecPathName(b.path));
         break;
     }
   }
@@ -109,5 +115,9 @@ int main() {
       "(%.0f%% hit ratio)\n",
       stats.entries, static_cast<double>(stats.bytes_used) / (1 << 20), stats.hits,
       stats.misses, 100.0 * stats.HitRatio());
+  if (failed > 0) {
+    std::printf("FAILED: %zu of %zu queries\n", failed, futures.size());
+    return 1;
+  }
   return 0;
 }

@@ -23,6 +23,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,11 +40,12 @@ namespace {
 
 using dbsa::util::FlagValue;
 
-/// The demo workload: every query kind under every bound regime.
-std::vector<uint64_t> SubmitWorkload(dbsa::service::QueryService& service,
-                                     const dbsa::geom::Polygon& viewport) {
+/// The demo workload: every query kind under every bound regime. Returns
+/// one future per query, in submission order.
+std::vector<std::future<dbsa::service::Result>> ExecuteWorkload(
+    dbsa::service::QueryService& service, const dbsa::geom::Polygon& viewport) {
   using namespace dbsa;
-  std::vector<uint64_t> tickets;
+  std::vector<std::future<service::Result>> futures;
   service::ExecOptions within_8;
   within_8.bound = query::ErrorBound::Absolute(8.0);
   // Pin the point index so every aggregate crosses the shard seam (kAuto
@@ -55,15 +57,15 @@ std::vector<uint64_t> SubmitWorkload(dbsa::service::QueryService& service,
   exact.bound = query::ErrorBound::Exact();
 
   for (const service::ExecOptions& options : {within_8, at_level, exact}) {
-    tickets.push_back(service.Submit(
+    futures.push_back(service.Execute(
         service::Query::Aggregate(join::AggKind::kCount), options));
-    tickets.push_back(service.Submit(
+    futures.push_back(service.Execute(
         service::Query::Aggregate(join::AggKind::kSum, core::Attr::kFare),
         options));
-    tickets.push_back(service.Submit(service::Query::Count(viewport), options));
-    tickets.push_back(service.Submit(service::Query::Select(viewport), options));
+    futures.push_back(service.Execute(service::Query::Count(viewport), options));
+    futures.push_back(service.Execute(service::Query::Select(viewport), options));
   }
-  return tickets;
+  return futures;
 }
 
 /// Byte-level equality of two Result payloads (aggregate rows, count
@@ -114,42 +116,39 @@ bool SameResult(const dbsa::service::Result& got, const dbsa::service::Result& w
   return false;
 }
 
-/// Runs the workload on both services and compares ticket by ticket.
+/// Runs the workload on both services and compares query by query.
 bool RunAndCompare(dbsa::service::QueryService& socket_service,
                    dbsa::service::QueryService& loopback_service,
                    const dbsa::geom::Polygon& viewport, const char* label) {
-  SubmitWorkload(socket_service, viewport);
-  SubmitWorkload(loopback_service, viewport);
-  const auto got = socket_service.Drain();
-  const auto want = loopback_service.Drain();
-  if (got.size() != want.size()) {
-    std::printf("[%s] DRAIN SIZE MISMATCH %zu vs %zu\n", label, got.size(),
-                want.size());
-    return false;
-  }
+  auto got = ExecuteWorkload(socket_service, viewport);
+  auto want = ExecuteWorkload(loopback_service, viewport);
   size_t identical = 0;
+  dbsa::service::Result sample;
   for (size_t i = 0; i < want.size(); ++i) {
+    const dbsa::service::Result g = got[i].get();
+    const dbsa::service::Result w = want[i].get();
     std::string why;
-    if (!got[i].ok()) {
+    if (!g.ok()) {
       std::printf("[%s] query %zu failed: %s\n", label, i,
-                  got[i].status.ToString().c_str());
+                  g.status.ToString().c_str());
       return false;
     }
-    if (!SameResult(got[i], want[i], &why)) {
+    if (!SameResult(g, w, &why)) {
       std::printf("[%s] query %zu DIVERGED (%s)\n", label, i, why.c_str());
       return false;
     }
+    if (i == 0) sample = g;
     ++identical;
   }
   std::printf("[%s] %zu/%zu results byte-identical to the loopback seam\n",
               label, identical, want.size());
-  if (!got.empty()) {
+  if (!want.empty()) {
     // Every query minted a trace id (identity travels to every shard in
     // the v3 frames); print one so an operator can grep it out of a
     // SLOW_QUERY / SLOW_SHARD line on the servers.
     std::printf("[%s] sample trace id: %s\n", label,
-                dbsa::telemetry::TraceIdHex(got.front().bound.trace_hi,
-                                            got.front().bound.trace_lo)
+                dbsa::telemetry::TraceIdHex(sample.bound.trace_hi,
+                                            sample.bound.trace_lo)
                     .c_str());
   }
   return true;

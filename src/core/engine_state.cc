@@ -395,22 +395,4 @@ SelectAnswer ExecuteSelect(const ShardSource& source, const geom::Polygon& poly,
   return out;
 }
 
-AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
-                                 Attr attr, const query::ErrorBound& bound,
-                                 Mode mode, const ExecHooks& hooks) {
-  return ExecuteAggregate(static_cast<const ShardSource&>(state), agg, attr, bound,
-                          mode, hooks);
-}
-
-CountAnswer ExecuteCount(const EngineState& state, const geom::Polygon& poly,
-                         const query::ErrorBound& bound, const ExecHooks& hooks) {
-  return ExecuteCount(static_cast<const ShardSource&>(state), poly, bound, hooks);
-}
-
-SelectAnswer ExecuteSelect(const EngineState& state, const geom::Polygon& poly,
-                           const query::ErrorBound& bound,
-                           const ExecHooks& hooks) {
-  return ExecuteSelect(static_cast<const ShardSource&>(state), poly, bound, hooks);
-}
-
 }  // namespace dbsa::core

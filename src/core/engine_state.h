@@ -270,18 +270,6 @@ SelectAnswer ExecuteSelect(const ShardSource& source, const geom::Polygon& poly,
                            const query::ErrorBound& bound,
                            const ExecHooks& hooks = {});
 
-/// The whole-state entry points (forwards to the executors above).
-AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
-                                 Attr attr, const query::ErrorBound& bound,
-                                 Mode mode = Mode::kAuto,
-                                 const ExecHooks& hooks = {});
-CountAnswer ExecuteCount(const EngineState& state, const geom::Polygon& poly,
-                         const query::ErrorBound& bound,
-                         const ExecHooks& hooks = {});
-SelectAnswer ExecuteSelect(const EngineState& state, const geom::Polygon& poly,
-                           const query::ErrorBound& bound,
-                           const ExecHooks& hooks = {});
-
 }  // namespace dbsa::core
 
 #endif  // DBSA_CORE_ENGINE_STATE_H_

@@ -386,22 +386,4 @@ std::vector<std::pair<uint64_t, uint32_t>> SelectKeyedIds(
   return keyed;
 }
 
-AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
-                                 Attr attr, const query::ErrorBound& bound,
-                                 Mode mode, const ExecHooks& hooks) {
-  return ExecuteAggregate(static_cast<const ShardSource&>(sharded), agg, attr,
-                          bound, mode, hooks);
-}
-
-CountAnswer ExecuteCount(const ShardedState& sharded, const geom::Polygon& poly,
-                         const query::ErrorBound& bound, const ExecHooks& hooks) {
-  return ExecuteCount(static_cast<const ShardSource&>(sharded), poly, bound, hooks);
-}
-
-SelectAnswer ExecuteSelect(const ShardedState& sharded, const geom::Polygon& poly,
-                           const query::ErrorBound& bound,
-                           const ExecHooks& hooks) {
-  return ExecuteSelect(static_cast<const ShardSource&>(sharded), poly, bound, hooks);
-}
-
 }  // namespace dbsa::core

@@ -36,7 +36,8 @@
 // Tested with adversarial non-dyadic attributes at K in {1,7,16} in
 // sharded_state_test.cc. The identity holds under Mode::kAuto too: plans
 // resolve against the base state and the bound alone, never the shard
-// count.
+// count. Only the ExecStats bookkeeping (shards_probed, index_bytes, the
+// query-cell counters) shows the sharding.
 
 #ifndef DBSA_CORE_SHARDED_STATE_H_
 #define DBSA_CORE_SHARDED_STATE_H_
@@ -238,22 +239,6 @@ std::vector<uint32_t> GatherIds(
 std::vector<std::pair<uint64_t, uint32_t>> SelectKeyedIds(
     const EngineState& slice, const std::vector<uint32_t>& global_ids,
     const raster::HrCell* cells, size_t num_cells);
-
-/// The sharded entry points (forwards to the ShardSource executors in
-/// core/engine_state.h). Results are byte-identical to the whole state's
-/// under every mode (see the merge identity above); only the ExecStats
-/// bookkeeping fields (shards_probed, index_bytes, query-cell counters)
-/// reflect the sharded execution.
-AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
-                                 Attr attr, const query::ErrorBound& bound,
-                                 Mode mode = Mode::kAuto,
-                                 const ExecHooks& hooks = {});
-CountAnswer ExecuteCount(const ShardedState& sharded, const geom::Polygon& poly,
-                         const query::ErrorBound& bound,
-                         const ExecHooks& hooks = {});
-SelectAnswer ExecuteSelect(const ShardedState& sharded, const geom::Polygon& poly,
-                           const query::ErrorBound& bound,
-                           const ExecHooks& hooks = {});
 
 }  // namespace dbsa::core
 

@@ -133,7 +133,7 @@ struct ExecOptions {
   /// bound, identically on every path. Both plans carry a guaranteed
   /// range. Aggregates the point index cannot answer run exact anyway.
   core::Mode mode = core::Mode::kAuto;
-  /// Wall-clock budget measured from Submit; 0 = none. Enforced at
+  /// Wall-clock budget measured from the Execute call; 0 = none. Enforced at
   /// execution start: a query still queued past its deadline answers
   /// kDeadlineExceeded instead of running.
   double deadline_ms = 0.0;
@@ -194,9 +194,8 @@ struct BoundReport {
 
 /// Response to one query: the payload field matching `kind`, the achieved
 /// bound, and a typed status. A failed query carries its Status (never a
-/// loose string) and default payloads — Drain still never loses a ticket.
+/// loose string) and default payloads.
 struct Result {
-  uint64_t ticket = 0;
   QueryKind kind = QueryKind::kAggregate;
   Status status;
 
@@ -209,7 +208,7 @@ struct Result {
   bool ok() const { return status.ok(); }
 };
 
-/// Admission validation shared by every submission path: the bound
+/// Admission validation, run before every query executes: the bound
 /// against the serving grid (ErrorBound::ValidateFor) plus per-spec rules
 /// (SUM/AVG/MIN/MAX need a column, polygons need >= 3 finite vertices).
 /// OK does not mean the execution cannot fail — it means the envelope is

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <vector>
 
 #include "util/check.h"
 #include "util/timer.h"
@@ -116,20 +117,18 @@ QueryService::QueryService(std::shared_ptr<const core::EngineState> state,
     server_options.registry = registry_;
     server_options.serving_epoch = options.serving_epoch;
     std::vector<LoopbackTransport::Handler> handlers;
-    servers_.reserve(sharded_->num_shards());
     handlers.reserve(sharded_->num_shards());
     for (size_t s = 0; s < sharded_->num_shards(); ++s) {
       const core::ShardedState::Shard& shard = sharded_->shard(s);
       server_options.shard_index = s;
-      servers_.push_back(std::make_shared<ShardServer>(
-          shard.state, shard.global_ids, server_options));
-      handlers.push_back(
-          [server = servers_.back()](const std::string& request) {
-            return server->Handle(request);
-          });
+      auto server = std::make_shared<ShardServer>(shard.state, shard.global_ids,
+                                                  server_options);
+      handlers.push_back([server](const std::string& request) {
+        return server->Handle(request);
+      });
     }
-    loopback_ = std::make_shared<LoopbackTransport>(std::move(handlers), registry_);
-    router_ = std::make_unique<ShardRouter>(sharded_, loopback_);
+    router_ = std::make_unique<ShardRouter>(
+        sharded_, std::make_shared<LoopbackTransport>(std::move(handlers), registry_));
   }
   if (router_ != nullptr) {
     // Pin every outgoing scatter to the serving generation (wire v5
@@ -286,8 +285,7 @@ void QueryService::FinishQueryTelemetry(const Result& result,
   }
 }
 
-Result QueryService::RunQuery(uint64_t ticket, const Query& query,
-                              const ExecOptions& options,
+Result QueryService::RunQuery(const Query& query, const ExecOptions& options,
                               Clock::time_point submitted) {
   Timer timer;
   std::unique_ptr<telemetry::QueryTrace> trace;
@@ -295,7 +293,6 @@ Result QueryService::RunQuery(uint64_t ticket, const Query& query,
     trace = std::make_unique<telemetry::QueryTrace>(telemetry::NewTraceContext());
   }
   Result result;
-  result.ticket = ticket;
   result.kind = query.kind();
   result.bound.requested = options.bound;
   result.bound.path = exec_path();
@@ -330,9 +327,9 @@ Result QueryService::RunQuery(uint64_t ticket, const Query& query,
     return result;
   }
 
-  // Failures become Status results HERE: the batched path never stores an
-  // exception in a future, so one poisoned query can neither abort a
-  // Drain nor share exception state across threads.
+  // Failures become Status results HERE: a future never stores an
+  // exception, so one poisoned query can neither throw into its caller's
+  // get() nor share exception state across threads.
   try {
     // The service's ONE spec dispatch: the generic lambda resolves to the
     // RunSpec overload set, so a new variant alternative without its
@@ -357,7 +354,7 @@ Result QueryService::RunQuery(uint64_t ticket, const Query& query,
   return result;
 }
 
-bool QueryService::AdmitQuery(uint64_t ticket, QueryKind kind, Result* shed) {
+bool QueryService::AdmitQuery(QueryKind kind, Result* shed) {
   dbsa::MutexLock lock(inflight_mu_);
   // Shedding comes first: at or past the threshold the query is turned
   // away with a cheap, typed answer BEFORE the pool, the cache or any
@@ -366,7 +363,6 @@ bool QueryService::AdmitQuery(uint64_t ticket, QueryKind kind, Result* shed) {
   if (options_.shed_inflight_threshold > 0 &&
       inflight_depth_ >= options_.shed_inflight_threshold) {
     shed_total_->Add(1);
-    shed->ticket = ticket;
     shed->kind = kind;
     shed->bound.path = exec_path();
     shed->status = Status::Unavailable(
@@ -398,88 +394,17 @@ std::future<Result> QueryService::Execute(Query query, ExecOptions options) {
   const Clock::time_point submitted = Clock::now();
   Result shed;
   shed.bound.requested = options.bound;
-  if (!AdmitQuery(0, query.kind(), &shed)) {
+  if (!AdmitQuery(query.kind(), &shed)) {
     std::promise<Result> ready;
     ready.set_value(std::move(shed));
     return ready.get_future();
   }
   return pool_.Async([this, query = std::move(query), options = std::move(options),
                       submitted]() {
-    Result result = RunQuery(0, query, options, submitted);
+    Result result = RunQuery(query, options, submitted);
     FinishInflight();
     return result;
   });
-}
-
-uint64_t QueryService::Submit(Query query, ExecOptions options) {
-  const Clock::time_point submitted = Clock::now();
-  const QueryKind kind = query.kind();
-  // Admission runs OUTSIDE pending_mu_: backpressure may block, and a
-  // blocked Submit must not stall Drain (which takes pending_mu_).
-  uint64_t ticket;
-  {
-    dbsa::MutexLock lock(pending_mu_);
-    ticket = next_ticket_++;
-  }
-  Result shed;
-  shed.bound.requested = options.bound;
-  if (!AdmitQuery(ticket, kind, &shed)) {
-    std::promise<Result> ready;
-    ready.set_value(std::move(shed));
-    dbsa::MutexLock lock(pending_mu_);
-    pending_.push_back(Pending{ticket, kind, ready.get_future()});
-    return ticket;
-  }
-  std::future<Result> future =
-      pool_.Async([this, ticket, query = std::move(query),
-                   options = std::move(options), submitted]() {
-        Result result = RunQuery(ticket, query, options, submitted);
-        FinishInflight();
-        return result;
-      });
-  dbsa::MutexLock lock(pending_mu_);
-  pending_.push_back(Pending{ticket, kind, std::move(future)});
-  return ticket;
-}
-
-std::vector<Result> QueryService::Drain() {
-  std::vector<Pending> pending;
-  {
-    dbsa::MutexLock lock(pending_mu_);
-    pending.swap(pending_);
-  }
-  std::vector<Result> results;
-  results.reserve(pending.size());
-  for (Pending& p : pending) {
-    // RunQuery never throws, but one misbehaving future must still not
-    // abort the drain: every later future gets consumed and the failed
-    // ticket surfaces as a Status in its submission slot.
-    try {
-      results.push_back(p.future.get());
-    } catch (const StatusException& e) {
-      Result error;
-      error.ticket = p.ticket;
-      error.kind = p.kind;
-      error.status = e.status();
-      results.push_back(std::move(error));
-    } catch (const std::exception& e) {
-      Result error;
-      error.ticket = p.ticket;
-      error.kind = p.kind;
-      error.status =
-          Status::Internal(e.what()[0] != '\0' ? e.what() : "query failed");
-      results.push_back(std::move(error));
-    } catch (...) {
-      Result error;
-      error.ticket = p.ticket;
-      error.kind = p.kind;
-      error.status = Status::Internal("query failed with a non-standard exception");
-      results.push_back(std::move(error));
-    }
-  }
-  std::sort(results.begin(), results.end(),
-            [](const Result& a, const Result& b) { return a.ticket < b.ticket; });
-  return results;
 }
 
 void QueryService::WarmCache(double epsilon) {

@@ -7,13 +7,10 @@
 // A fixed thread pool executes queries; a memory-budgeted LRU cache
 // shares the HR approximations across queries, sessions and threads.
 //
-// Client styles:
-//   * typed future  — Execute(query, options) returns one
-//     std::future<Result> per query;
-//   * batched       — Submit(query, options) tickets the query, Drain()
-//     waits for everything outstanding and returns the Results in
-//     submission order (one per ticket, failures as statuses — a
-//     poisoned query can never lose a batch).
+// One way in: Execute(query, options) returns one std::future<Result>
+// per query. Every future resolves to a Result (failures as statuses, a
+// shed query at once), so a poisoned query never loses its neighbours'
+// answers.
 //
 // Every query runs through the core executors over ONE shard source fixed
 // at construction (core::ShardSource): the whole snapshot, its in-process
@@ -37,7 +34,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/engine_state.h"
 #include "core/sharded_state.h"
@@ -124,18 +120,18 @@ struct ServiceOptions {
   std::shared_ptr<telemetry::MetricRegistry> registry;
 
   // ---- admission control --------------------------------------------
-  /// > 0: cap on queries in flight (queued + executing). Submit/Execute
-  /// past the cap BLOCK the caller until the depth drops below it —
-  /// bounded backpressure instead of an unbounded pool queue. 0 = off.
+  /// > 0: cap on queries in flight (queued + executing). Execute past
+  /// the cap BLOCKS the caller until the depth drops below it — bounded
+  /// backpressure instead of an unbounded pool queue. 0 = off.
   size_t max_inflight = 0;
   /// > 0: when the in-flight depth is at or above this threshold, new
   /// queries are REJECTED immediately with a typed kUnavailable Result
   /// (load shedding) — before any pool enqueue, cache lookup or HR
   /// build, so an overloaded service degrades by answering cheaply
   /// instead of queueing expensively. Shed queries count in
-  /// dbsa_shed_total and still yield exactly one Result per ticket
-  /// (Drain never loses them). Set at or below max_inflight to shed
-  /// instead of blocking; 0 = never shed.
+  /// dbsa_shed_total, and Execute returns their future already resolved.
+  /// Set at or below max_inflight to shed instead of blocking; 0 = never
+  /// shed.
   size_t shed_inflight_threshold = 0;
 };
 
@@ -163,20 +159,12 @@ class QueryService {
 
   // ---- the v2 envelope ----------------------------------------------
   /// One query, one future. The Result is always delivered (failures as
-  /// statuses); the future never stores an exception.
+  /// statuses); the future never stores an exception. Deadlines are
+  /// measured from this call. Blocks only under admission control: at
+  /// the ServiceOptions::max_inflight cap the caller waits for capacity,
+  /// and at shed_inflight_threshold the future is returned already
+  /// resolved to a kUnavailable Result, without queueing.
   std::future<Result> Execute(Query query, ExecOptions options = {});
-
-  /// Enqueues a query; returns its ticket. Deadlines are measured from
-  /// this call. Blocks only under admission control: at the
-  /// ServiceOptions::max_inflight cap the caller waits for capacity,
-  /// and at shed_inflight_threshold the ticket resolves immediately to
-  /// a kUnavailable Result without queueing.
-  uint64_t Submit(Query query, ExecOptions options);
-
-  /// Waits for every outstanding submitted query and returns their
-  /// Results sorted by ticket (= submission) order — exactly one Result
-  /// per outstanding ticket, failed queries carrying their Status.
-  std::vector<Result> Drain();
 
   // ---- cache management ---------------------------------------------
   /// Builds the HR approximations of ALL region polygons at the given
@@ -195,7 +183,6 @@ class QueryService {
     return registry_;
   }
 
-  const core::EngineState& state() const { return *state_; }
   /// Non-null iff the shard-aware execution path is active
   /// (options.num_shards > 1, or options.use_transport). In socket mode
   /// this is a ROUTING-ONLY build (has_slices() == false): curve runs and
@@ -205,12 +192,6 @@ class QueryService {
   /// The deployment path Results will report (BoundReport::path).
   ExecPath exec_path() const;
 
-  // ---- the message seam (non-null iff options.use_transport) ---------
-  /// Loopback mode only: socket-mode servers live in other processes.
-  size_t num_shard_servers() const { return servers_.size(); }
-  const ShardServer* shard_server(size_t s) const {
-    return s < servers_.size() ? servers_[s].get() : nullptr;
-  }
   /// Non-null iff the seam runs over TCP (TransportKind::kSocket):
   /// connection/failover/timeout counters and the placement in use.
   const SocketTransport* socket_transport() const { return socket_.get(); }
@@ -238,7 +219,7 @@ class QueryService {
   /// dispatch on the spec visitor, BoundReport assembly, telemetry
   /// (latency histograms, stage spans, slow-query log), and the
   /// exception->Status boundary. Runs on a pool worker; never throws.
-  Result RunQuery(uint64_t ticket, const Query& query, const ExecOptions& options,
+  Result RunQuery(const Query& query, const ExecOptions& options,
                   Clock::time_point submitted);
 
   void RunSpec(const AggregateSpec& spec, const ExecOptions& options,
@@ -267,16 +248,15 @@ class QueryService {
   /// (depth incremented — the caller MUST pair it with FinishInflight
   /// when the query completes); false when it was shed, with `*shed`
   /// holding the typed kUnavailable Result to deliver.
-  bool AdmitQuery(uint64_t ticket, QueryKind kind, Result* shed);
+  bool AdmitQuery(QueryKind kind, Result* shed);
   void FinishInflight();
 
   std::shared_ptr<const core::EngineState> state_;
   std::shared_ptr<const core::ShardedState> sharded_;  ///< Null when unsharded.
-  /// The message seam (all null unless options.use_transport): either
-  /// one in-process server per shard behind a loopback transport, or a
-  /// socket transport to external servers — the router drives both.
-  std::vector<std::shared_ptr<ShardServer>> servers_;
-  std::shared_ptr<LoopbackTransport> loopback_;
+  /// The message seam (null unless options.use_transport): the router
+  /// over either a loopback transport to in-process shard servers (the
+  /// router owns the transport, its handlers own the servers) or the
+  /// socket transport to external servers, kept here for its counters.
   std::shared_ptr<SocketTransport> socket_;
   std::unique_ptr<ShardRouter> router_;
   /// What every query executes over: router_, else sharded_, else state_.
@@ -299,15 +279,6 @@ class QueryService {
   telemetry::Counter* shed_total_ = nullptr;
   ApproxCache cache_;
   ThreadPool pool_;  ///< Last member: workers die before cache/state.
-
-  struct Pending {
-    uint64_t ticket = 0;
-    QueryKind kind = QueryKind::kAggregate;
-    std::future<Result> future;
-  };
-  dbsa::Mutex pending_mu_;
-  uint64_t next_ticket_ DBSA_GUARDED_BY(pending_mu_) = 1;
-  std::vector<Pending> pending_ DBSA_GUARDED_BY(pending_mu_);
 };
 
 }  // namespace dbsa::service

@@ -608,26 +608,4 @@ size_t ShardRouter::WarmObject(const ObjectKey& object, int level,
   return scatter.shards.size();
 }
 
-// ------------------------------------------ transport-backed entry points
-
-core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
-                                       core::Attr attr,
-                                       const query::ErrorBound& bound,
-                                       core::Mode mode,
-                                       const core::ExecHooks& hooks) {
-  return core::ExecuteAggregate(router, agg, attr, bound, mode, hooks);
-}
-
-core::CountAnswer ExecuteCount(ShardRouter& router, const geom::Polygon& poly,
-                               const query::ErrorBound& bound,
-                               const core::ExecHooks& hooks) {
-  return core::ExecuteCount(router, poly, bound, hooks);
-}
-
-core::SelectAnswer ExecuteSelect(ShardRouter& router, const geom::Polygon& poly,
-                                 const query::ErrorBound& bound,
-                                 const core::ExecHooks& hooks) {
-  return core::ExecuteSelect(router, poly, bound, hooks);
-}
-
 }  // namespace dbsa::service

@@ -164,9 +164,6 @@ class ShardRouter : public core::ShardSource {
   ShardRouter(std::shared_ptr<const core::ShardedState> sharded,
               std::shared_ptr<Transport> transport);
 
-  const core::ShardedState& sharded() const { return *sharded_; }
-  Transport& transport() const { return *transport_; }
-
   const core::EngineState& base() const override { return sharded_->base(); }
   size_t num_shards() const override { return sharded_->num_shards(); }
   size_t IndexBytes() const override { return sharded_->IndexBytes(); }
@@ -184,7 +181,6 @@ class ShardRouter : public core::ShardSource {
   /// deployments), before queries flow; not synchronized for mid-flight
   /// repinning.
   void set_epoch(uint64_t epoch) { epoch_ = epoch; }
-  uint64_t epoch() const { return epoch_; }
 
   /// Scatter-gather of one approximation over the surviving shards;
   /// byte-identical to the in-process ShardedState::ProbeCells. `object`,
@@ -248,27 +244,15 @@ class ShardRouter : public core::ShardSource {
       DBSA_GUARDED_BY(known_mu_);
 };
 
-// ---- transport-backed entry points --------------------------------------
-// The core executors over the router (forwards). Results are
-// byte-identical to the in-process sharded executors (and hence to the
-// whole state) under every mode: plans resolve against the base state
-// and the bound, never the transport. Exact bounds never cross the seam.
+// The core executors over a router: plans resolve against the base state
+// and the bound, never the transport, so results are byte-identical to the
+// in-process sharded executors and exact bounds never cross the seam.
 // Shard failures surface as StatusException carrying the wire's typed
-// code.
-
-core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
-                                       core::Attr attr,
-                                       const query::ErrorBound& bound,
-                                       core::Mode mode = core::Mode::kAuto,
-                                       const core::ExecHooks& hooks = {});
-
-core::CountAnswer ExecuteCount(ShardRouter& router, const geom::Polygon& poly,
-                               const query::ErrorBound& bound,
-                               const core::ExecHooks& hooks = {});
-
-core::SelectAnswer ExecuteSelect(ShardRouter& router, const geom::Polygon& poly,
-                                 const query::ErrorBound& bound,
-                                 const core::ExecHooks& hooks = {});
+// code. perfbench (perfbench/src/composer.cc) calls them as
+// service::Execute*.
+using core::ExecuteAggregate;
+using core::ExecuteCount;
+using core::ExecuteSelect;
 
 }  // namespace dbsa::service
 

@@ -83,6 +83,31 @@ uint32_t LoadLe32(const char* p) {
   return dbsa::util::LoadWire<uint32_t>(p);
 }
 
+/// Moves the next complete frame ([u32 len][len bytes], prefix included)
+/// off the front of `*buf` into `*frame`, which stays empty while `*buf`
+/// holds only part of a frame. A length prefix outside the framing window
+/// (CheckFrameLength) returns its error and leaves `*buf` as it is: the
+/// stream cannot be resynchronized. When `*buf` holds exactly one frame —
+/// the common case — it is handed on by move, not copied (frames can be
+/// MBs of cells).
+Status TakeFrame(std::string* buf, std::string* frame) {
+  frame->clear();
+  if (buf->size() < kWireLengthSize) return Status::OK();
+  const uint32_t length = LoadLe32(buf->data());
+  const Status framed = CheckFrameLength(length);
+  if (!framed.ok()) return framed;
+  const size_t frame_size = kWireLengthSize + static_cast<size_t>(length);
+  if (buf->size() < frame_size) return Status::OK();
+  if (buf->size() == frame_size) {
+    *frame = std::move(*buf);
+    buf->clear();  // Moved-from: restore to a known-empty state.
+  } else {
+    frame->assign(*buf, 0, frame_size);
+    buf->erase(0, frame_size);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 int Deadline::RemainingMs() const {
@@ -135,7 +160,20 @@ StatusOr<std::string> ReadFrame(int fd, const Deadline& deadline) {
   return frame;
 }
 
-StatusOr<int> DialTcp(const Endpoint& endpoint, const Deadline& deadline) {
+namespace {
+
+/// One address of a resolved endpoint, copied out of getaddrinfo's list.
+struct ResolvedAddr {
+  int family = 0;
+  int socktype = 0;
+  int protocol = 0;
+  struct sockaddr_storage addr;
+  socklen_t len = 0;
+};
+
+/// Resolves `endpoint` (getaddrinfo). kUnavailable when the name does not
+/// resolve or yields no usable address.
+StatusOr<std::vector<ResolvedAddr>> Resolve(const Endpoint& endpoint) {
   struct addrinfo hints;
   std::memset(&hints, 0, sizeof(hints));
   hints.ai_family = AF_UNSPEC;
@@ -147,21 +185,47 @@ StatusOr<int> DialTcp(const Endpoint& endpoint, const Deadline& deadline) {
     return Status::Unavailable("resolve " + endpoint.ToString() + ": " +
                                gai_strerror(rc));
   }
-  Status last = Status::Unavailable("no addresses for " + endpoint.ToString());
+  std::vector<ResolvedAddr> addrs;
   for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    const int fd = socket(ai->ai_family, ai->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                          ai->ai_protocol);
+    if (ai->ai_addrlen > sizeof(sockaddr_storage)) continue;
+    ResolvedAddr addr;
+    addr.family = ai->ai_family;
+    addr.socktype = ai->ai_socktype;
+    addr.protocol = ai->ai_protocol;
+    // dbsa-lint-allow(memcpy): POSIX sockaddr blob into sockaddr_storage —
+    // runtime-sized kernel-owned bytes, never encoded onto the dbsa wire.
+    std::memcpy(&addr.addr, ai->ai_addr, ai->ai_addrlen);
+    addr.len = ai->ai_addrlen;
+    addrs.push_back(addr);
+  }
+  freeaddrinfo(res);
+  if (addrs.empty()) {
+    return Status::Unavailable("no addresses for " + endpoint.ToString());
+  }
+  return addrs;
+}
+
+/// Connects to the first of `addrs` that accepts. kDeadlineExceeded as
+/// soon as one connect times out (the host is there but slow);
+/// kUnavailable, with the last address's error, when every address
+/// refused or failed.
+StatusOr<int> ConnectAny(const std::vector<ResolvedAddr>& addrs,
+                         const std::string& name, const Deadline& deadline) {
+  Status last = Status::Unavailable("no addresses for " + name);
+  for (const ResolvedAddr& addr : addrs) {
+    const int fd = socket(addr.family, addr.socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                          addr.protocol);
     if (fd < 0) {
       last = Status::Unavailable(Errno("socket"));
       continue;
     }
     SetNoDelay(fd);
-    if (connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-      freeaddrinfo(res);
+    if (connect(fd, reinterpret_cast<const struct sockaddr*>(&addr.addr),
+                addr.len) == 0) {
       return fd;
     }
     if (errno != EINPROGRESS) {
-      last = Status::Unavailable(endpoint.ToString() + ": " + Errno("connect"));
+      last = Status::Unavailable(name + ": " + Errno("connect"));
       close(fd);
       continue;
     }
@@ -169,9 +233,7 @@ StatusOr<int> DialTcp(const Endpoint& endpoint, const Deadline& deadline) {
     if (!ready.ok()) {
       close(fd);
       if (ready.code() == StatusCode::kDeadlineExceeded) {
-        freeaddrinfo(res);
-        return Status::DeadlineExceeded("connect to " + endpoint.ToString() +
-                                        " timed out");
+        return Status::DeadlineExceeded("connect to " + name + " timed out");
       }
       last = ready;
       continue;
@@ -179,16 +241,22 @@ StatusOr<int> DialTcp(const Endpoint& endpoint, const Deadline& deadline) {
     int err = 0;
     socklen_t err_len = sizeof(err);
     if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0 || err != 0) {
-      last = Status::Unavailable(endpoint.ToString() + ": connect: " +
+      last = Status::Unavailable(name + ": connect: " +
                                  std::strerror(err != 0 ? err : errno));
       close(fd);
       continue;
     }
-    freeaddrinfo(res);
     return fd;
   }
-  freeaddrinfo(res);
   return last;
+}
+
+}  // namespace
+
+StatusOr<int> DialTcp(const Endpoint& endpoint, const Deadline& deadline) {
+  StatusOr<std::vector<ResolvedAddr>> addrs = Resolve(endpoint);
+  if (!addrs.ok()) return addrs.status();
+  return ConnectAny(addrs.value(), endpoint.ToString(), deadline);
 }
 
 // ---------------------------------------------------------- SocketTransport
@@ -198,14 +266,7 @@ StatusOr<int> DialTcp(const Endpoint& endpoint, const Deadline& deadline) {
 /// steady-state reconnects and redial storms must not re-enter it; the
 /// entry is dropped when every address fails (a moved host re-resolves).
 struct SocketTransport::ResolvedAddrs {
-  struct Addr {
-    int family = 0;
-    int socktype = 0;
-    int protocol = 0;
-    struct sockaddr_storage addr;
-    socklen_t len = 0;
-  };
-  std::vector<Addr> addrs;
+  std::vector<ResolvedAddr> addrs;
 };
 
 SocketTransport::SocketTransport(ShardPlacement placement)
@@ -275,90 +336,31 @@ bool SocketTransport::HasEndpoint(size_t shard, int which) const {
 StatusOr<int> SocketTransport::DialCached(const Endpoint& endpoint,
                                           const Deadline& deadline) {
   const std::string key = endpoint.ToString();
-  std::shared_ptr<ResolvedAddrs> cached;
+  std::shared_ptr<const ResolvedAddrs> cached;
   {
     dbsa::MutexLock lock(resolve_mu_);
     auto it = resolve_cache_.find(key);
     if (it != resolve_cache_.end()) cached = it->second;
   }
   if (cached == nullptr) {
-    struct addrinfo hints;
-    std::memset(&hints, 0, sizeof(hints));
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    struct addrinfo* res = nullptr;
-    const std::string port = std::to_string(endpoint.port);
     resolves_->Add(1);
-    const int rc = getaddrinfo(endpoint.host.c_str(), port.c_str(), &hints, &res);
-    if (rc != 0) {
-      return Status::Unavailable("resolve " + key + ": " + gai_strerror(rc));
-    }
-    cached = std::make_shared<ResolvedAddrs>();
-    for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-      if (ai->ai_addrlen > sizeof(sockaddr_storage)) continue;
-      ResolvedAddrs::Addr addr;
-      addr.family = ai->ai_family;
-      addr.socktype = ai->ai_socktype;
-      addr.protocol = ai->ai_protocol;
-      // dbsa-lint-allow(memcpy): POSIX sockaddr blob into sockaddr_storage —
-      // runtime-sized kernel-owned bytes, never encoded onto the dbsa wire.
-      std::memcpy(&addr.addr, ai->ai_addr, ai->ai_addrlen);
-      addr.len = ai->ai_addrlen;
-      cached->addrs.push_back(addr);
-    }
-    freeaddrinfo(res);
-    if (cached->addrs.empty()) {
-      return Status::Unavailable("no addresses for " + key);
-    }
+    StatusOr<std::vector<ResolvedAddr>> addrs = Resolve(endpoint);
+    if (!addrs.ok()) return addrs.status();
+    auto resolved = std::make_shared<ResolvedAddrs>();
+    resolved->addrs = std::move(addrs.value());
     dbsa::MutexLock lock(resolve_mu_);
-    resolve_cache_[key] = cached;
+    resolve_cache_[key] = resolved;
+    cached = std::move(resolved);
   }
-
-  Status last = Status::Unavailable("no addresses for " + key);
-  for (const ResolvedAddrs::Addr& addr : cached->addrs) {
-    const int fd = socket(addr.family, addr.socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                          addr.protocol);
-    if (fd < 0) {
-      last = Status::Unavailable(Errno("socket"));
-      continue;
-    }
-    SetNoDelay(fd);
-    if (connect(fd, reinterpret_cast<const struct sockaddr*>(&addr.addr),
-                addr.len) == 0) {
-      return fd;
-    }
-    if (errno != EINPROGRESS) {
-      last = Status::Unavailable(key + ": " + Errno("connect"));
-      close(fd);
-      continue;
-    }
-    const Status ready = PollFor(fd, POLLOUT, deadline, "connect");
-    if (!ready.ok()) {
-      close(fd);
-      if (ready.code() == StatusCode::kDeadlineExceeded) {
-        // The host is there but slow — keep the resolution cached.
-        return Status::DeadlineExceeded("connect to " + key + " timed out");
-      }
-      last = ready;
-      continue;
-    }
-    int err = 0;
-    socklen_t err_len = sizeof(err);
-    if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0 || err != 0) {
-      last = Status::Unavailable(key + ": connect: " +
-                                 std::strerror(err != 0 ? err : errno));
-      close(fd);
-      continue;
-    }
-    return fd;
-  }
-  // Every cached address failed: the host may have moved. Forget the
-  // entry so the next dial re-resolves.
-  {
+  StatusOr<int> fd = ConnectAny(cached->addrs, key, deadline);
+  // A timeout keeps the entry (the host is there but slow). Every address
+  // failing means the host may have moved: forget the entry so the next
+  // dial re-resolves.
+  if (!fd.ok() && fd.status().code() != StatusCode::kDeadlineExceeded) {
     dbsa::MutexLock lock(resolve_mu_);
     resolve_cache_.erase(key);
   }
-  return last;
+  return fd;
 }
 
 void SocketTransport::EnsureThread(size_t shard) {
@@ -776,23 +778,14 @@ void SocketTransport::MuxLoop(size_t shard) {
           break;
         }
         if (dead) continue;
-        while (conn.inbuf.size() >= kWireLengthSize) {
-          const uint32_t length = LoadLe32(conn.inbuf.data());
-          const Status framed = CheckFrameLength(length);
+        while (true) {
+          std::string frame;
+          const Status framed = TakeFrame(&conn.inbuf, &frame);
           if (!framed.ok()) {
             conn_dead(ep, framed, /*protocol=*/true);
             break;
           }
-          const size_t frame_size = kWireLengthSize + static_cast<size_t>(length);
-          if (conn.inbuf.size() < frame_size) break;
-          std::string frame;
-          if (conn.inbuf.size() == frame_size) {
-            frame = std::move(conn.inbuf);
-            conn.inbuf.clear();
-          } else {
-            frame = conn.inbuf.substr(0, frame_size);
-            conn.inbuf.erase(0, frame_size);
-          }
+          if (frame.empty()) break;  // Partial frame: wait for more bytes.
           const uint64_t corr = PeekCorrelation(frame);
           auto it = mux.ops.find(corr);
           if (it == mux.ops.end()) continue;  // Hedge loser / expired op.
@@ -983,27 +976,16 @@ void ShardListener::ConnectionLoop(std::shared_ptr<Conn> conn) {
     buf.append(chunk, static_cast<size_t>(n));
     // Extract every complete frame in the buffer (multiplexing clients
     // pipeline aggressively; partial frames wait for the next read).
-    while (buf.size() >= kWireLengthSize) {
-      const uint32_t length = LoadLe32(buf.data());
-      if (!CheckFrameLength(length).ok()) {
+    while (true) {
+      std::string frame;
+      if (!TakeFrame(&buf, &frame).ok()) {
         // Not our framing: the stream cannot be resynchronized. Drop the
         // connection; the listener itself keeps accepting.
         bad_frames_.fetch_add(1, std::memory_order_relaxed);
         open = false;
         break;
       }
-      const size_t frame_size = kWireLengthSize + static_cast<size_t>(length);
-      if (buf.size() < frame_size) break;
-      // Common case — the buffer holds exactly one frame: hand it on by
-      // move instead of copying (frames can be MBs of cells).
-      std::string frame;
-      if (buf.size() == frame_size) {
-        frame = std::move(buf);
-        buf.clear();  // Moved-from: restore to a known-empty state.
-      } else {
-        frame = buf.substr(0, frame_size);
-        buf.erase(0, frame_size);
-      }
+      if (frame.empty()) break;  // Partial frame: wait for the next read.
       frames_.fetch_add(1, std::memory_order_relaxed);
       // Stats scrape is served by the LISTENER, not the shard handler:
       // the registry covers the whole server process (shard metrics,

@@ -305,7 +305,7 @@ class ShardListener {
 
   struct Options {
     std::string host = "127.0.0.1";
-    /// 0 = ephemeral: the OS picks, port() reports the real one.
+    /// 0 = ephemeral: the OS picks, endpoint() reports the real one.
     uint16_t port = 0;
     /// Worker threads running `handler` (shared across connections).
     /// This is the server-side concurrency of one listener: multiplexed
@@ -329,7 +329,6 @@ class ShardListener {
   ShardListener(const ShardListener&) = delete;
   ShardListener& operator=(const ShardListener&) = delete;
 
-  uint16_t port() const { return port_; }
   Endpoint endpoint() const { return Endpoint{options_.host, port_}; }
 
   /// Stops accepting, severs every live connection and joins all

@@ -1,4 +1,4 @@
-// Per-query distributed tracing. A QueryService::Submit mints a
+// Per-query distributed tracing. Each QueryService::Execute mints a
 // TraceContext (128-bit trace id + 64-bit span id); every serving stage
 // (admission, cache lookup, HR build, route, per-shard roundtrip,
 // execute, gather, merge) records a TraceSpan with wall-clock duration

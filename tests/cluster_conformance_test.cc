@@ -28,6 +28,7 @@
 
 #include "core/dbsa.h"
 #include "data/cluster_demo.h"
+#include "envelope_util.h"
 #include "service/query_service.h"
 #include "service/shard_server.h"
 #include "service/socket_cluster.h"
@@ -40,8 +41,10 @@
 namespace dbsa::service {
 namespace {
 
+using dbsa::testing::ExecuteAll;
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
+using dbsa::testing::Submission;
 
 constexpr uint64_t kEpoch = 7;
 
@@ -371,23 +374,20 @@ TEST_F(ClusterConformanceTest, QueryServiceOverSnapshotStateMatchesRebuilt) {
   QueryService snapshot_service(loaded, snapshot_options);
 
   const geom::Polygon star = MakeStarPolygon({1400, 2600}, 300, 800, 12, 5);
-  const auto submit_all = [&](QueryService& service) {
-    ExecOptions abs;
-    abs.bound = query::ErrorBound::Absolute(8.0);
-    abs.mode = core::Mode::kPointIndex;
-    ExecOptions exact;
-    exact.bound = query::ErrorBound::Exact();
-    for (const ExecOptions& options : {abs, exact}) {
-      service.Submit(Query::Aggregate(join::AggKind::kSum, core::Attr::kFare),
-                     options);
-      service.Submit(Query::Count(star), options);
-      service.Submit(Query::Select(star), options);
-    }
-  };
-  submit_all(snapshot_service);
-  submit_all(rebuilt_service);
-  const std::vector<Result> got = snapshot_service.Drain();
-  const std::vector<Result> want = rebuilt_service.Drain();
+  ExecOptions abs;
+  abs.bound = query::ErrorBound::Absolute(8.0);
+  abs.mode = core::Mode::kPointIndex;
+  ExecOptions exact;
+  exact.bound = query::ErrorBound::Exact();
+  std::vector<Submission> workload;
+  for (const ExecOptions& options : {abs, exact}) {
+    workload.push_back(
+        {Query::Aggregate(join::AggKind::kSum, core::Attr::kFare), options, "sum"});
+    workload.push_back({Query::Count(star), options, "count"});
+    workload.push_back({Query::Select(star), options, "select"});
+  }
+  const std::vector<Result> got = ExecuteAll(snapshot_service, workload);
+  const std::vector<Result> want = ExecuteAll(rebuilt_service, workload);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     ASSERT_TRUE(got[i].ok()) << i << ": " << got[i].status.ToString();
@@ -396,11 +396,11 @@ TEST_F(ClusterConformanceTest, QueryServiceOverSnapshotStateMatchesRebuilt) {
     switch (want[i].kind) {
       case QueryKind::kAggregate:
         ExpectRowsIdentical(got[i].aggregate, want[i].aggregate,
-                            "ticket " + std::to_string(i));
+                            "query " + std::to_string(i));
         break;
       case QueryKind::kCount:
         ExpectRangeIdentical(got[i].range, want[i].range,
-                             "ticket " + std::to_string(i));
+                             "query " + std::to_string(i));
         break;
       case QueryKind::kSelect:
         EXPECT_EQ(got[i].ids, want[i].ids) << i;

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/dbsa.h"
+#include "envelope_util.h"
 #include "service/query_service.h"
 #include "service/shard_server.h"
 #include "service/transport.h"
@@ -33,15 +34,11 @@
 namespace dbsa::service {
 namespace {
 
+using dbsa::testing::ExecuteAll;
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
+using dbsa::testing::Submission;
 using query::ErrorBound;
-
-struct Submission {
-  Query query;
-  ExecOptions options;
-  std::string label;
-};
 
 class DeterminismTest : public ::testing::Test {
  protected:
@@ -92,16 +89,7 @@ class DeterminismTest : public ::testing::Test {
     options.use_transport = true;
     options.enable_tracing = tracing;
     QueryService service(state_, options);
-    std::vector<uint64_t> tickets;
-    for (const Submission& sub : Workload()) {
-      tickets.push_back(service.Submit(sub.query, sub.options));
-    }
-    std::vector<Result> results = service.Drain();
-    EXPECT_EQ(results.size(), tickets.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].ticket, tickets[i]);  // Drain keeps submit order.
-    }
-    return results;
+    return ExecuteAll(service, Workload());
   }
 
   /// Bit-level equality on the payload-carrying fields. EXPECT_EQ on

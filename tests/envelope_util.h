@@ -1,18 +1,21 @@
-// Shared helpers of the serving-layer tests: one envelope submission, its
-// single-threaded reference answer run straight through the core
-// executors (no service, no pool), and the byte-exact payload comparison
-// of the determinism contract.
+// Shared helpers of the serving-layer tests: one envelope submission, a
+// list of them executed on a service, the single-threaded reference
+// answer run straight through the core executors (no service, no pool),
+// and the byte-exact payload comparison of the determinism contract.
 
 #ifndef DBSA_TESTS_ENVELOPE_UTIL_H_
 #define DBSA_TESTS_ENVELOPE_UTIL_H_
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/engine_state.h"
 #include "service/query.h"
+#include "service/query_service.h"
 
 namespace dbsa::testing {
 
@@ -44,6 +47,21 @@ inline Submission CountAt(geom::Polygon poly, double epsilon) {
 inline Submission SelectAt(geom::Polygon poly, double epsilon) {
   return {service::Query::Select(std::move(poly)),
           Options(query::ErrorBound::Absolute(epsilon)), "select"};
+}
+
+/// Executes every submission on `service` (all are in flight before the
+/// first is awaited) and returns their Results in list order.
+inline std::vector<service::Result> ExecuteAll(service::QueryService& service,
+                                               const std::vector<Submission>& subs) {
+  std::vector<std::future<service::Result>> futures;
+  futures.reserve(subs.size());
+  for (const Submission& sub : subs) {
+    futures.push_back(service.Execute(sub.query, sub.options));
+  }
+  std::vector<service::Result> results;
+  results.reserve(futures.size());
+  for (std::future<service::Result>& future : futures) results.push_back(future.get());
+  return results;
 }
 
 /// The reference answer of `sub` over `source`, with the achieved bound

@@ -31,6 +31,7 @@
 namespace dbsa::service {
 namespace {
 
+using dbsa::testing::ExecuteAll;
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
 using dbsa::testing::Submission;
@@ -201,15 +202,9 @@ TEST_F(QueryEnvelopeTest, EveryKindByteIdenticalOnAllFourPaths) {
   for (const PathConfig& path : paths) {
     QueryService service(state_, path.options);
     EXPECT_EQ(service.exec_path(), path.expected_path) << path.name;
-    std::vector<uint64_t> tickets;
-    tickets.reserve(workload.size());
-    for (const Submission& sub : workload) {
-      tickets.push_back(service.Submit(sub.query, sub.options));
-    }
-    const std::vector<Result> results = service.Drain();
+    const std::vector<Result> results = ExecuteAll(service, workload);
     ASSERT_EQ(results.size(), workload.size()) << path.name;
     for (size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].ticket, tickets[i]) << path.name;
       EXPECT_EQ(results[i].bound.path, path.expected_path)
           << path.name << " " << workload[i].label;
       ExpectIdentical(results[i], baseline[i],
@@ -406,11 +401,6 @@ TEST_F(QueryEnvelopeTest, ExpiredDeadlineAnswersTypedStatus) {
   const Result result = service.Execute(Query::Count(star), options).get();
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
-  // The batch path delivers the same status in the ticket's slot.
-  service.Submit(Query::Count(star), options);
-  const std::vector<Result> drained = service.Drain();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].status.code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(QueryEnvelopeTest, CancelledTokenAnswersTypedStatus) {
@@ -554,16 +544,17 @@ TEST_F(QueryEnvelopeTest, MalformedQueriesAnswerInvalidArgument) {
     }
   }
 
-  // A poisoned ticket mid-batch keeps its slot and its typed status.
-  service.Submit(Query::Count(star), ok_bound);
-  service.Submit(Query::Aggregate(join::AggKind::kSum), ok_bound);
-  service.Submit(Query::Count(star), ok_bound);
-  const std::vector<Result> drained = service.Drain();
-  ASSERT_EQ(drained.size(), 3u);
-  EXPECT_TRUE(drained[0].ok());
-  EXPECT_EQ(drained[1].status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(drained[2].ok());
-  EXPECT_EQ(drained[0].range.estimate, drained[2].range.estimate);
+  // A poisoned query between two healthy ones, all in flight at once,
+  // answers its own typed status and leaves its neighbours' answers alone.
+  const std::vector<Result> batch =
+      ExecuteAll(service, {{Query::Count(star), ok_bound, "count"},
+                           {Query::Aggregate(join::AggKind::kSum), ok_bound, "sum"},
+                           {Query::Count(star), ok_bound, "count"}});
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_TRUE(batch[0].ok());
+  EXPECT_EQ(batch[1].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(batch[2].ok());
+  EXPECT_EQ(batch[0].range.estimate, batch[2].range.estimate);
 }
 
 // ---- telemetry: observe-only tracing, slow-query log, metrics ----------
@@ -591,12 +582,8 @@ TEST_F(QueryEnvelopeTest, TelemetryIsObserveOnlyOnEveryPath) {
 
     QueryService traced(state_, on);
     QueryService untraced(state_, off);
-    for (const Submission& sub : workload) {
-      traced.Submit(sub.query, sub.options);
-      untraced.Submit(sub.query, sub.options);
-    }
-    const std::vector<Result> with = traced.Drain();
-    const std::vector<Result> without = untraced.Drain();
+    const std::vector<Result> with = ExecuteAll(traced, workload);
+    const std::vector<Result> without = ExecuteAll(untraced, workload);
     ASSERT_EQ(with.size(), workload.size());
     ASSERT_EQ(without.size(), workload.size());
     for (size_t i = 0; i < workload.size(); ++i) {

@@ -3,8 +3,8 @@
 //
 //   * saturating the in-flight depth sheds new queries with a typed
 //     kUnavailable Result — immediately, before any pool enqueue or HR
-//     build, and without ever losing a ticket (Drain returns exactly one
-//     Result per submission, in ticket order);
+//     build, and without ever losing a query (every Execute future
+//     resolves to exactly one Result);
 //   * queries that ARE admitted under overload answer with the same
 //     payload as the unloaded single-threaded engine (degradation must
 //     never corrupt, only reject);
@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -60,26 +62,31 @@ class ServiceOverloadTest : public ::testing::Test {
   join::ResultRange want_;
 };
 
-TEST_F(ServiceOverloadTest, SaturationShedsTypedAndNeverLosesATicket) {
+TEST_F(ServiceOverloadTest, SaturationShedsTypedAndNeverLosesAQuery) {
   ServiceOptions options;
   options.num_threads = 1;  // One worker: submission outruns execution.
   options.shed_inflight_threshold = 3;
   QueryService service(state_, options);
 
   constexpr size_t kQueries = 32;
-  std::vector<uint64_t> tickets;
-  tickets.reserve(kQueries);
+  std::vector<std::future<Result>> futures;
+  futures.reserve(kQueries);
   for (size_t i = 0; i < kQueries; ++i) {
-    tickets.push_back(service.Submit(CountQuery(), Bound8()));
+    futures.push_back(service.Execute(CountQuery(), Bound8()));
   }
-  const std::vector<Result> results = service.Drain();
 
-  // The hard invariant: one Result per ticket, in submission order —
-  // shedding must never hang a future or drop a slot.
-  ASSERT_EQ(results.size(), kQueries);
+  // The hard invariant: every future resolves, in submission order, to
+  // one Result — shedding must never hang a future or lose a query.
+  std::vector<Result> results;
+  results.reserve(kQueries);
+  for (size_t i = 0; i < kQueries; ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(60)),
+              std::future_status::ready)
+        << "slot " << i;
+    results.push_back(futures[i].get());
+  }
   size_t shed = 0, served = 0;
   for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].ticket, tickets[i]) << "slot " << i;
     EXPECT_EQ(results[i].kind, QueryKind::kCount) << "slot " << i;
     if (results[i].ok()) {
       ++served;
@@ -97,13 +104,13 @@ TEST_F(ServiceOverloadTest, SaturationShedsTypedAndNeverLosesATicket) {
           << results[i].status.message();
     }
   }
-  // Ticket 1 was admitted at depth 0; a one-worker pool cannot drain 3
-  // admissions faster than a tight submit loop refills them.
+  // The first query was admitted at depth 0; a one-worker pool cannot
+  // finish 3 admissions faster than a tight submit loop refills them.
   EXPECT_GE(served, 1u);
   EXPECT_GE(shed, 1u);
 
-  // The decisions are observable: the shed counter matches what Drain
-  // reported and the depth gauge exists (and reads 0 after the drain).
+  // The decisions are observable: the shed counter matches the shed
+  // Results and the depth gauge exists.
   EXPECT_EQ(service.registry()->GetCounter("dbsa_shed_total")->Value(),
             static_cast<double>(shed));
   const std::string scrape = service.registry()->RenderText();
@@ -122,9 +129,12 @@ TEST_F(ServiceOverloadTest, ExecuteShedsImmediatelyWhileSaturated) {
   options.shed_inflight_threshold = 2;
   QueryService service(state_, options);
 
-  // Fill the admission window, then probe with Execute: the shed future
-  // must be ready at once (no pool trip) and typed.
-  for (size_t i = 0; i < 16; ++i) service.Submit(CountQuery(), Bound8());
+  // Fill the admission window, then probe: the shed future must be
+  // ready at once (no pool trip) and typed.
+  std::vector<std::future<Result>> window;
+  for (size_t i = 0; i < 16; ++i) {
+    window.push_back(service.Execute(CountQuery(), Bound8()));
+  }
   std::future<Result> probe = service.Execute(CountQuery(), Bound8());
   ASSERT_EQ(probe.wait_for(std::chrono::seconds(0)),
             std::future_status::ready)
@@ -132,7 +142,7 @@ TEST_F(ServiceOverloadTest, ExecuteShedsImmediatelyWhileSaturated) {
   const Result shed = probe.get();
   EXPECT_FALSE(shed.ok());
   EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable);
-  service.Drain();  // Every submitted ticket still resolves.
+  for (std::future<Result>& f : window) f.get();  // Every query still resolves.
 }
 
 TEST_F(ServiceOverloadTest, BoundedInflightClosedLoopCompletesEverything) {

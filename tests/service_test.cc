@@ -1,5 +1,5 @@
 // Tests for the concurrent query service: thread-pool basics, the
-// batched Submit/Drain API, cache warm-up, and the load-bearing guarantee
+// Execute futures, cache warm-up, and the load-bearing guarantee
 // that a service run with many threads returns results BYTE-IDENTICAL to
 // the single-threaded core executors on the same workload.
 
@@ -207,16 +207,10 @@ TEST_F(QueryServiceTest, EightThreadsByteMatchSingleThreadedEngine) {
   QueryService service(state_, options);
   ASSERT_EQ(service.num_threads(), 8u);
 
-  std::vector<uint64_t> tickets;
-  tickets.reserve(workload.size());
-  for (const Submission& sub : workload) {
-    tickets.push_back(service.Submit(sub.query, sub.options));
-  }
-  const std::vector<Result> results = service.Drain();
+  const std::vector<Result> results = dbsa::testing::ExecuteAll(service, workload);
 
   ASSERT_EQ(results.size(), workload.size());
   for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].ticket, tickets[i]) << "Drain must keep submit order";
     dbsa::testing::ExpectSamePayload(results[i], expected[i],
                                      "request " + std::to_string(i));
   }
@@ -250,7 +244,7 @@ TEST_F(QueryServiceTest, TypedFutureInterface) {
 TEST_F(QueryServiceTest, WarmCacheMakesAggregatesMissFree) {
   QueryService service(state_, {});
   service.WarmCache(8.0);
-  const size_t polys = service.state().regions->NumPolygons();
+  const size_t polys = state_->regions->NumPolygons();
   EXPECT_EQ(service.cache_stats().misses, polys);
 
   const core::AggregateAnswer answer = PointIndexCount(service);
@@ -260,7 +254,7 @@ TEST_F(QueryServiceTest, WarmCacheMakesAggregatesMissFree) {
 
 TEST_F(QueryServiceTest, ColdAggregateReportsMissesThenHits) {
   QueryService service(state_, {});
-  const size_t polys = service.state().regions->NumPolygons();
+  const size_t polys = state_->regions->NumPolygons();
   const core::AggregateAnswer cold = PointIndexCount(service);
   EXPECT_EQ(cold.stats.hr_cache_misses, polys);
   const core::AggregateAnswer warm = PointIndexCount(service);
@@ -268,12 +262,10 @@ TEST_F(QueryServiceTest, ColdAggregateReportsMissesThenHits) {
   EXPECT_EQ(warm.stats.hr_cache_hits, polys);
 }
 
-TEST_F(QueryServiceTest, DrainSurvivesPoisonedQueriesMidBatch) {
-  // Regression: Drain used to call future.get() bare — the first
-  // throwing query aborted the drain, lost every later result and left
-  // the abandoned futures to block elsewhere. Now each failed ticket
-  // surfaces as an error Result in its submission slot and the drain
-  // completes.
+TEST_F(QueryServiceTest, PoisonedQueriesMidBatchAnswerTypedStatuses) {
+  // Five queries in flight at once, two of them poisoned: each poisoned
+  // query answers its own typed status (its future never throws), and its
+  // healthy neighbours answer exactly as if it were not there.
   QueryService service(state_, {});
   const geom::Polygon star =
       dbsa::testing::MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
@@ -287,15 +279,10 @@ TEST_F(QueryServiceTest, DrainSurvivesPoisonedQueriesMidBatch) {
   workload.push_back(CountAt(degenerate, 8.0));  // Poisoned: 2 vertices.
   workload.push_back(SelectAt(star, 8.0));       // Good.
 
-  std::vector<uint64_t> tickets;
-  for (const Submission& sub : workload) {
-    tickets.push_back(service.Submit(sub.query, sub.options));
-  }
-  const std::vector<Result> results = service.Drain();
+  const std::vector<Result> results = dbsa::testing::ExecuteAll(service, workload);
 
-  ASSERT_EQ(results.size(), workload.size());  // No ticket lost.
+  ASSERT_EQ(results.size(), workload.size());
   for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].ticket, tickets[i]) << "ticket order kept, slot " << i;
     EXPECT_EQ(results[i].kind, workload[i].query.kind()) << "slot " << i;
   }
   EXPECT_TRUE(results[0].ok());
@@ -309,19 +296,14 @@ TEST_F(QueryServiceTest, DrainSurvivesPoisonedQueriesMidBatch) {
   EXPECT_TRUE(results[4].ok());
 
   // The good results are untouched by their poisoned neighbours.
-  const Result want = Reference(*state_, workload[0]);
-  for (const size_t good : {size_t{0}, size_t{2}}) {
-    EXPECT_EQ(results[good].range.lo, want.range.lo);
-    EXPECT_EQ(results[good].range.hi, want.range.hi);
+  for (const size_t good : {size_t{0}, size_t{2}, size_t{4}}) {
+    dbsa::testing::ExpectSamePayload(results[good], Reference(*state_, workload[good]),
+                                     "slot " + std::to_string(good));
   }
-  EXPECT_EQ(results[4].ids, Reference(*state_, workload[4]).ids);
 
   // And the service stays fully usable after a poisoned batch.
-  service.Submit(workload[0].query, workload[0].options);
-  const std::vector<Result> after = service.Drain();
-  ASSERT_EQ(after.size(), 1u);
-  EXPECT_TRUE(after[0].ok());
-  EXPECT_EQ(after[0].range.hi, want.range.hi);
+  const Result after = service.Execute(workload[0].query, workload[0].options).get();
+  dbsa::testing::ExpectSamePayload(after, Reference(*state_, workload[0]), "after");
 }
 
 TEST_F(QueryServiceTest, SharedSnapshotServesManyServices) {

@@ -26,6 +26,7 @@ namespace {
 
 using dbsa::testing::AggregateAt;
 using dbsa::testing::CountAt;
+using dbsa::testing::ExecuteAll;
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
 using dbsa::testing::Reference;
@@ -62,6 +63,21 @@ struct Seam {
 uint64_t LoopbackCounter(telemetry::MetricRegistry& registry,
                          const std::string& name) {
   return registry.GetCounter("dbsa_loopback_" + name + "_total")->Value();
+}
+
+/// Shard `s`'s per-shard cache metric `family` as its ShardServer records
+/// it into a shared registry (the loopback deployment of QueryService).
+std::string ShardMetric(const std::string& family, size_t s) {
+  return family + "{shard=\"" + std::to_string(s) + "\"}";
+}
+
+/// Reference requests served from the per-shard caches of shards [0, k).
+uint64_t ShardCacheHits(telemetry::MetricRegistry& registry, size_t k) {
+  uint64_t hits = 0;
+  for (size_t s = 0; s < k; ++s) {
+    hits += registry.GetCounter(ShardMetric("dbsa_shard_cache_hits_total", s))->Value();
+  }
+  return hits;
 }
 
 Seam MakeSeam(const std::shared_ptr<const core::EngineState>& base, size_t k,
@@ -252,10 +268,9 @@ TEST_F(ShardServerTest, TransportServiceByteMatchesUnshardedEngine) {
   options.use_transport = true;
   QueryService service(base_, options);
   ASSERT_NE(service.sharded(), nullptr);
-  ASSERT_EQ(service.num_shard_servers(), 8u);
+  ASSERT_EQ(service.sharded()->num_shards(), 8u);
 
-  for (const Submission& sub : workload) service.Submit(sub.query, sub.options);
-  const std::vector<Result> results = service.Drain();
+  const std::vector<Result> results = ExecuteAll(service, workload);
   ASSERT_EQ(results.size(), workload.size());
   EXPECT_GT(LoopbackCounter(*service.registry(), "messages"), 0u);
 
@@ -265,13 +280,8 @@ TEST_F(ShardServerTest, TransportServiceByteMatchesUnshardedEngine) {
   }
 
   // The duplicated half was served by reference: at least one shard
-  // answered from its per-shard cache, and the per-shard caches only
-  // hold keys (no stale bytes growth beyond the budget).
-  size_t hits = 0;
-  for (size_t s = 0; s < service.num_shard_servers(); ++s) {
-    hits += service.shard_server(s)->stats().cache_hits;
-  }
-  EXPECT_GT(hits, 0u);
+  // answered from its per-shard cache.
+  EXPECT_GT(ShardCacheHits(*service.registry(), 8), 0u);
 }
 
 TEST_F(ShardServerTest, ReferenceRequestsShipFewerBytesOnRepeat) {
@@ -471,42 +481,51 @@ TEST_F(ShardServerTest, WarmCacheWarmsOnlyRoutedRegionsPerShard) {
     options.num_shards = k;
     options.use_transport = true;
     QueryService service(std::shared_ptr<const core::EngineState>(base_), options);
-    ASSERT_EQ(service.num_shard_servers(), k);
+    ASSERT_EQ(service.sharded()->num_shards(), k);
+    telemetry::MetricRegistry& registry = *service.registry();
 
     const double eps = 8.0;
     service.WarmCache(eps);
     const int level = base_->grid.LevelForEpsilon(eps);
-    const std::vector<geom::Polygon>& polys = base_->regions->polys;
 
     // Expected: exactly the regions whose HR cells route to each shard,
     // by the scatter plan every query uses.
-    std::vector<std::vector<uint64_t>> expected(k), cached(k);
-    for (size_t j = 0; j < polys.size(); ++j) {
+    std::vector<size_t> expected(k, 0);
+    for (const geom::Polygon& poly : base_->regions->polys) {
       const raster::HierarchicalRaster hr =
-          raster::HierarchicalRaster::BuildLevel(polys[j], base_->grid, level);
+          raster::HierarchicalRaster::BuildLevel(poly, base_->grid, level);
       for (const uint32_t s : service.sharded()->PlanScatter(hr, nullptr).shards) {
-        expected[s].push_back(j);
-      }
-      // A reference-only request for region j at the warmed level is
-      // served iff shard s cached that region's slice. (The service hands
-      // its servers out const; Handle is their thread-safe entry point.)
-      ScatterRequest reference;
-      reference.level = level;
-      reference.checksum = ApproxChecksum(hr.cells().data(), hr.cells().size());
-      reference.has_object = true;
-      reference.object = ObjectKey(j);
-      for (size_t s = 0; s < k; ++s) {
-        GatherPartial partial;
-        ShardServer* server = const_cast<ShardServer*>(service.shard_server(s));
-        ASSERT_TRUE(
-            GatherPartial::Decode(server->Handle(reference.Encode()), &partial).ok());
-        if (partial.status == GatherPartial::Disposition::kOk) cached[s].push_back(j);
+        ++expected[s];
       }
     }
+    // Each shard holds one cached slice per routed region and nothing
+    // else: no other region, key or level.
     for (size_t s = 0; s < k; ++s) {
-      EXPECT_EQ(cached[s], expected[s]) << "k=" << k << " shard " << s;
-      // ...and nothing else: no other key or level is cached.
-      EXPECT_EQ(service.shard_server(s)->stats().cache_entries, expected[s].size())
+      EXPECT_EQ(registry.GetGauge(ShardMetric("dbsa_shard_cache_entries", s))->Value(),
+                static_cast<double>(expected[s]))
+          << "k=" << k << " shard " << s;
+    }
+
+    // ...and those slices are the routed regions': a point-index region
+    // COUNT at the warmed bound sends every shard one reference request
+    // per routed region, and each is served from the cache. A routed
+    // region that was not warmed would answer kNotCached (a miss) or ship
+    // its cells inline (no hit).
+    const Result counted =
+        service
+            .Execute(Query::Aggregate(join::AggKind::kCount),
+                     dbsa::testing::Options(ErrorBound::Absolute(eps),
+                                            core::Mode::kPointIndex))
+            .get();
+    ASSERT_TRUE(counted.ok()) << counted.status.ToString();
+    for (size_t s = 0; s < k; ++s) {
+      EXPECT_EQ(registry.GetCounter(ShardMetric("dbsa_shard_cache_hits_total", s))
+                    ->Value(),
+                expected[s])
+          << "k=" << k << " shard " << s;
+      EXPECT_EQ(registry.GetCounter(ShardMetric("dbsa_shard_cache_misses_total", s))
+                    ->Value(),
+                0u)
           << "k=" << k << " shard " << s;
     }
   }
@@ -536,12 +555,8 @@ TEST_F(ShardServerTest, WarmAndColdResultsByteIdentical) {
       warm.WarmCache(4.0);
       warm.WarmCache(8.0);
 
-      for (const Submission& sub : workload) {
-        cold.Submit(sub.query, sub.options);
-        warm.Submit(sub.query, sub.options);
-      }
-      const std::vector<Result> cold_results = cold.Drain();
-      const std::vector<Result> warm_results = warm.Drain();
+      const std::vector<Result> cold_results = ExecuteAll(cold, workload);
+      const std::vector<Result> warm_results = ExecuteAll(warm, workload);
       ASSERT_EQ(cold_results.size(), workload.size());
       ASSERT_EQ(warm_results.size(), workload.size());
       const std::string label =
@@ -555,11 +570,7 @@ TEST_F(ShardServerTest, WarmAndColdResultsByteIdentical) {
       // The warm service's aggregates found every region HR in the
       // central cache and (for point-index plans) the routed slices in
       // the per-shard caches.
-      size_t warm_hits = 0;
-      for (size_t s = 0; s < warm.num_shard_servers(); ++s) {
-        warm_hits += warm.shard_server(s)->stats().cache_hits;
-      }
-      EXPECT_GT(warm_hits, 0u) << label;
+      EXPECT_GT(ShardCacheHits(*warm.registry(), k), 0u) << label;
     }
   }
 }

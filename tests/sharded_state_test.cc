@@ -257,8 +257,8 @@ TEST_F(ShardedStateTest, ShardedQueryServiceByteMatchesUnshardedEngine) {
   ASSERT_NE(service.sharded(), nullptr);
   ASSERT_EQ(service.sharded()->num_shards(), 8u);
 
-  for (const Submission& sub : workload) service.Submit(sub.query, sub.options);
-  const std::vector<service::Result> results = service.Drain();
+  const std::vector<service::Result> results =
+      dbsa::testing::ExecuteAll(service, workload);
   ASSERT_EQ(results.size(), workload.size());
 
   for (size_t i = 0; i < results.size(); ++i) {

@@ -37,6 +37,7 @@
 
 #include "core/dbsa.h"
 #include "data/cluster_demo.h"
+#include "envelope_util.h"
 #include "service/placement.h"
 #include "service/query_service.h"
 #include "service/shard_server.h"
@@ -54,8 +55,10 @@
 namespace dbsa::service {
 namespace {
 
+using dbsa::testing::ExecuteAll;
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
+using dbsa::testing::Submission;
 
 void ExpectRowsIdentical(const core::AggregateAnswer& got,
                          const core::AggregateAnswer& want,
@@ -260,26 +263,23 @@ TEST_F(SocketTransportTest, QueryServiceSocketMatchesLoopback) {
   loopback_service.WarmCache(8.0);
 
   const geom::Polygon star = MakeStarPolygon({1400, 2600}, 300, 800, 12, 5);
-  const auto submit_all = [&](QueryService& service) {
-    ExecOptions abs;
-    abs.bound = query::ErrorBound::Absolute(8.0);
-    abs.mode = core::Mode::kPointIndex;
-    ExecOptions level = abs;
-    level.bound = query::ErrorBound::AtLevel(6);
-    ExecOptions exact;
-    exact.bound = query::ErrorBound::Exact();
-    for (const ExecOptions& options : {abs, level, exact}) {
-      service.Submit(Query::Aggregate(join::AggKind::kCount), options);
-      service.Submit(Query::Aggregate(join::AggKind::kAvg, core::Attr::kFare),
-                     options);
-      service.Submit(Query::Count(star), options);
-      service.Submit(Query::Select(star), options);
-    }
-  };
-  submit_all(socket_service);
-  submit_all(loopback_service);
-  const std::vector<Result> got = socket_service.Drain();
-  const std::vector<Result> want = loopback_service.Drain();
+  ExecOptions abs;
+  abs.bound = query::ErrorBound::Absolute(8.0);
+  abs.mode = core::Mode::kPointIndex;
+  ExecOptions level = abs;
+  level.bound = query::ErrorBound::AtLevel(6);
+  ExecOptions exact;
+  exact.bound = query::ErrorBound::Exact();
+  std::vector<Submission> workload;
+  for (const ExecOptions& options : {abs, level, exact}) {
+    workload.push_back({Query::Aggregate(join::AggKind::kCount), options, "count"});
+    workload.push_back(
+        {Query::Aggregate(join::AggKind::kAvg, core::Attr::kFare), options, "avg"});
+    workload.push_back({Query::Count(star), options, "count"});
+    workload.push_back({Query::Select(star), options, "select"});
+  }
+  const std::vector<Result> got = ExecuteAll(socket_service, workload);
+  const std::vector<Result> want = ExecuteAll(loopback_service, workload);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     ASSERT_TRUE(got[i].ok()) << i << ": " << got[i].status.ToString();
@@ -289,11 +289,11 @@ TEST_F(SocketTransportTest, QueryServiceSocketMatchesLoopback) {
     switch (want[i].kind) {
       case QueryKind::kAggregate:
         ExpectRowsIdentical(got[i].aggregate, want[i].aggregate,
-                            "ticket " + std::to_string(i));
+                            "query " + std::to_string(i));
         break;
       case QueryKind::kCount:
         ExpectRangeIdentical(got[i].range, want[i].range,
-                             "ticket " + std::to_string(i));
+                             "query " + std::to_string(i));
         break;
       case QueryKind::kSelect:
         EXPECT_EQ(got[i].ids, want[i].ids) << i;
@@ -456,6 +456,44 @@ TEST_F(SocketTransportTest, DeadPrimaryWithoutReplicaIsTypedUnavailable) {
     EXPECT_EQ(e.status().code(), StatusCode::kUnavailable) << e.status().ToString();
   }
   EXPECT_GE(seam.transport->stats().transport_errors, 1u);
+}
+
+TEST_F(SocketTransportTest, ResolvesOncePerEndpointUntilEveryAddressFails) {
+  // getaddrinfo is the one blocking call a deadline cannot interrupt: an
+  // endpoint resolves on its first dial, and a reconnect reuses the
+  // addresses. Once every address has failed, the entry is dropped and
+  // the next dial resolves again (a moved host is found).
+  SocketTransport::Options fast;
+  fast.roundtrip_timeout_ms = 5000;
+  fast.connect_timeout_ms = 500;
+  fast.reconnect_backoff_ms = 5;
+  SocketSeam seam = MakeSocketSeam(base_, 1, /*with_replicas=*/false, fast);
+  const std::string request = ScatterRequest().Encode();
+
+  Roundtrip(*seam.transport, 0, request);
+  SocketTransport::Stats stats = seam.transport->stats();
+  EXPECT_EQ(stats.dials, 1u);
+  EXPECT_EQ(stats.resolves, 1u);
+
+  seam.primaries[0]->CloseConnections();
+  Roundtrip(*seam.transport, 0, request);
+  stats = seam.transport->stats();
+  EXPECT_EQ(stats.dials, 2u);
+  EXPECT_EQ(stats.reconnects, 1u);
+  EXPECT_EQ(stats.resolves, 1u) << "a reconnect must not resolve again";
+
+  // The port dies: the request's first dial (cached addresses) is
+  // refused, which drops the entry, so its second dial resolves again.
+  seam.primaries[0]->Stop();
+  try {
+    Roundtrip(*seam.transport, 0, request);
+    FAIL() << "expected StatusException";
+  } catch (const StatusException& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::kUnavailable) << e.status().ToString();
+  }
+  stats = seam.transport->stats();
+  EXPECT_EQ(stats.dials, 2u);
+  EXPECT_EQ(stats.resolves, 2u) << "a dial after total failure must resolve again";
 }
 
 TEST_F(SocketTransportTest, SilentPeerIsDeadlineExceeded) {

@@ -1,5 +1,5 @@
-// Fuzz harness for the wire decoders: ParseFrame and the four message
-// Decode functions (service/transport.h). The decoders' contract is
+// Fuzz harness for the wire decoders: ParseFrame and the six message
+// Decode functions (service/transport.h), the two batch types included. The decoders' contract is
 // TOTAL — any byte string yields OK or a typed Status, never UB — and
 // this harness is where that contract meets adversarial input: a shard
 // listener feeds whatever arrives on a TCP socket straight into these
@@ -13,7 +13,7 @@
 //     coverage guidance, but the same harness body, so the ASan/UBSan CI
 //     smoke works on any toolchain.
 //
-// Seed corpus: fuzz/corpus/parse_frame/ holds one valid v4 frame of
+// Seed corpus: fuzz/corpus/parse_frame/ holds one valid v5 frame of
 // every message type (regenerate with fuzz/make_corpus.cc).
 
 #include <cstdint>
@@ -26,11 +26,13 @@
 
 namespace {
 
+using dbsa::service::GatherBatch;
 using dbsa::service::GatherPartial;
 using dbsa::service::MessageType;
 using dbsa::service::ParseFrame;
 using dbsa::service::PatchCorrelation;
 using dbsa::service::PeekCorrelation;
+using dbsa::service::ScatterBatch;
 using dbsa::service::ScatterRequest;
 using dbsa::service::StatsReply;
 using dbsa::service::StatsRequest;
@@ -70,6 +72,20 @@ void CheckOneInput(const uint8_t* data, size_t size) {
   }
   StatsReply stats_reply;
   if (StatsReply::Decode(bytes, &stats_reply).ok()) (void)stats_reply.Encode();
+  // A batch that decodes re-encodes to a batch that decodes to the same
+  // number of entries.
+  ScatterBatch scatter_batch;
+  if (ScatterBatch::Decode(bytes, &scatter_batch).ok()) {
+    ScatterBatch again;
+    DBSA_CHECK(ScatterBatch::Decode(scatter_batch.Encode(), &again).ok());
+    DBSA_CHECK(again.requests.size() == scatter_batch.requests.size());
+  }
+  GatherBatch gather_batch;
+  if (GatherBatch::Decode(bytes, &gather_batch).ok()) {
+    GatherBatch again;
+    DBSA_CHECK(GatherBatch::Decode(gather_batch.Encode(), &again).ok());
+    DBSA_CHECK(again.partials.size() == gather_batch.partials.size());
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Regenerates the checked-in seed corpus for fuzz_parse_frame: one valid
-// v5 frame per message type/variant, written into the directory given as
+// v5 frame per message type/variant (the batch types with two entries),
+// written into the directory given as
 // argv[1] (default fuzz/corpus/parse_frame). Run from the repo root after
 // any wire change, and commit the result — the fuzzer starts from real
 // frames, not from zero.
@@ -16,8 +17,10 @@
 
 namespace {
 
+using dbsa::service::GatherBatch;
 using dbsa::service::GatherPartial;
 using dbsa::service::ObjectKey;
+using dbsa::service::ScatterBatch;
 using dbsa::service::ScatterRequest;
 using dbsa::service::StatsReply;
 using dbsa::service::StatsRequest;
@@ -114,6 +117,20 @@ int main(int argc, char** argv) {
   StatsReply stats_reply;
   stats_reply.text = "# TYPE dbsa_queries_total counter\ndbsa_queries_total 1\n";
   ok &= WriteFile(dir, "stats_reply.bin", stats_reply.Encode());
+
+  // A wave to one shard: an inline aggregate entry and a reference one.
+  ScatterBatch scatter_batch;
+  scatter_batch.requests = {aggregate, reference};
+  ok &= WriteFile(dir, "scatter_batch.bin", scatter_batch.Encode());
+
+  // Its answer: an aggregate partial and a not-cached one.
+  GatherPartial batched_not_cached = GatherPartial::FromStatus(
+      ScatterRequest::Kind::kAggregateCells, GatherPartial::Disposition::kNotCached,
+      dbsa::Status::NotFound("slice not cached"));
+  batched_not_cached.epoch = 9;
+  GatherBatch gather_batch;
+  gather_batch.partials = {gather_aggregate, batched_not_cached};
+  ok &= WriteFile(dir, "gather_batch.bin", gather_batch.Encode());
 
   return ok ? 0 : 1;
 }

@@ -8,8 +8,11 @@
 # oracle's own PIP answer. The traced run (--trace 1) also runs the
 # workload's stress check (perfbench/src/main.cc), which sets `correct`
 # false when the workload no longer stresses the layer it was shaped to
-# stress. No timing is gated: the runs are far too short and CI hosts too
-# noisy.
+# stress. The traced cluster_scatter run also fails when
+# `service.transport.messages_per_query` is above 5: a region aggregate
+# must reach each shard in one frame per wave, not one per region (a
+# count of frames, not a timing). No timing is gated: the runs are far
+# too short and CI hosts too noisy.
 #
 # Usage: scripts/run_perfbench_smoke.sh [seconds]    (default 3)
 #
@@ -23,17 +26,31 @@ for workload in explore_cold dashboard_warm cluster_scatter; do
     echo "== perfbench ${workload} (${seconds} s, trace ${trace})"
     last="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
               --seconds "${seconds}" --trace "${trace}" | tail -n 1)"
-    python3 - "${workload} trace=${trace}" "${last}" <<'PY'
+    python3 - "${workload}" "${trace}" "${last}" <<'PY'
 import json
 import sys
 
-run, line = sys.argv[1], sys.argv[2]
+workload, trace, line = sys.argv[1], sys.argv[2], sys.argv[3]
+run = f"{workload} trace={trace}"
 result = json.loads(line)
 if result.get("correct") is not True or result.get("failed") != 0:
     sys.exit(f"run_perfbench_smoke: {run}: correct={result.get('correct')} "
              f"failed={result.get('failed')} attempted={result.get('attempted')}")
 print(f"run_perfbench_smoke: {run}: correct, "
       f"{result['attempted']} queries, 0 failed")
+# One frame per shard per wave: a batched region aggregate costs a few
+# frames per query, where one frame per region and shard would cost
+# about 25.
+MAX_MESSAGES_PER_QUERY = 5
+if workload == "cluster_scatter" and trace == "1":
+    metric = result.get("metrics", {}).get("service.transport.messages_per_query")
+    if metric is None:
+        sys.exit(f"run_perfbench_smoke: {run}: no service.transport.messages_per_query")
+    if metric["value"] > MAX_MESSAGES_PER_QUERY:
+        sys.exit(f"run_perfbench_smoke: {run}: messages_per_query "
+                 f"{metric['value']:.2f} > {MAX_MESSAGES_PER_QUERY}")
+    print(f"run_perfbench_smoke: {run}: messages_per_query "
+          f"{metric['value']:.2f} <= {MAX_MESSAGES_PER_QUERY}")
 PY
   done
 done

@@ -69,10 +69,14 @@ size_t EngineState::IndexBytes() const {
              : 0;
 }
 
-join::CellAggregate EngineState::ProbeCells(const Probe& probe,
-                                            const ExecHooks& /*hooks*/) const {
+std::vector<join::CellAggregate> EngineState::ProbeCells(
+    const std::vector<Probe>& probes, const ExecHooks& hooks) const {
   DBSA_CHECK(point_index.has_value());
-  return point_index->QueryCells(probe.hr, join::SearchStrategy::kRadixSpline);
+  std::vector<join::CellAggregate> out(probes.size());
+  RunMaybeParallel(hooks, probes.size(), [&](size_t i) {
+    out[i] = point_index->QueryCells(probes[i].hr, join::SearchStrategy::kRadixSpline);
+  });
+  return out;
 }
 
 std::vector<uint32_t> EngineState::SelectIds(const Probe& probe,
@@ -91,18 +95,7 @@ void RunMaybeParallel(const ExecHooks& hooks, size_t n,
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  const size_t chunk = hooks.max_fanout == 0 ? n : hooks.max_fanout;
-  // Chunks run back to back, so at most `chunk` iterations are in flight
-  // at once; the iteration->result mapping (and thus every merge order
-  // downstream) is unchanged by the cap.
-  for (size_t start = 0; start < n; start += chunk) {
-    const size_t len = std::min(chunk, n - start);
-    if (len == 1) {
-      fn(start);
-    } else {
-      hooks.parallel_for(len, [&](size_t i) { fn(start + i); });
-    }
-  }
+  hooks.parallel_for(n, fn);
 }
 
 namespace {
@@ -319,19 +312,25 @@ AggregateAnswer ExecuteAggregate(const ShardSource& source, join::AggKind agg,
     const int level = base.grid.LevelForEpsilon(epsilon);
     answer.stats.hr_level = level;
     answer.stats.achieved_epsilon = base.grid.AchievedEpsilon(level);
-    // Stage 1 — independent per polygon (HR lookup + the source's
-    // probe), so the hook may fan it out across threads. A sharded
-    // source gathers each polygon's shard partials in ascending shard
-    // order, so scheduling never changes a merge order.
+    // Stage 1 — the HR lookups, independent per polygon, so the hook may
+    // fan them out across threads; then ONE probe call for every polygon,
+    // so a remote source carries the whole aggregate to each shard in one
+    // frame per wave. A sharded source gathers each polygon's shard
+    // partials in ascending shard order, so scheduling never changes a
+    // merge order.
     const std::vector<geom::Polygon>& polys = base.regions->polys;
-    std::vector<join::CellAggregate> per_poly(polys.size());
-    ShardFlags touched(source.num_shards());
+    std::vector<std::shared_ptr<const raster::HierarchicalRaster>> hrs(polys.size());
     RunMaybeParallel(hooks, polys.size(), [&](size_t j) {
-      const std::shared_ptr<const raster::HierarchicalRaster> hr =
-          HrForPolygon(base, hooks, j, polys[j], epsilon);
-      per_poly[j] = source.ProbeCells(
-          Probe{*hr, j, polys[j], bound, level, touched.data()}, hooks);
+      hrs[j] = HrForPolygon(base, hooks, j, polys[j], epsilon);
     });
+    ShardFlags touched(source.num_shards());
+    std::vector<Probe> probes;
+    probes.reserve(polys.size());
+    for (size_t j = 0; j < polys.size(); ++j) {
+      probes.push_back(Probe{*hrs[j], j, polys[j], bound, level, touched.data()});
+    }
+    const std::vector<join::CellAggregate> per_poly = source.ProbeCells(probes, hooks);
+    DBSA_CHECK(per_poly.size() == polys.size());
     // Stage 2 — combine into regions serially in polygon order, keeping
     // floating-point accumulation order independent of the scheduling
     // above (the service's determinism guarantee). The boundary partials
@@ -361,7 +360,7 @@ CountAnswer ExecuteCount(const ShardSource& source, const geom::Polygon& poly,
     out.stats.plan = query::PlanKind::kExactRStar;
   } else {
     ProbeAdHoc(source, poly, bound, hooks, &out.stats, [&](const Probe& probe) {
-      const join::CellAggregate agg = source.ProbeCells(probe, hooks);
+      const join::CellAggregate agg = source.ProbeCells({probe}, hooks).at(0);
       out.range = join::CountRange(agg);
       out.stats.query_cells = agg.query_cells;
     });

@@ -112,12 +112,6 @@ struct ExecHooks {
   /// stays serial in polygon order, so results are bit-identical to the
   /// serial execution regardless of scheduling.
   std::function<void(size_t n, const std::function<void(size_t)>& fn)> parallel_for;
-  /// Cap on concurrently in-flight iterations of any fan-out stage
-  /// (RunMaybeParallel chunks the iteration space). 0 = unlimited. A
-  /// scheduling knob only — results are identical at any cap; the serving
-  /// layer wires service::ExecOptions::max_shard_fanout here to keep one
-  /// query from monopolizing every shard connection at once.
-  size_t max_fanout = 0;
   /// Span collector of the submitting query (telemetry/trace.h); null
   /// when tracing is off. Observe-only: stages record wall-clock spans
   /// into it, nothing reads it back during execution — results are
@@ -131,13 +125,15 @@ void RunMaybeParallel(const ExecHooks& hooks, size_t n,
                       const std::function<void(size_t)>& fn);
 
 // ---- the shard-source seam ----------------------------------------------
-// An approximate query is answered by probing the cells of one HR
-// approximation against the point index, whether the points sit in one
+// An approximate query is answered by probing the cells of its HR
+// approximations against the point index, whether the points sit in one
 // index, in K in-process slices or behind K shard servers. A ShardSource
-// answers that probe; the executors below hold everything else once:
-// plan resolution, exact-bound routing to the base state, the
-// per-polygon fan-out, the per-region merge and ExecStats assembly.
-// Three sources implement it:
+// answers a query's probes — a region aggregate hands over all of its
+// polygons' HRs in one call, so a remote source can carry them to each
+// shard in one frame per wave; the executors below hold everything else
+// once: plan resolution, exact-bound routing to the base state, the HR
+// lookups, the per-region merge and ExecStats assembly. Three sources
+// implement it:
 //
 //   EngineState   the whole state: probes its own index, no routing;
 //   ShardedState  K in-process slices (core/sharded_state.h);
@@ -181,9 +177,13 @@ class ShardSource {
   /// Bytes of the point index(es) probed (ExecStats::index_bytes).
   virtual size_t IndexBytes() const = 0;
 
-  /// The merged cell aggregate of `probe.hr` over the source's points.
-  virtual join::CellAggregate ProbeCells(const Probe& probe,
-                                         const ExecHooks& hooks) const = 0;
+  /// The merged cell aggregate of each probe's HR over the source's
+  /// points, one per probe in the same positions. The probes of one call
+  /// belong to one query; a source may answer them in any order and
+  /// concurrently (the in-process sources fan them out through
+  /// RunMaybeParallel).
+  virtual std::vector<join::CellAggregate> ProbeCells(
+      const std::vector<Probe>& probes, const ExecHooks& hooks) const = 0;
   /// The conservative selection of `probe.hr` in canonical (leaf key,
   /// row id) order; `*cells` receives the number of cells probed.
   virtual std::vector<uint32_t> SelectIds(const Probe& probe,
@@ -210,8 +210,8 @@ struct EngineState : ShardSource {
   const EngineState& base() const override { return *this; }
   size_t num_shards() const override { return 0; }
   size_t IndexBytes() const override;
-  join::CellAggregate ProbeCells(const Probe& probe,
-                                 const ExecHooks& hooks) const override;
+  std::vector<join::CellAggregate> ProbeCells(const std::vector<Probe>& probes,
+                                              const ExecHooks& hooks) const override;
   std::vector<uint32_t> SelectIds(const Probe& probe, const ExecHooks& hooks,
                                   size_t* cells) const override;
 };

@@ -143,6 +143,7 @@ std::shared_ptr<const ShardedState> ShardedState::Build(
       if (has_hour) slice->hour.push_back(b.points->hour[id]);
     }
     shard.state = BuildEngineState(std::move(slice), b.regions, &b.grid);
+    shard.ids_by_position = BaseIdsByPosition(*shard.state, shard.global_ids);
   }
   return sharded;
 }
@@ -156,6 +157,11 @@ std::shared_ptr<const ShardedState> ShardedState::FromParts(
     for (const Shard& shard : shards) {
       DBSA_CHECK(shard.state != nullptr || shard.global_ids.empty());
     }
+  }
+  for (Shard& shard : shards) {
+    shard.ids_by_position = shard.state != nullptr
+                                ? BaseIdsByPosition(*shard.state, shard.global_ids)
+                                : std::vector<uint32_t>();
   }
   std::shared_ptr<ShardedState> sharded(new ShardedState());
   sharded->base_ = std::move(base);
@@ -274,29 +280,33 @@ size_t ShardedState::IndexBytes() const {
   return bytes;
 }
 
-join::CellAggregate ShardedState::ProbeCells(const Probe& probe,
-                                             const ExecHooks& hooks) const {
+std::vector<join::CellAggregate> ShardedState::ProbeCells(
+    const std::vector<Probe>& probes, const ExecHooks& hooks) const {
   // The in-process scatter needs slice states; a routing-only build
   // (socket clients) must go through ShardRouter instead.
   DBSA_CHECK(has_slices());
-  const raster::HierarchicalRaster& hr = probe.hr;
-  const Scatter scatter = PlanScatter(hr, probe.touched);
-  // Each surviving shard answers its pruned cell subset from its local
-  // index — in parallel when the cell volume warrants it.
-  std::vector<join::CellAggregate> partials(scatter.shards.size());
-  const auto one_shard = [&](size_t t) {
-    const size_t s = scatter.shards[t];
-    const std::vector<raster::HrCell> cells = PruneCellsForShard(
-        s, hr.cells().data(), scatter.routes.data(), hr.cells().size());
-    partials[t] = shards_[s].state->point_index->QueryCells(
-        cells.data(), cells.size(), join::SearchStrategy::kRadixSpline);
-  };
-  if (hr.cells().size() >= kShardFanOutMinCells) {
-    RunMaybeParallel(hooks, scatter.shards.size(), one_shard);
-  } else {
-    for (size_t t = 0; t < scatter.shards.size(); ++t) one_shard(t);
-  }
-  return GatherCells(partials);
+  std::vector<join::CellAggregate> out(probes.size());
+  RunMaybeParallel(hooks, probes.size(), [&](size_t i) {
+    const raster::HierarchicalRaster& hr = probes[i].hr;
+    const Scatter scatter = PlanScatter(hr, probes[i].touched);
+    // Each surviving shard answers its pruned cell subset from its local
+    // index — in parallel when the cell volume warrants it.
+    std::vector<join::CellAggregate> partials(scatter.shards.size());
+    const auto one_shard = [&](size_t t) {
+      const size_t s = scatter.shards[t];
+      const std::vector<raster::HrCell> cells = PruneCellsForShard(
+          s, hr.cells().data(), scatter.routes.data(), hr.cells().size());
+      partials[t] = shards_[s].state->point_index->QueryCells(
+          cells.data(), cells.size(), join::SearchStrategy::kRadixSpline);
+    };
+    if (hr.cells().size() >= kShardFanOutMinCells) {
+      RunMaybeParallel(hooks, scatter.shards.size(), one_shard);
+    } else {
+      for (size_t t = 0; t < scatter.shards.size(); ++t) one_shard(t);
+    }
+    out[i] = GatherCells(partials);
+  });
+  return out;
 }
 
 std::vector<uint32_t> ShardedState::SelectIds(const Probe& probe,
@@ -316,7 +326,7 @@ std::vector<uint32_t> ShardedState::SelectIds(const Probe& probe,
         scatter.shards[t], hr.cells().data(), scatter.routes.data(),
         hr.cells().size());
     per_shard_cells[t] = slice.size();
-    runs[t] = SelectKeyedIds(*shard.state, shard.global_ids, slice.data(),
+    runs[t] = SelectKeyedIds(*shard.state, shard.ids_by_position, slice.data(),
                              slice.size());
   });
   *cells = 0;
@@ -357,8 +367,19 @@ std::vector<uint32_t> GatherIds(
   return ids;
 }
 
+std::vector<uint32_t> BaseIdsByPosition(const EngineState& slice,
+                                        const std::vector<uint32_t>& global_ids) {
+  DBSA_CHECK(slice.point_index.has_value());
+  const index::PrefixSumIndex& prefix = slice.point_index->prefix_index();
+  const size_t n = prefix.keys().keys().size();
+  DBSA_CHECK(n == global_ids.size());
+  std::vector<uint32_t> ids(n);
+  for (size_t i = 0; i < n; ++i) ids[i] = global_ids[prefix.IdAt(i)];
+  return ids;
+}
+
 std::vector<std::pair<uint64_t, uint32_t>> SelectKeyedIds(
-    const EngineState& slice, const std::vector<uint32_t>& global_ids,
+    const EngineState& slice, const std::vector<uint32_t>& ids_by_position,
     const raster::HrCell* cells, size_t num_cells) {
   DBSA_CHECK(slice.point_index.has_value());
   const join::PointIndex& point_index = *slice.point_index;
@@ -373,14 +394,15 @@ std::vector<std::pair<uint64_t, uint32_t>> SelectKeyedIds(
                            total += pos.hi - pos.lo;
                          });
   // Each point's leaf key sits in the index's sorted key array at its
-  // position: read in order, it needs neither the point nor the grid.
-  const index::PrefixSumIndex& prefix = point_index.prefix_index();
-  const std::vector<uint64_t>& keys = prefix.keys().keys();
+  // position, and its base row id in `ids_by_position` at the same
+  // position: both read in order, needing neither the point nor the grid.
+  const std::vector<uint64_t>& keys = point_index.prefix_index().keys().keys();
+  DBSA_CHECK(ids_by_position.size() == keys.size());
   std::vector<std::pair<uint64_t, uint32_t>> keyed;
   keyed.reserve(total);
   for (const join::PositionRange& pos : ranges) {
     for (size_t i = pos.lo; i < pos.hi; ++i) {
-      keyed.emplace_back(keys[i], global_ids[prefix.IdAt(i)]);
+      keyed.emplace_back(keys[i], ids_by_position[i]);
     }
   }
   return keyed;

@@ -90,6 +90,10 @@ class ShardedState : public ShardSource {
     /// Local row -> base-table row. Ascending, so shard-local sorted
     /// order equals the base (key, row) order restricted to the shard.
     std::vector<uint32_t> global_ids;
+    /// Base-table row of each position of the slice's point index
+    /// (BaseIdsByPosition), so a selection reads its ids in the order it
+    /// walks the index. Built with the slice state, empty without one.
+    std::vector<uint32_t> ids_by_position;
     /// Tight bounds of the shard's points (display / cost model).
     geom::Box bounds;
     /// Exact leaf-coordinate bounds at CellId::kMaxLevel, used for shard
@@ -124,7 +128,8 @@ class ShardedState : public ShardSource {
   /// src/snapshot/). `shards` must be EXACTLY what Build would produce
   /// for the same base + hilbert_level — routing metadata (global_ids,
   /// bounds, leaf-coordinate extents, curve run, key_ranges) for every
-  /// shard, slice states present iff `has_slices`. The byte-identity
+  /// shard, slice states present iff `has_slices` — except
+  /// ids_by_position, which this factory derives. The byte-identity
   /// contract then holds by construction because routing and execution
   /// consume only these fields. SnapshotReader validates untrusted input
   /// before assembling; this factory trusts its caller.
@@ -197,8 +202,8 @@ class ShardedState : public ShardSource {
 
   /// The in-process probes: scatter to the slices' point indexes, gather
   /// in ascending shard order. Need has_slices().
-  join::CellAggregate ProbeCells(const Probe& probe,
-                                 const ExecHooks& hooks) const override;
+  std::vector<join::CellAggregate> ProbeCells(const std::vector<Probe>& probes,
+                                              const ExecHooks& hooks) const override;
   std::vector<uint32_t> SelectIds(const Probe& probe, const ExecHooks& hooks,
                                   size_t* cells) const override;
 
@@ -230,14 +235,22 @@ join::CellAggregate GatherCells(const std::vector<join::CellAggregate>& partials
 std::vector<uint32_t> GatherIds(
     std::vector<std::vector<std::pair<uint64_t, uint32_t>>> runs);
 
+/// The base-table row of each position of `slice`'s point index:
+/// global_ids[IdAt(i)] for every position i, where `global_ids` maps the
+/// slice's local rows to base rows. Built once per slice (4 B per point),
+/// so a selection reads base ids in index order instead of remapping
+/// every id through a random read. Needs slice.point_index.
+std::vector<uint32_t> BaseIdsByPosition(const EngineState& slice,
+                                        const std::vector<uint32_t>& global_ids);
+
 /// One shard's selection as a gather run: the (leaf key, base row id) of
 /// every point of `slice` that `cells` cover, keys read from the slice's
-/// own point index and row ids remapped through `global_ids` (local row →
-/// base row). For Z-ordered cells the run is strictly ascending: the
-/// index holds its points in (key, local row) order, and `global_ids` is
-/// ascending. Needs slice.point_index.
+/// own point index and base row ids from `ids_by_position`
+/// (BaseIdsByPosition of the slice). For Z-ordered cells the run is
+/// strictly ascending: the index holds its points in (key, local row)
+/// order, and the local→base map is ascending. Needs slice.point_index.
 std::vector<std::pair<uint64_t, uint32_t>> SelectKeyedIds(
-    const EngineState& slice, const std::vector<uint32_t>& global_ids,
+    const EngineState& slice, const std::vector<uint32_t>& ids_by_position,
     const raster::HrCell* cells, size_t num_cells);
 
 }  // namespace dbsa::core

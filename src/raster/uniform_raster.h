@@ -29,12 +29,6 @@ class UniformRaster {
 
   int level() const { return cover_.level; }
   const CellCover& cover() const { return cover_; }
-  size_t NumCells() const { return cover_.TotalCells(); }
-
-  /// Distance bound this raster actually guarantees.
-  double AchievedEpsilon(const Grid& grid) const {
-    return grid.AchievedEpsilon(cover_.level);
-  }
 
   /// Classifies a point (binary search over the sorted cell sets).
   CellKind Classify(const geom::Point& p, const Grid& grid) const;
@@ -44,9 +38,6 @@ class UniformRaster {
   bool ApproxContains(const geom::Point& p, const Grid& grid) const {
     return Classify(p, grid) != CellKind::kOutside;
   }
-
-  /// Footprint in bytes (cells are 8-byte Morton codes).
-  size_t MemoryBytes() const { return cover_.TotalCells() * sizeof(uint64_t); }
 
  private:
   CellCover cover_;

@@ -139,10 +139,6 @@ struct ExecOptions {
   double deadline_ms = 0.0;
   /// Optional cooperative cancellation (see CancelToken).
   std::shared_ptr<const CancelToken> cancel;
-  /// Cap on concurrently in-flight shard probes (and pool fan-out) for
-  /// this query; 0 = unlimited. Scheduling only — results are identical
-  /// at any cap.
-  size_t max_shard_fanout = 0;
 };
 
 // ----------------------------------------------------------- the result

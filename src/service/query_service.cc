@@ -150,12 +150,10 @@ ExecPath QueryService::exec_path() const {
   return ExecPath::kLocal;
 }
 
-core::ExecHooks QueryService::MakeHooks(const ExecOptions& options,
-                                        std::atomic<size_t>* query_hits,
+core::ExecHooks QueryService::MakeHooks(std::atomic<size_t>* query_hits,
                                         std::atomic<size_t>* query_misses,
                                         telemetry::QueryTrace* trace) {
   core::ExecHooks hooks;
-  hooks.max_fanout = options.max_shard_fanout;
   hooks.trace = trace;
   hooks.hr_provider = [this, query_hits, query_misses, trace](
                           size_t poly_index, const geom::Polygon& poly,
@@ -210,13 +208,11 @@ void FillBoundReport(const core::ExecStats& stats, Result* result) {
 }  // namespace
 
 template <typename RunFn>
-auto QueryService::RunWithStats(const ExecOptions& options,
-                                telemetry::QueryTrace* trace, Result* result,
+auto QueryService::RunWithStats(telemetry::QueryTrace* trace, Result* result,
                                 RunFn&& run) {
   std::atomic<size_t> query_hits{0};
   std::atomic<size_t> query_misses{0};
-  const core::ExecHooks hooks =
-      MakeHooks(options, &query_hits, &query_misses, trace);
+  const core::ExecHooks hooks = MakeHooks(&query_hits, &query_misses, trace);
   auto answer = [&]() {
     telemetry::SpanTimer span(trace, "execute");
     return run(hooks);
@@ -230,7 +226,7 @@ auto QueryService::RunWithStats(const ExecOptions& options,
 void QueryService::RunSpec(const AggregateSpec& spec, const ExecOptions& options,
                            telemetry::QueryTrace* trace, Result* result) {
   result->aggregate =
-      RunWithStats(options, trace, result, [&](const core::ExecHooks& hooks) {
+      RunWithStats(trace, result, [&](const core::ExecHooks& hooks) {
         return core::ExecuteAggregate(*source_, spec.agg, spec.attr, options.bound,
                                       options.mode, hooks);
       });
@@ -239,7 +235,7 @@ void QueryService::RunSpec(const AggregateSpec& spec, const ExecOptions& options
 void QueryService::RunSpec(const CountSpec& spec, const ExecOptions& options,
                            telemetry::QueryTrace* trace, Result* result) {
   result->range =
-      RunWithStats(options, trace, result, [&](const core::ExecHooks& hooks) {
+      RunWithStats(trace, result, [&](const core::ExecHooks& hooks) {
         return core::ExecuteCount(*source_, spec.poly, options.bound, hooks);
       }).range;
 }
@@ -247,7 +243,7 @@ void QueryService::RunSpec(const CountSpec& spec, const ExecOptions& options,
 void QueryService::RunSpec(const SelectSpec& spec, const ExecOptions& options,
                            telemetry::QueryTrace* trace, Result* result) {
   result->ids = std::move(
-      RunWithStats(options, trace, result, [&](const core::ExecHooks& hooks) {
+      RunWithStats(trace, result, [&](const core::ExecHooks& hooks) {
         return core::ExecuteSelect(*source_, spec.poly, options.bound, hooks);
       }).ids);
 }
@@ -408,18 +404,24 @@ std::future<Result> QueryService::Execute(Query query, ExecOptions options) {
 }
 
 void QueryService::WarmCache(double epsilon) {
-  const core::ExecHooks hooks = MakeHooks(ExecOptions{});
+  const core::ExecHooks hooks = MakeHooks();
   const std::vector<geom::Polygon>& polys = state_->regions->polys;
-  const int level = state_->grid.LevelForEpsilon(epsilon);
+  std::vector<ApproxCache::HrPtr> hrs(polys.size());
   pool_.ParallelFor(polys.size(), [&](size_t j) {
-    const ApproxCache::HrPtr hr = hooks.hr_provider(j, polys[j], epsilon);
-    if (router_ != nullptr) {
-      // Shard-aware warm: ship each region's routed cell slice to exactly
-      // the shards its cells route to — every other shard's cache stays
-      // untouched by this region.
-      router_->WarmObject(ObjectKey(static_cast<uint64_t>(j)), level, *hr);
-    }
+    hrs[j] = hooks.hr_provider(j, polys[j], epsilon);
   });
+  if (router_ == nullptr) return;
+  // Shard-aware warm, one batch per shard: each region's routed cell
+  // slice goes to exactly the shards its cells route to — every other
+  // shard's cache stays untouched by this region.
+  const int level = state_->grid.LevelForEpsilon(epsilon);
+  const query::ErrorBound bound = query::ErrorBound::AtLevel(level);
+  std::vector<core::Probe> probes;
+  probes.reserve(polys.size());
+  for (size_t j = 0; j < polys.size(); ++j) {
+    probes.push_back(core::Probe{*hrs[j], j, polys[j], bound, level, nullptr});
+  }
+  router_->Warm(probes, hooks);
 }
 
 }  // namespace dbsa::service

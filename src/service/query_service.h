@@ -1,8 +1,8 @@
 // QueryService — the concurrent serving layer over one immutable engine
 // snapshot (core::EngineState), speaking the v2 query envelope
 // (service/query.h): clients submit Query descriptors with per-query
-// ExecOptions (typed distance bound, mode hint, deadline, cancellation,
-// shard fan-out cap) and get Results carrying the payload, the ACHIEVED
+// ExecOptions (typed distance bound, mode hint, deadline, cancellation)
+// and get Results carrying the payload, the ACHIEVED
 // side of the distance-bound contract (BoundReport) and a typed Status.
 // A fixed thread pool executes queries; a memory-budgeted LRU cache
 // shares the HR approximations across queries, sessions and threads.
@@ -172,7 +172,9 @@ class QueryService {
   /// region aggregation, without running a query). Blocks until warm.
   /// Shard-aware: with the transport seam active, each shard server's
   /// per-shard cache is additionally warmed with the routed cell slices
-  /// of exactly the regions whose cells route to that shard.
+  /// of exactly the regions whose cells route to that shard — the HRs
+  /// are looked up in parallel, then one warm batch carries every slice
+  /// (one frame per shard, ShardRouter::Warm).
   void WarmCache(double epsilon);
 
   ApproxCache::Stats cache_stats() const { return cache_.stats(); }
@@ -210,8 +212,7 @@ class QueryService {
   /// they must outlive every Execute* call using the hooks. `trace`, when
   /// non-null, is threaded through the hooks (cache_lookup / hr_build
   /// spans, shard roundtrip spans downstream).
-  core::ExecHooks MakeHooks(const ExecOptions& options,
-                            std::atomic<size_t>* query_hits = nullptr,
+  core::ExecHooks MakeHooks(std::atomic<size_t>* query_hits = nullptr,
                             std::atomic<size_t>* query_misses = nullptr,
                             telemetry::QueryTrace* trace = nullptr);
 
@@ -235,8 +236,7 @@ class QueryService {
   /// (AggregateAnswer / CountAnswer / SelectAnswer — anything with a
   /// `stats` member).
   template <typename RunFn>
-  auto RunWithStats(const ExecOptions& options, telemetry::QueryTrace* trace,
-                    Result* result, RunFn&& run);
+  auto RunWithStats(telemetry::QueryTrace* trace, Result* result, RunFn&& run);
 
   /// End-of-query telemetry: latency/stage histograms, query counters,
   /// the slow-query log. Called once per RunQuery, success or failure.

@@ -42,9 +42,12 @@ std::string ShardMetric(const char* family, size_t shard) {
 }  // namespace
 
 ShardServer::ShardServer(std::shared_ptr<const core::EngineState> state,
-                         std::vector<uint32_t> global_ids, const Options& options)
+                         const std::vector<uint32_t>& global_ids,
+                         const Options& options)
     : state_(std::move(state)),
-      global_ids_(std::move(global_ids)),
+      ids_by_position_(state_ != nullptr && state_->point_index.has_value()
+                           ? core::BaseIdsByPosition(*state_, global_ids)
+                           : std::vector<uint32_t>()),
       cache_budget_bytes_(options.cell_cache_budget_bytes),
       options_(options),
       registry_(options.registry
@@ -68,24 +71,24 @@ ShardServer::ShardServer(std::shared_ptr<const core::EngineState> state,
           ShardMetric("dbsa_shard_cache_bytes", options.shard_index))),
       handle_ms_(registry_->GetHistogram(
           ShardMetric("dbsa_shard_handle_ms", options.shard_index))) {
-  DBSA_CHECK(state_ == nullptr || state_->points->size() == global_ids_.size());
+  DBSA_CHECK(state_ == nullptr || state_->points->size() == global_ids.size());
 }
 
-std::string ShardServer::Handle(const std::string& request_bytes) {
-  Timer timer;
-  requests_->Add(1);
-  ScatterRequest request;
+GatherPartial ShardServer::ParseError(const Status& parsed) {
+  // The decoder's code travels back typed: a version-skewed frame answers
+  // kUnimplemented, corruption answers kInvalidArgument.
+  parse_errors_->Add(1);
+  GatherPartial partial = GatherPartial::FromStatus(
+      ScatterRequest::Kind::kAggregateCells, GatherPartial::Disposition::kError,
+      Status(parsed.code(), "bad request: " + parsed.message()));
+  partial.epoch = options_.serving_epoch;
+  return partial;
+}
+
+GatherPartial ShardServer::Serve(const ScatterRequest& request) {
   GatherPartial partial;
-  const Status parsed = ScatterRequest::Decode(request_bytes, &request);
-  if (!parsed.ok()) {
-    // The decoder's code travels back typed: a version-skewed frame
-    // answers kUnimplemented, corruption answers kInvalidArgument.
-    parse_errors_->Add(1);
-    partial = GatherPartial::FromStatus(
-        ScatterRequest::Kind::kAggregateCells, GatherPartial::Disposition::kError,
-        Status(parsed.code(), "bad request: " + parsed.message()));
-  } else if (options_.serving_epoch != 0 && request.epoch != 0 &&
-             request.epoch != options_.serving_epoch) {
+  if (options_.serving_epoch != 0 && request.epoch != 0 &&
+      request.epoch != options_.serving_epoch) {
     // Read-your-epoch: a request pinned to another dataset generation is
     // rejected typed, never answered from the wrong data. The rejection
     // still echoes OUR serving epoch (below), so the client can tell
@@ -102,7 +105,43 @@ std::string ShardServer::Handle(const std::string& request_bytes) {
   }
   // EVERY partial — ok, error, not-cached — carries the serving epoch.
   partial.epoch = options_.serving_epoch;
-  std::string encoded = partial.Encode();
+  return partial;
+}
+
+std::string ShardServer::Handle(const std::string& request_bytes) {
+  Timer timer;
+  // A batch runs the per-request path on every entry, in order, and
+  // answers with one GatherBatch; an undecodable frame, a whole batch
+  // included, gets one error partial. The request counters count entries.
+  const bool batch = request_bytes.size() > kWireTypeOffset &&
+                     static_cast<uint8_t>(request_bytes[kWireTypeOffset]) ==
+                         static_cast<uint8_t>(MessageType::kScatterBatch);
+  std::vector<ScatterRequest> requests;
+  Status parsed;
+  if (batch) {
+    ScatterBatch decoded;
+    parsed = ScatterBatch::Decode(request_bytes, &decoded);
+    requests = std::move(decoded.requests);
+  } else {
+    requests.resize(1);
+    parsed = ScatterRequest::Decode(request_bytes, &requests[0]);
+  }
+  std::string encoded;
+  if (!parsed.ok()) {
+    requests_->Add(1);
+    encoded = ParseError(parsed).Encode();
+  } else if (!batch) {
+    requests_->Add(1);
+    encoded = Serve(requests[0]).Encode();
+  } else {
+    requests_->Add(requests.size());
+    GatherBatch reply;
+    reply.partials.reserve(requests.size());
+    for (const ScatterRequest& request : requests) {
+      reply.partials.push_back(Serve(request));
+    }
+    encoded = reply.Encode();
+  }
   // Echo the request's correlation id: on a multiplexed connection the
   // id — not stream position — pairs this reply with its request.
   PatchCorrelation(&encoded, PeekCorrelation(request_bytes));
@@ -110,12 +149,16 @@ std::string ShardServer::Handle(const std::string& request_bytes) {
   handle_ms_->Record(elapsed_ms);
   if (options_.slow_handle_ms > 0.0 && elapsed_ms > options_.slow_handle_ms) {
     // The server-side half of the distributed trace: one line keyed by
-    // the WIRE trace id, so it joins the client's slow-query record.
-    char buf[192];
-    std::snprintf(
-        buf, sizeof(buf), "SLOW_SHARD trace=%s shard=%zu kind=%u ms=%.3f",
-        telemetry::TraceIdHex(request.trace_hi, request.trace_lo).c_str(),
-        options_.shard_index, static_cast<unsigned>(request.kind), elapsed_ms);
+    // the WIRE trace id, so it joins the client's slow-query record. A
+    // batch's entries belong to one query: the first names it.
+    const ScatterRequest untraced;
+    const ScatterRequest& first = parsed.ok() ? requests[0] : untraced;
+    char buf[224];
+    std::snprintf(buf, sizeof(buf),
+                  "SLOW_SHARD trace=%s shard=%zu kind=%u entries=%zu ms=%.3f",
+                  telemetry::TraceIdHex(first.trace_hi, first.trace_lo).c_str(),
+                  options_.shard_index, static_cast<unsigned>(first.kind),
+                  parsed.ok() ? requests.size() : size_t{1}, elapsed_ms);
     if (options_.slow_handle_sink) {
       options_.slow_handle_sink(buf);
     } else {
@@ -183,7 +226,8 @@ GatherPartial ShardServer::Dispatch(const ScatterRequest& request) {
       // Keys from the slice's own index (the base grid's leaf keys), ids
       // remapped to base rows: the router merges the runs with no point
       // data.
-      out.keyed_ids = core::SelectKeyedIds(*state_, global_ids_, cells, num_cells);
+      out.keyed_ids =
+          core::SelectKeyedIds(*state_, ids_by_position_, cells, num_cells);
       break;
     }
     case ScatterRequest::Kind::kWarm:
@@ -288,89 +332,94 @@ void ShardRouter::MarkCached(size_t shard, const Key& key, bool cached) const {
 
 namespace {
 
-/// Decodes and validates one shard's framed reply into a GatherPartial.
-/// kError partials become a typed StatusException (the shard's code
-/// survives the hop to the serving layer's Result.status unchanged);
-/// kNotCached passes through for the caller's fallback policy.
-GatherPartial DecodePartial(size_t shard, ScatterRequest::Kind kind,
-                            const std::string& response) {
-  GatherPartial partial;
-  const Status decoded = GatherPartial::Decode(response, &partial);
-  if (!decoded.ok()) {
-    throw StatusException(Status(
-        decoded.code(), "shard " + std::to_string(shard) +
-                            ": undecodable response: " + decoded.message()));
-  }
+/// The per-shard cache key of a probed polygon: its region-table index,
+/// or the geometry fingerprint of an ad-hoc polygon.
+ObjectKey ProbeObject(const core::Probe& probe) {
+  return probe.poly_index == core::kAdHocPolygon
+             ? PolygonFingerprint(probe.poly)
+             : ObjectKey(static_cast<uint64_t>(probe.poly_index));
+}
+
+Status ShardStatus(size_t shard, const Status& status) {
+  return Status(status.code(),
+                "shard " + std::to_string(shard) + ": " + status.message());
+}
+
+/// One shard's answer to one request of kind `kind`: a kError partial
+/// becomes its typed status (the shard's code survives the hop to the
+/// serving layer's Result.status unchanged) and an OK partial of another
+/// kind a protocol error; kNotCached passes for the caller's fallback.
+Status CheckPartial(size_t shard, ScatterRequest::Kind kind,
+                    const GatherPartial& partial) {
   if (partial.status == GatherPartial::Disposition::kError) {
-    const Status status = partial.ToStatus();
-    throw StatusException(Status(
-        status.code(), "shard " + std::to_string(shard) + ": " + status.message()));
+    return ShardStatus(shard, partial.ToStatus());
   }
   if (partial.status == GatherPartial::Disposition::kOk && partial.kind != kind) {
-    throw StatusException(Status::Internal("shard " + std::to_string(shard) +
-                                           ": response kind mismatch"));
+    return Status::Internal("shard " + std::to_string(shard) +
+                            ": response kind mismatch");
   }
-  return partial;
+  return Status::OK();
 }
 
-GatherPartial RoundtripDecode(Transport& transport, size_t shard,
-                              const ScatterRequest& request) {
-  return DecodePartial(shard, request.kind,
-                       Roundtrip(transport, shard, request.Encode()));
-}
+/// One (probe, surviving shard) pair of a batch: the probe's position and
+/// the shard's position in its ascending survivor list.
+struct Slot {
+  uint32_t entry = 0;
+  uint32_t survivor = 0;
+};
 
-/// One shard's slot in an in-flight scatter wave.
-struct ShardCall {
-  bool active = false;           ///< Has a request in this wave.
+/// One wire frame of a wave: the shard it goes to, the slots it carries
+/// in probe order, and its completion.
+struct WireFrame {
+  uint32_t shard = 0;
+  std::vector<Slot> slots;
   std::string request;           ///< Encoded frame to send.
   Status status = Status::OK();  ///< Transport status of the completion.
-  std::string frame;             ///< Framed reply when status is OK.
+  std::string reply;             ///< Framed reply when status is OK.
   uint64_t correlation = 0;
   double start_ms = 0.0;         ///< Trace-epoch offset at Send.
   double duration_ms = 0.0;
 };
 
-/// Starts every active slot's request through Transport::Send and blocks
-/// until every completion lands — unconditionally, so no callback can
-/// outlive the wave. Issuing runs under the caller's RunMaybeParallel
-/// policy when `parallel_issue` is set: for an inline-completing
-/// transport (loopback) that IS the shard-execution parallelism, for an
-/// async transport the issue loop merely enqueues and the per-shard
-/// demux engines overlap the work. Completions land in any order; slots
-/// keep wave results positionally, so completion order never reaches the
-/// merge. Per-call wall time and correlation ids are captured for span
-/// recording on the gathering thread.
+/// Starts every frame's request through Transport::Send and blocks until
+/// every completion lands — unconditionally, so no callback can outlive
+/// the wave. Issuing runs under the caller's RunMaybeParallel policy when
+/// `parallel_issue` is set: for an inline-completing transport (loopback)
+/// that IS the shard-execution parallelism, for an async transport the
+/// issue loop merely enqueues and the per-shard demux engines overlap the
+/// work. Either way only the calling thread waits on replies. Completions
+/// land in any order; frames keep their results positionally, so
+/// completion order never reaches the merge. Per-frame wall time and
+/// correlation ids are captured for span recording on the gathering
+/// thread.
 void SendWave(Transport& transport, const core::ExecHooks& hooks,
-              bool parallel_issue, const std::vector<uint32_t>& shards,
-              telemetry::QueryTrace* trace, std::vector<ShardCall>* calls) {
+              bool parallel_issue, telemetry::QueryTrace* trace,
+              std::vector<WireFrame>* frames) {
   struct WaveState {
     dbsa::Mutex mu;
     dbsa::CondVar cv;
     size_t remaining DBSA_GUARDED_BY(mu) = 0;
   };
-  size_t active = 0;
-  for (const ShardCall& call : *calls) active += call.active ? 1 : 0;
-  if (active == 0) return;
+  if (frames->empty()) return;
   auto state = std::make_shared<WaveState>();
   {
     dbsa::MutexLock lock(state->mu);
-    state->remaining = active;
+    state->remaining = frames->size();
   }
-  const auto issue_one = [&](size_t t) {
-    ShardCall& call = (*calls)[t];
-    if (!call.active) return;
-    call.start_ms = trace != nullptr ? trace->ElapsedMs() : 0.0;
+  const auto issue_one = [&](size_t f) {
+    WireFrame& frame = (*frames)[f];
+    frame.start_ms = trace != nullptr ? trace->ElapsedMs() : 0.0;
     const auto sent = std::chrono::steady_clock::now();
-    call.correlation = transport.Send(
-        shards[t], std::move(call.request),
-        [state, &call, sent](StatusOr<std::string> result) {
-          call.duration_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - sent)
-                                 .count();
+    frame.correlation = transport.Send(
+        frame.shard, std::move(frame.request),
+        [state, &frame, sent](StatusOr<std::string> result) {
+          frame.duration_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - sent)
+                                  .count();
           if (result.ok()) {
-            call.frame = std::move(result).value();
+            frame.reply = std::move(result).value();
           } else {
-            call.status = result.status();
+            frame.status = result.status();
           }
           {
             dbsa::MutexLock lock(state->mu);
@@ -382,230 +431,289 @@ void SendWave(Transport& transport, const core::ExecHooks& hooks,
   // RunMaybeParallel is a barrier: every Send (and its correlation-id
   // write) has returned before the wait below starts.
   if (parallel_issue) {
-    core::RunMaybeParallel(hooks, calls->size(), issue_one);
+    core::RunMaybeParallel(hooks, frames->size(), issue_one);
   } else {
-    for (size_t t = 0; t < calls->size(); ++t) issue_one(t);
+    for (size_t f = 0; f < frames->size(); ++f) issue_one(f);
   }
   dbsa::MutexLock lock(state->mu);
   while (state->remaining != 0) state->cv.Wait(lock);
 }
 
+/// The partials of a completed frame's reply, one per slot in order: a
+/// GatherBatch of the frame's length, or, for a single-slot frame, a bare
+/// partial. A bare kError partial answering a batch (an undecodable
+/// batch, or a peer that predates batches) is every slot's answer.
+Status DecodeReply(const WireFrame& frame, std::vector<GatherPartial>* partials) {
+  const auto undecodable = [&](const Status& status) {
+    return Status(status.code(), "shard " + std::to_string(frame.shard) +
+                                     ": undecodable response: " + status.message());
+  };
+  MessageType type = MessageType::kGatherPartial;
+  const char* payload = nullptr;
+  size_t payload_size = 0;
+  const Status framed = ParseFrame(frame.reply, &type, &payload, &payload_size);
+  if (!framed.ok()) return undecodable(framed);
+  if (type == MessageType::kGatherBatch) {
+    GatherBatch batch;
+    const Status decoded = GatherBatch::Decode(frame.reply, &batch);
+    if (!decoded.ok()) return undecodable(decoded);
+    if (batch.partials.size() != frame.slots.size()) {
+      return Status::Internal("shard " + std::to_string(frame.shard) + ": " +
+                              std::to_string(batch.partials.size()) +
+                              " partials answer " +
+                              std::to_string(frame.slots.size()) + " requests");
+    }
+    *partials = std::move(batch.partials);
+    return Status::OK();
+  }
+  GatherPartial partial;
+  const Status decoded = GatherPartial::Decode(frame.reply, &partial);
+  if (!decoded.ok()) return undecodable(decoded);
+  if (frame.slots.size() > 1 &&
+      partial.status != GatherPartial::Disposition::kError) {
+    return Status::Internal("shard " + std::to_string(frame.shard) +
+                            ": one partial answers a batch of " +
+                            std::to_string(frame.slots.size()));
+  }
+  partials->assign(frame.slots.size(), partial);
+  return Status::OK();
+}
+
 }  // namespace
 
-std::vector<GatherPartial> ShardRouter::GatherFromShards(
-    ScatterRequest::Kind kind, const ObjectKey* object, int level,
-    const query::ErrorBound& bound, const raster::HierarchicalRaster& hr,
-    const core::ShardedState::Scatter& scatter,
+std::vector<ShardRouter::Entry> ShardRouter::ScatterProbes(
+    ScatterRequest::Kind kind, const std::vector<core::Probe>& probes,
     const core::ExecHooks& hooks) const {
   telemetry::QueryTrace* trace = hooks.trace;
-  const raster::HrCell* cells = hr.cells().data();
-  const size_t num_cells = hr.cells().size();
-  const core::ShardedState::CellRoute* routes = scatter.routes.data();
-  const std::vector<uint32_t>& surviving = scatter.shards;
-  const size_t n = surviving.size();
+  const size_t n = probes.size();
+  std::vector<Entry> entries(n);
+  std::vector<uint64_t> checksums(n);
+  // Per probe and survivor: the encoded request of the current wave, and
+  // whether wave 1 sent it as a cache reference.
+  std::vector<std::vector<std::string>> requests(n);
+  std::vector<std::vector<char>> referenced(n);
+
+  const auto encode = [&](size_t i, size_t t, bool reference) {
+    const core::Probe& probe = probes[i];
+    ScatterRequest request;
+    request.kind = kind;
+    request.bound_kind = probe.bound.kind;
+    request.bound_epsilon = probe.bound.epsilon;
+    request.level = probe.level;
+    request.checksum = checksums[i];
+    request.epoch = epoch_;
+    if (trace != nullptr) {
+      request.trace_hi = trace->ctx().trace_hi;
+      request.trace_lo = trace->ctx().trace_lo;
+      request.span_id = trace->ctx().span_id;
+    }
+    request.has_object = true;
+    request.object = entries[i].key.object;
+    if (!reference) {
+      const raster::HrCell* cells = probe.hr.cells().data();
+      const size_t num_cells = probe.hr.cells().size();
+      request.has_cells = true;
+      request.cells = sharded_->PruneCellsForShard(
+          entries[i].plan.shards[t], cells, entries[i].plan.routes.data(), num_cells);
+    }
+    requests[i][t] = request.Encode();
+  };
+
+  // Wave 1: route every probe and encode its request to each surviving
+  // shard — reference-only where the shard is believed to hold the key
+  // (no cell payload: the per-shard HR cache hit path), inline cells
+  // otherwise; a warm always ships its cells.
+  std::vector<Slot> wave;
+  size_t total_cells = 0;
+  {
+    telemetry::SpanTimer route_span(trace, "route");
+    core::RunMaybeParallel(hooks, n, [&](size_t i) {
+      const core::Probe& probe = probes[i];
+      Entry& entry = entries[i];
+      entry.plan = sharded_->PlanScatter(probe.hr, probe.touched);
+      entry.key = Key{ProbeObject(probe), probe.level};
+      checksums[i] = ApproxChecksum(probe.hr.cells().data(), probe.hr.cells().size());
+      const size_t m = entry.plan.shards.size();
+      entry.partials.resize(m);
+      requests[i].resize(m);
+      referenced[i].assign(m, 0);
+      for (size_t t = 0; t < m; ++t) {
+        referenced[i][t] = kind != ScatterRequest::Kind::kWarm &&
+                           KnownCached(entry.plan.shards[t], entry.key);
+        encode(i, t, referenced[i][t] != 0);
+      }
+    });
+    for (size_t i = 0; i < n; ++i) {
+      total_cells += probes[i].hr.cells().size();
+      for (size_t t = 0; t < entries[i].plan.shards.size(); ++t) {
+        wave.push_back(Slot{static_cast<uint32_t>(i), static_cast<uint32_t>(t)});
+      }
+    }
+  }
   // Same fan-out threshold as the in-process executor: scheduling (not
   // results) is all that changes with it.
-  const bool parallel_issue = num_cells >= core::kShardFanOutMinCells;
-  const Key key{object != nullptr ? *object : ObjectKey(), level};
+  const bool parallel_issue = total_cells >= core::kShardFanOutMinCells;
 
-  ScatterRequest base;
-  base.kind = kind;
-  base.bound_kind = bound.kind;
-  base.bound_epsilon = bound.epsilon;
-  base.level = level;
-  base.checksum = ApproxChecksum(cells, num_cells);
-  base.epoch = epoch_;
-  if (trace != nullptr) {
-    base.trace_hi = trace->ctx().trace_hi;
-    base.trace_lo = trace->ctx().trace_lo;
-    base.span_id = trace->ctx().span_id;
-  }
-  if (object != nullptr) {
-    base.has_object = true;
-    base.object = *object;
-  }
-
-  // Wave 1: reference-only where the shard is believed to hold the key
-  // (no cell payload — the per-shard HR cache hit path), inline cells
-  // otherwise.
-  std::vector<ShardCall> calls(n);
-  std::vector<char> referenced(n, 0);
-  for (size_t t = 0; t < n; ++t) {
-    ScatterRequest request = base;
-    if (object != nullptr && KnownCached(surviving[t], key)) {
-      referenced[t] = 1;
-    } else {
-      request.has_cells = true;
-      request.cells =
-          sharded_->PruneCellsForShard(surviving[t], cells, routes, num_cells);
+  for (int round = 1; !wave.empty(); ++round) {
+    // One frame per shard holding its slots in probe order, split only
+    // where the payload would pass kMaxBatchBytes; a frame of one slot
+    // travels bare.
+    std::vector<std::vector<Slot>> by_shard(num_shards());
+    for (const Slot& slot : wave) {
+      by_shard[entries[slot.entry].plan.shards[slot.survivor]].push_back(slot);
     }
-    calls[t].active = true;
-    calls[t].request = request.Encode();
-  }
-  SendWave(*transport_, hooks, parallel_issue, surviving, trace, &calls);
-
-  // Harvest on the gathering thread: spans, fallbacks, errors. Every
-  // completion has landed, so throwing from here leaves nothing in
-  // flight. The first failing shard (ascending) wins — deterministic
-  // regardless of completion order.
-  const auto record_span = [&](size_t t) {
-    if (trace != nullptr) {
-      trace->Record("shard_roundtrip", calls[t].start_ms, calls[t].duration_ms,
-                    static_cast<int>(surviving[t]), calls[t].correlation);
-    }
-  };
-  std::vector<GatherPartial> partials(n);
-  bool any_fallback = false;
-  for (size_t t = 0; t < n; ++t) {
-    record_span(t);
-    calls[t].active = false;  // Only fallback slots re-enter wave 2.
-    if (!calls[t].status.ok()) {
-      throw StatusException(Status(calls[t].status.code(),
-                                   "shard " + std::to_string(surviving[t]) +
-                                       ": " + calls[t].status.message()));
-    }
-    partials[t] = DecodePartial(surviving[t], kind, calls[t].frame);
-    if (partials[t].status == GatherPartial::Disposition::kOk) {
-      if (object != nullptr && !referenced[t]) {
-        MarkCached(surviving[t], key, true);
+    std::vector<WireFrame> frames;
+    const auto close_frame = [&](WireFrame* frame) {
+      if (frame->slots.size() == 1) {
+        const Slot& slot = frame->slots[0];
+        frame->request = std::move(requests[slot.entry][slot.survivor]);
+      } else {
+        std::vector<std::string> parts;
+        parts.reserve(frame->slots.size());
+        for (const Slot& slot : frame->slots) {
+          parts.push_back(std::move(requests[slot.entry][slot.survivor]));
+        }
+        frame->request = EncodeBatch(MessageType::kScatterBatch, parts);
       }
-      continue;
+      frames.push_back(std::move(*frame));
+    };
+    for (size_t s = 0; s < by_shard.size(); ++s) {
+      if (by_shard[s].empty()) continue;
+      WireFrame frame;
+      frame.shard = static_cast<uint32_t>(s);
+      size_t payload = sizeof(uint32_t);  // The entry count.
+      for (const Slot& slot : by_shard[s]) {
+        const size_t bytes =
+            sizeof(uint32_t) + requests[slot.entry][slot.survivor].size();
+        if (!frame.slots.empty() && payload + bytes > kMaxBatchBytes) {
+          close_frame(&frame);
+          frame = WireFrame();
+          frame.shard = static_cast<uint32_t>(s);
+          payload = sizeof(uint32_t);
+        }
+        frame.slots.push_back(slot);
+        payload += bytes;
+      }
+      close_frame(&frame);
     }
-    // kNotCached. A reference miss falls back to shipping the cells; a
-    // shard rejecting an INLINE slice this way is a protocol violation.
-    if (!referenced[t]) {
-      throw StatusException(
-          Status::Internal("shard " + std::to_string(surviving[t]) +
-                           ": rejected inline slice: " + partials[t].error));
-    }
-    MarkCached(surviving[t], key, false);
-    calls[t] = ShardCall();
-    calls[t].active = true;
-    any_fallback = true;
-  }
-  if (!any_fallback) return partials;
+    SendWave(*transport_, hooks, parallel_issue, trace, &frames);
 
-  // Wave 2: re-send with inline cells to the shards that evicted or
-  // replaced the referenced slice.
-  for (size_t t = 0; t < n; ++t) {
-    if (!calls[t].active) continue;
-    ScatterRequest request = base;
-    request.has_cells = true;
-    request.cells =
-        sharded_->PruneCellsForShard(surviving[t], cells, routes, num_cells);
-    calls[t].request = request.Encode();
-  }
-  SendWave(*transport_, hooks, parallel_issue, surviving, trace, &calls);
-  for (size_t t = 0; t < n; ++t) {
-    if (!calls[t].active) continue;
-    record_span(t);
-    if (!calls[t].status.ok()) {
-      throw StatusException(Status(calls[t].status.code(),
-                                   "shard " + std::to_string(surviving[t]) +
-                                       ": " + calls[t].status.message()));
+    // Harvest on the gathering thread: every completion has landed, so
+    // throwing from here leaves nothing in flight. Transport failures
+    // surface first, by ascending shard; then entry errors, in probe
+    // order and then shard order — deterministic whatever the completion
+    // order.
+    for (const WireFrame& frame : frames) {
+      if (trace != nullptr) {
+        trace->Record("shard_roundtrip", frame.start_ms, frame.duration_ms,
+                      static_cast<int>(frame.shard), frame.correlation);
+      }
     }
-    partials[t] = DecodePartial(surviving[t], kind, calls[t].frame);
-    if (partials[t].status != GatherPartial::Disposition::kOk) {
-      throw StatusException(
-          Status::Internal("shard " + std::to_string(surviving[t]) +
-                           ": rejected inline slice: " + partials[t].error));
+    for (const WireFrame& frame : frames) {
+      if (!frame.status.ok()) {
+        throw StatusException(ShardStatus(frame.shard, frame.status));
+      }
     }
-    if (object != nullptr) MarkCached(surviving[t], key, true);
+    std::vector<std::vector<Status>> errors(n);
+    for (const Slot& slot : wave) {
+      errors[slot.entry].resize(entries[slot.entry].partials.size());
+    }
+    for (const WireFrame& frame : frames) {
+      std::vector<GatherPartial> partials;
+      const Status decoded = DecodeReply(frame, &partials);
+      for (size_t k = 0; k < frame.slots.size(); ++k) {
+        const Slot& slot = frame.slots[k];
+        if (!decoded.ok()) {
+          errors[slot.entry][slot.survivor] = decoded;
+          continue;
+        }
+        errors[slot.entry][slot.survivor] = CheckPartial(frame.shard, kind, partials[k]);
+        entries[slot.entry].partials[slot.survivor] = std::move(partials[k]);
+      }
+    }
+    std::vector<Slot> resend;
+    Status first_error = Status::OK();
+    for (const Slot& slot : wave) {
+      Entry& entry = entries[slot.entry];
+      const uint32_t shard = entry.plan.shards[slot.survivor];
+      Status status = errors[slot.entry][slot.survivor];
+      const GatherPartial& partial = entry.partials[slot.survivor];
+      const bool was_reference = round == 1 && referenced[slot.entry][slot.survivor];
+      if (status.ok() && partial.status == GatherPartial::Disposition::kNotCached) {
+        if (was_reference) {
+          // The shard evicted or replaced the referenced slice: wave 2
+          // ships the cells.
+          MarkCached(shard, entry.key, false);
+          resend.push_back(slot);
+          continue;
+        }
+        // A shard rejecting an INLINE slice this way breaks the protocol.
+        status = Status::Internal("shard " + std::to_string(shard) +
+                                  ": rejected inline slice: " + partial.error);
+      }
+      if (!status.ok()) {
+        if (first_error.ok()) first_error = status;
+        continue;
+      }
+      if (!was_reference) MarkCached(shard, entry.key, true);
+    }
+    if (!first_error.ok()) throw StatusException(first_error);
+
+    // Wave 2: the slots that missed, now with inline cells.
+    if (!resend.empty()) {
+      telemetry::SpanTimer route_span(trace, "route");
+      core::RunMaybeParallel(hooks, resend.size(), [&](size_t r) {
+        encode(resend[r].entry, resend[r].survivor, /*reference=*/false);
+      });
+    }
+    wave = std::move(resend);
   }
-  return partials;
+  return entries;
 }
 
-core::ShardedState::Scatter ShardRouter::Route(
-    const raster::HierarchicalRaster& hr, std::atomic<uint32_t>* touched,
-    telemetry::QueryTrace* trace) const {
-  telemetry::SpanTimer route_span(trace, "route");
-  return sharded_->PlanScatter(hr, touched);
-}
-
-join::CellAggregate ShardRouter::ScatterGather(
-    const raster::HierarchicalRaster& hr, const ObjectKey* object, int level,
-    const query::ErrorBound& bound, const core::ExecHooks& hooks,
-    std::atomic<uint32_t>* touched) const {
-  const core::ShardedState::Scatter scatter = Route(hr, touched, hooks.trace);
-  const std::vector<GatherPartial> partials =
-      GatherFromShards(ScatterRequest::Kind::kAggregateCells, object, level,
-                       bound, hr, scatter, hooks);
+std::vector<join::CellAggregate> ShardRouter::ProbeCells(
+    const std::vector<core::Probe>& probes, const core::ExecHooks& hooks) const {
+  const std::vector<Entry> entries =
+      ScatterProbes(ScatterRequest::Kind::kAggregateCells, probes, hooks);
   // Completion order was whatever the wire delivered; partials are
-  // positional in the ascending survivor list, so the canonical gather
-  // preserves byte identity with the in-process engine.
+  // positional in each probe's ascending survivor list, so the canonical
+  // gather preserves byte identity with the in-process engine.
   telemetry::SpanTimer merge_span(hooks.trace, "merge");
-  std::vector<join::CellAggregate> aggregates(partials.size());
-  for (size_t t = 0; t < partials.size(); ++t) {
-    aggregates[t] = partials[t].aggregate;
+  std::vector<join::CellAggregate> out(entries.size());
+  std::vector<join::CellAggregate> aggregates;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    aggregates.clear();
+    for (const GatherPartial& partial : entries[i].partials) {
+      aggregates.push_back(partial.aggregate);
+    }
+    out[i] = core::GatherCells(aggregates);
   }
-  return core::GatherCells(aggregates);
-}
-
-namespace {
-
-/// The per-shard cache key of a probed polygon: its region-table index,
-/// or the geometry fingerprint of an ad-hoc polygon.
-ObjectKey ProbeObject(const core::Probe& probe) {
-  return probe.poly_index == core::kAdHocPolygon
-             ? PolygonFingerprint(probe.poly)
-             : ObjectKey(static_cast<uint64_t>(probe.poly_index));
-}
-
-}  // namespace
-
-join::CellAggregate ShardRouter::ProbeCells(const core::Probe& probe,
-                                            const core::ExecHooks& hooks) const {
-  const ObjectKey object = ProbeObject(probe);
-  return ScatterGather(probe.hr, &object, probe.level, probe.bound, hooks,
-                       probe.touched);
+  return out;
 }
 
 std::vector<uint32_t> ShardRouter::SelectIds(const core::Probe& probe,
                                              const core::ExecHooks& hooks,
                                              size_t* cells) const {
-  const ObjectKey object = ProbeObject(probe);
-  const core::ShardedState::Scatter scatter =
-      Route(probe.hr, probe.touched, hooks.trace);
-  std::vector<GatherPartial> partials =
-      GatherFromShards(ScatterRequest::Kind::kSelectIds, &object, probe.level,
-                       probe.bound, probe.hr, scatter, hooks);
+  std::vector<Entry> entries =
+      ScatterProbes(ScatterRequest::Kind::kSelectIds, {probe}, hooks);
   // Cells are counted per shard slice, exact even on cache-reference hits
   // (the partials report them). Each partial's pairs are one ascending run
   // (GatherPartial::Decode enforces it), positional in the ascending
   // survivor list.
   telemetry::SpanTimer gather_span(hooks.trace, "gather");
   std::vector<std::vector<std::pair<uint64_t, uint32_t>>> runs;
-  runs.reserve(partials.size());
+  runs.reserve(entries[0].partials.size());
   *cells = 0;
-  for (GatherPartial& partial : partials) {
+  for (GatherPartial& partial : entries[0].partials) {
     *cells += partial.probe_cells;
     runs.push_back(std::move(partial.keyed_ids));
   }
   return core::GatherIds(std::move(runs));
 }
 
-size_t ShardRouter::WarmObject(const ObjectKey& object, int level,
-                               const raster::HierarchicalRaster& hr) {
-  const raster::HrCell* cells = hr.cells().data();
-  const size_t num_cells = hr.cells().size();
-  const core::ShardedState::Scatter scatter = sharded_->PlanScatter(hr, nullptr);
-  const uint64_t checksum = ApproxChecksum(cells, num_cells);
-  for (const uint32_t s : scatter.shards) {
-    ScatterRequest request;
-    request.kind = ScatterRequest::Kind::kWarm;
-    request.bound_kind = query::BoundKind::kGridLevel;
-    request.level = level;
-    request.checksum = checksum;
-    request.epoch = epoch_;
-    request.has_object = true;
-    request.object = object;
-    request.has_cells = true;
-    request.cells =
-        sharded_->PruneCellsForShard(s, cells, scatter.routes.data(), num_cells);
-    RoundtripDecode(*transport_, s, request);
-    MarkCached(s, Key{object, level}, true);
-  }
-  return scatter.shards.size();
+void ShardRouter::Warm(const std::vector<core::Probe>& probes,
+                       const core::ExecHooks& hooks) {
+  ScatterProbes(ScatterRequest::Kind::kWarm, probes, hooks);
 }
 
 }  // namespace dbsa::service

@@ -75,18 +75,23 @@ class ShardServer {
   };
 
   /// Serves one shard slice. `state` may be null (an empty shard): every
-  /// query then answers zeros. `global_ids[local row] = base row`.
+  /// query then answers zeros. `global_ids[local row] = base row`; the
+  /// server keeps it only in the slice index's position order
+  /// (core::BaseIdsByPosition), the order a selection reads it in.
   ShardServer(std::shared_ptr<const core::EngineState> state,
-              std::vector<uint32_t> global_ids, const Options& options);
+              const std::vector<uint32_t>& global_ids, const Options& options);
 
-  /// Handles one framed ScatterRequest; always returns a framed
-  /// GatherPartial (malformed input yields a kError partial carrying the
-  /// decoder's typed StatusCode — kUnimplemented for version-skewed (e.g.
-  /// v1) frames, kInvalidArgument for corruption — never UB).
+  /// Handles one framed ScatterRequest and returns a framed GatherPartial,
+  /// or one framed ScatterBatch and returns a framed GatherBatch whose
+  /// entry i answers request i. Each request (each entry of a batch) is
+  /// decoded, epoch-checked and executed on its own. Malformed input —
+  /// a whole batch included — yields one kError partial carrying the
+  /// decoder's typed StatusCode (kUnimplemented for version-skewed, e.g.
+  /// v1, frames, kInvalidArgument for corruption), never UB.
   std::string Handle(const std::string& request_bytes);
 
   struct Stats {
-    uint64_t requests = 0;
+    uint64_t requests = 0;  ///< Requests, a batch's entries each counted.
     uint64_t parse_errors = 0;
     uint64_t epoch_rejects = 0;  ///< Requests pinned to another epoch.
     size_t cache_entries = 0;
@@ -99,7 +104,7 @@ class ShardServer {
   /// directory sizes).
   Stats stats() const;
 
-  size_t num_points() const { return global_ids_.size(); }
+  size_t num_points() const { return ids_by_position_.size(); }
 
   /// The registry the server records into (the process registry a
   /// scraping listener renders; private if Options carried none).
@@ -121,13 +126,19 @@ class ShardServer {
   };
   using LruList = std::list<CacheEntry>;
 
+  /// The kError partial answering an undecodable frame (counted).
+  GatherPartial ParseError(const Status& parsed);
+  /// One decoded request: the epoch check, then Dispatch; the partial
+  /// carries the serving epoch.
+  GatherPartial Serve(const ScatterRequest& request);
   GatherPartial Dispatch(const ScatterRequest& request);
   void CachePut(const CacheKey& key, uint64_t checksum,
                 std::vector<raster::HrCell> cells);
   CellsPtr CacheGet(const CacheKey& key, uint64_t checksum);
 
   std::shared_ptr<const core::EngineState> state_;
-  std::vector<uint32_t> global_ids_;
+  /// Base row of each position of the slice's point index.
+  std::vector<uint32_t> ids_by_position_;
   const size_t cache_budget_bytes_;
   Options options_;
 
@@ -155,10 +166,27 @@ class ShardServer {
 /// that was pruned from a different approximation.
 uint64_t ApproxChecksum(const raster::HrCell* cells, size_t num_cells);
 
+/// Largest payload of a batch frame the router builds: a shard's entries
+/// of one wave split over several frames only beyond it. A constant, far
+/// under kMaxFrameBytes: it only bounds one frame, and splitting a wave at
+/// smaller caps measured no faster.
+inline constexpr size_t kMaxBatchBytes = size_t{1} << 20;
+
 /// The client half of the seam: prunes per shard, scatters serialized
 /// requests over the transport, and gathers partials in canonical order.
 /// As a ShardSource it keys the per-shard caches by region index for
 /// region polygons and by PolygonFingerprint for ad-hoc ones.
+///
+/// Every call — a region aggregate's probes, an ad-hoc count or select,
+/// a warm — scatters as one batch: each probe is routed, and each
+/// surviving shard gets its entries, in probe order, in ONE frame per
+/// wave (split only at kMaxBatchBytes; a single entry travels as its
+/// bare frame, so a count or a select never sends a batch).
+/// Wave 1 carries every entry, as a cache reference where the shard is
+/// believed to hold the slice and inline cells otherwise; wave 2 re-sends,
+/// inline, only the entries that answered kNotCached. Each wave's frames
+/// are all sent before the calling thread waits on any reply, and no pool
+/// worker ever waits on the wire.
 class ShardRouter : public core::ShardSource {
  public:
   ShardRouter(std::shared_ptr<const core::ShardedState> sharded,
@@ -167,8 +195,11 @@ class ShardRouter : public core::ShardSource {
   const core::EngineState& base() const override { return sharded_->base(); }
   size_t num_shards() const override { return sharded_->num_shards(); }
   size_t IndexBytes() const override { return sharded_->IndexBytes(); }
-  join::CellAggregate ProbeCells(const core::Probe& probe,
-                                 const core::ExecHooks& hooks) const override;
+  /// Byte-identical to the in-process ShardedState::ProbeCells: each
+  /// probe's partials fold in ascending shard order (core::GatherCells).
+  std::vector<join::CellAggregate> ProbeCells(
+      const std::vector<core::Probe>& probes,
+      const core::ExecHooks& hooks) const override;
   std::vector<uint32_t> SelectIds(const core::Probe& probe,
                                   const core::ExecHooks& hooks,
                                   size_t* cells) const override;
@@ -182,46 +213,36 @@ class ShardRouter : public core::ShardSource {
   /// repinning.
   void set_epoch(uint64_t epoch) { epoch_ = epoch; }
 
-  /// Scatter-gather of one approximation over the surviving shards;
-  /// byte-identical to the in-process ShardedState::ProbeCells. `object`,
-  /// when non-null, keys the per-shard caches. `bound` is the query's
-  /// contract as submitted (travels on every ScatterRequest). `touched`,
-  /// when non-null, has one flag per shard (see core::Probe::touched).
-  join::CellAggregate ScatterGather(const raster::HierarchicalRaster& hr,
-                                    const ObjectKey* object, int level,
-                                    const query::ErrorBound& bound,
-                                    const core::ExecHooks& hooks,
-                                    std::atomic<uint32_t>* touched) const;
-
-  /// Warms the per-shard caches of exactly the shards `hr` routes to with
-  /// their pruned slices. Returns the number of shards warmed.
-  size_t WarmObject(const ObjectKey& object, int level,
-                    const raster::HierarchicalRaster& hr);
+  /// Warms the per-shard caches of exactly the shards each probe's HR
+  /// routes to with its pruned slices, in one batch per shard. The
+  /// probes' levels key the slices; their bounds are not used (a warm
+  /// request carries its level as a kGridLevel bound).
+  void Warm(const std::vector<core::Probe>& probes, const core::ExecHooks& hooks);
 
  private:
   using Key = ObjectLevelKey;
 
-  /// Completion-driven scatter over `surviving`: every shard's request is
-  /// started through Transport::Send (reference-only when the shard is
-  /// known to hold the key, inline cells otherwise), the gather blocks
-  /// until EVERY completion has landed, then a second wave re-sends
-  /// inline cells to the shards that answered kNotCached. Replies land in
-  /// any order; the returned partials are indexed by position in
-  /// `surviving`, so the caller's ascending-shard fold — and hence byte
-  /// identity — is untouched by completion order. Throws StatusException
-  /// (first failing shard in ascending order) only after all in-flight
-  /// completions have drained. Each wire request records one
-  /// "shard_roundtrip" span tagged with its shard and correlation id.
-  std::vector<GatherPartial> GatherFromShards(
-      ScatterRequest::Kind kind, const ObjectKey* object, int level,
-      const query::ErrorBound& bound, const raster::HierarchicalRaster& hr,
-      const core::ShardedState::Scatter& scatter,
-      const core::ExecHooks& hooks) const;
+  /// One probe of a batch: its scatter plan, its cache key, and per
+  /// surviving shard (positional in plan.shards) the shard's partial.
+  struct Entry {
+    core::ShardedState::Scatter plan;
+    Key key;
+    std::vector<GatherPartial> partials;
+  };
 
-  /// The scatter of `hr`, timed as the query's "route" stage.
-  core::ShardedState::Scatter Route(const raster::HierarchicalRaster& hr,
-                                    std::atomic<uint32_t>* touched,
-                                    telemetry::QueryTrace* trace) const;
+  /// Scatters `probes` as one batch of `kind` requests (see the class
+  /// comment) and returns one Entry per probe, in order. Replies land in
+  /// any order; partials are positional, so the caller's ascending-shard
+  /// fold — and hence byte identity — is untouched by completion order.
+  /// Throws StatusException only after every frame of the failing wave
+  /// has completed: a transport failure first (ascending shard), else
+  /// the first failing entry in probe order, then shard order. Records
+  /// one "route" span per wave (routing, pruning and encoding) and one
+  /// "shard_roundtrip" span per frame, tagged with its shard and
+  /// correlation id.
+  std::vector<Entry> ScatterProbes(ScatterRequest::Kind kind,
+                                   const std::vector<core::Probe>& probes,
+                                   const core::ExecHooks& hooks) const;
 
   bool KnownCached(size_t shard, const Key& key) const;
   void MarkCached(size_t shard, const Key& key, bool cached) const;

@@ -193,12 +193,6 @@ class SocketTransport : public Transport {
   /// Thin read of the registry counters.
   Stats stats() const;
 
-  /// The registry the transport records into (private if Options carried
-  /// none).
-  const std::shared_ptr<telemetry::MetricRegistry>& registry() const {
-    return registry_;
-  }
-
  private:
   /// Endpoint index within a shard's placement entry.
   enum : int { kPrimary = 0, kReplica = 1 };

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/check.h"
-#include "util/thread_annotations.h"
 
 namespace dbsa::service {
 
@@ -54,11 +53,11 @@ Status ParseFrame(const std::string& bytes, MessageType* type,
   if (static_cast<size_t>(length) + kWireLengthSize != bytes.size()) {
     return Status::InvalidArgument("frame length mismatch");
   }
-  static_assert(kMessageTypeCount == 4,
+  static_assert(kMessageTypeCount == 6,
                 "new MessageType: widen this acceptance range (and teach "
                 "ShardListener / the demux loops to route it)");
   if (raw_type < static_cast<uint8_t>(MessageType::kScatterRequest) ||
-      raw_type > static_cast<uint8_t>(MessageType::kStatsReply)) {
+      raw_type > static_cast<uint8_t>(MessageType::kGatherBatch)) {
     return Status::InvalidArgument("unknown message type " +
                                    std::to_string(raw_type));
   }
@@ -374,6 +373,90 @@ dbsa::Status GatherPartial::Decode(const std::string& bytes, GatherPartial* out)
   return Status::OK();
 }
 
+std::string EncodeBatch(MessageType type, const std::vector<std::string>& frames) {
+  DBSA_CHECK(type == MessageType::kScatterBatch || type == MessageType::kGatherBatch);
+  WireWriter w;
+  w.U32(static_cast<uint32_t>(frames.size()));
+  for (const std::string& frame : frames) {
+    w.U32(static_cast<uint32_t>(frame.size()));
+    w.Bytes(frame.data(), frame.size());
+  }
+  return w.TakeFramed(type);
+}
+
+namespace {
+
+/// Decodes the entries of a batch frame of `type` with the bare decoder
+/// `decode`, each into one element of `out`.
+template <typename Message, typename Decode>
+Status DecodeBatch(const std::string& bytes, MessageType type, const char* name,
+                   Decode decode, std::vector<Message>* out) {
+  MessageType got = MessageType::kScatterRequest;
+  const char* payload = nullptr;
+  size_t payload_size = 0;
+  const Status framed = ParseFrame(bytes, &got, &payload, &payload_size);
+  if (!framed.ok()) return framed;
+  if (got != type) return Status::InvalidArgument(std::string("not a ") + name);
+  WireReader r(payload, payload_size);
+  const uint32_t count = r.U32();
+  if (!r.ok() || count == 0) {
+    return Status::InvalidArgument(std::string("empty ") + name);
+  }
+  // Every entry is at least a length field and a bare envelope: check the
+  // count against the bytes before reserving anything, so a corrupted
+  // count cannot reserve gigabytes.
+  if (static_cast<uint64_t>(count) * (kWireLengthSize + kWireEnvelopeSize) >
+      r.remaining()) {
+    return Status::InvalidArgument(std::string(name) +
+                                   " count inconsistent with payload size");
+  }
+  out->clear();
+  out->resize(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint32_t length = r.U32();
+    const std::string entry = r.Bytes(length);
+    if (!r.ok()) {
+      return Status::InvalidArgument(std::string(name) + " entry " +
+                                     std::to_string(i) + " runs past the payload");
+    }
+    const Status decoded = decode(entry, &(*out)[i]);
+    if (!decoded.ok()) {
+      return Status::InvalidArgument(std::string(name) + " entry " +
+                                     std::to_string(i) + ": " + decoded.message());
+    }
+  }
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument(std::string("trailing bytes in ") + name);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+std::string ScatterBatch::Encode() const {
+  std::vector<std::string> frames;
+  frames.reserve(requests.size());
+  for (const ScatterRequest& request : requests) frames.push_back(request.Encode());
+  return EncodeBatch(MessageType::kScatterBatch, frames);
+}
+
+Status ScatterBatch::Decode(const std::string& bytes, ScatterBatch* out) {
+  return DecodeBatch(bytes, MessageType::kScatterBatch, "ScatterBatch",
+                     &ScatterRequest::Decode, &out->requests);
+}
+
+std::string GatherBatch::Encode() const {
+  std::vector<std::string> frames;
+  frames.reserve(partials.size());
+  for (const GatherPartial& partial : partials) frames.push_back(partial.Encode());
+  return EncodeBatch(MessageType::kGatherBatch, frames);
+}
+
+Status GatherBatch::Decode(const std::string& bytes, GatherBatch* out) {
+  return DecodeBatch(bytes, MessageType::kGatherBatch, "GatherBatch",
+                     &GatherPartial::Decode, &out->partials);
+}
+
 std::string StatsRequest::Encode() const {
   WireWriter w;
   return w.TakeFramed(MessageType::kStatsRequest);
@@ -446,37 +529,6 @@ uint64_t LoopbackTransport::Send(size_t shard, std::string request, Done done) {
   response_bytes_->Add(response.size());
   done(std::move(response));
   return correlation;
-}
-
-std::string Roundtrip(Transport& transport, size_t shard, std::string request) {
-  // The callback may fire on a transport-owned thread after this frame
-  // would have unwound on an exception path, so the wait state is shared,
-  // not stack-owned.
-  struct WaitState {
-    dbsa::Mutex mu;
-    dbsa::CondVar cv;
-    bool ready DBSA_GUARDED_BY(mu) = false;
-    Status status DBSA_GUARDED_BY(mu) = Status::OK();
-    std::string frame DBSA_GUARDED_BY(mu);
-  };
-  auto state = std::make_shared<WaitState>();
-  transport.Send(shard, std::move(request),
-                 [state](StatusOr<std::string> result) {
-                   {
-                     dbsa::MutexLock lock(state->mu);
-                     if (result.ok()) {
-                       state->frame = std::move(result).value();
-                     } else {
-                       state->status = result.status();
-                     }
-                     state->ready = true;
-                   }
-                   state->cv.NotifyOne();
-                 });
-  dbsa::MutexLock lock(state->mu);
-  while (!state->ready) state->cv.Wait(lock);
-  if (!state->status.ok()) throw StatusException(state->status);
-  return std::move(state->frame);
 }
 
 }  // namespace dbsa::service

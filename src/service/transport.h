@@ -12,7 +12,10 @@
 //                    cell span for ONE shard;
 //   GatherPartial    the shard's partial answer — cell aggregates for
 //                    aggregations/counts, (leaf key, global id) pairs for
-//                    selections — or a typed error / not-cached signal.
+//                    selections — or a typed error / not-cached signal;
+//   ScatterBatch,    several of the above for one shard in one frame, so
+//   GatherBatch      a query that probes many approximations sends one
+//                    frame per shard per wave.
 //
 // The NORMATIVE byte-level spec — offsets, field tables, acceptance
 // rules, compatibility policy — is docs/wire-format.md; this comment is
@@ -50,9 +53,7 @@
 // carries many in-flight requests instead of one blocked thread each.
 // LoopbackTransport is the in-process implementation (request and
 // response still cross the byte format, so the rehearsal exercises the
-// full seam); a real RPC transport drops in by implementing Send. The
-// free function Roundtrip(transport, shard, request) is the blocking
-// one-shot wrapper for callers without concurrency.
+// full seam); a real RPC transport drops in by implementing Send.
 
 #ifndef DBSA_SERVICE_TRANSPORT_H_
 #define DBSA_SERVICE_TRANSPORT_H_
@@ -130,6 +131,8 @@ enum class MessageType : uint8_t {
   kGatherPartial = 2,
   kStatsRequest = 3,  ///< Admin: scrape the server's MetricRegistry.
   kStatsReply = 4,    ///< Admin: Prometheus text exposition bytes.
+  kScatterBatch = 5,  ///< Several ScatterRequest frames for one shard.
+  kGatherBatch = 6,   ///< The GatherPartial frames answering a ScatterBatch.
 };
 
 /// Number of MessageType values (wire types number 1..kMessageTypeCount;
@@ -137,8 +140,8 @@ enum class MessageType : uint8_t {
 /// type validation, the listener's type-byte peek — pin this with an
 /// adjacent static_assert so a new frame type is a compile error at
 /// every site that must learn to route it.
-inline constexpr int kMessageTypeCount = 4;
-static_assert(static_cast<int>(MessageType::kStatsReply) == kMessageTypeCount,
+inline constexpr int kMessageTypeCount = 6;
+static_assert(static_cast<int>(MessageType::kGatherBatch) == kMessageTypeCount,
               "MessageType grew: bump kMessageTypeCount, then fix every "
               "static_assert(kMessageTypeCount == ...) handling site and "
               "docs/wire-format.md");
@@ -192,8 +195,9 @@ class WireWriter {
 
 /// Bounds-checked field-wise decoder: any read past the end flips ok()
 /// and returns zeros, so decoders can validate once at the end instead
-/// of after every field. Like WireWriter, reads are typed primitives
-/// only — a frame is never read through a struct layout.
+/// of after every field. Like WireWriter, reads are typed primitives or
+/// length-counted byte strings — a frame is never read through a struct
+/// layout.
 class WireReader {
  public:
   WireReader(const void* data, size_t n)
@@ -206,6 +210,17 @@ class WireReader {
   uint64_t U64() { return Take<uint64_t>(); }
   int32_t I32() { return Take<int32_t>(); }
   double F64() { return util::BitCast<double>(Take<uint64_t>()); }
+  /// The next `n` bytes as an opaque byte string (callers read a length
+  /// field first); empty, with ok() false, if fewer than `n` remain.
+  std::string Bytes(size_t n) {
+    if (!ok_ || n_ - pos_ < n) {
+      ok_ = false;
+      return std::string();
+    }
+    std::string bytes(static_cast<const char*>(static_cast<const void*>(p_ + pos_)), n);
+    pos_ += n;
+    return bytes;
+  }
 
   /// True iff every read so far was in bounds.
   bool ok() const { return ok_; }
@@ -370,6 +385,41 @@ struct GatherPartial {
   static dbsa::Status Decode(const std::string& bytes, GatherPartial* out);
 };
 
+/// A batch frame carries several complete bare frames for one shard, so a
+/// query that probes many approximations costs one frame per shard per
+/// wave instead of one per approximation and shard. Payload:
+///
+///   [u32 count][count × {u32 length, frame}]
+///
+/// Every entry is a whole v5 frame with its own envelope — ScatterRequest
+/// frames in a ScatterBatch, GatherPartial frames in a GatherBatch — so
+/// the bare decoders validate each entry unchanged, and a batch nested in
+/// a batch fails their type check. Decoding rejects, with
+/// kInvalidArgument, a zero count, a count the payload cannot hold
+/// (checked before anything is reserved), an entry running past the
+/// payload, an entry its own decoder rejects, and trailing bytes. A shard
+/// answers a ScatterBatch with a GatherBatch of the same length, entry i
+/// answering request i. A router sends a single entry as its bare frame,
+/// never as a batch of one.
+struct ScatterBatch {
+  std::vector<ScatterRequest> requests;
+
+  std::string Encode() const;
+  static Status Decode(const std::string& bytes, ScatterBatch* out);
+};
+
+struct GatherBatch {
+  std::vector<GatherPartial> partials;
+
+  std::string Encode() const;
+  static Status Decode(const std::string& bytes, GatherBatch* out);
+};
+
+/// Frames already-encoded bare frames as one batch of `type`
+/// (kScatterBatch or kGatherBatch), in order; what the batch Encodes
+/// call, for callers that hold their entries encoded.
+std::string EncodeBatch(MessageType type, const std::vector<std::string>& frames);
+
 /// Admin frame (v3+): asks a shard process for its MetricRegistry. Empty
 /// payload by design — a scraper needs no state to ask.
 struct StatsRequest {
@@ -415,12 +465,6 @@ class Transport {
   /// Unused; kept only because perfbench's TracingTransport overrides it.
   virtual double CostPerMessage() const { return 0.0; }
 };
-
-/// Blocking one-shot wrapper over Transport::Send: sends `request` and
-/// waits for its completion. Throws StatusException (a runtime_error
-/// carrying the typed Status) on transport failure. For callers without
-/// their own completion plumbing — tests, warming, admin scrapes.
-std::string Roundtrip(Transport& transport, size_t shard, std::string request);
 
 /// In-process transport: requests are handed to per-shard handler
 /// functions (ShardServer::Handle bound by the service) on the calling

@@ -87,7 +87,7 @@ TEST_P(BoundSweepTest, HausdorffWithinEpsilon) {
     switch (builder) {
       case Builder::kUniform: {
         const UniformRaster ur = UniformRaster::Build(poly, grid, eps, opts);
-        achieved = ur.AchievedEpsilon(grid);
+        achieved = grid.AchievedEpsilon(ur.level());
         check = CheckBound(poly, grid, ur, eps * 0.25);
         break;
       }
@@ -160,7 +160,7 @@ TEST(BoundSweepTest, NonConservativeSliverCaveat) {
   drop_all.conservative = false;
   drop_all.min_coverage = 0.9;  // Slivers cover < 90% of any cell.
   const UniformRaster ur = UniformRaster::Build(sliver, grid, 24.0, drop_all);
-  EXPECT_EQ(ur.NumCells(), 0u);  // The pathological case is real.
+  EXPECT_EQ(ur.cover().TotalCells(), 0u);  // The pathological case is real.
   // Per-point locality: every point of the sliver is within eps of its
   // own boundary (trivially, since the sliver is thin) — consistent with
   // the error-locality guarantee the joins verify.

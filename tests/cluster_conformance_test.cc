@@ -37,6 +37,7 @@
 #include "service/transport.h"
 #include "snapshot/snapshot.h"
 #include "test_util.h"
+#include "transport_util.h"
 
 namespace dbsa::service {
 namespace {
@@ -44,6 +45,7 @@ namespace {
 using dbsa::testing::ExecuteAll;
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
+using dbsa::testing::Roundtrip;
 using dbsa::testing::Submission;
 
 constexpr uint64_t kEpoch = 7;

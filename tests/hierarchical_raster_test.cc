@@ -78,7 +78,7 @@ TEST(HrTest, MergesReduceCellCount) {
   const geom::Polygon star = MakeStarPolygon({128, 128}, 40, 90, 18, 5);
   const UniformRaster ur = UniformRaster::Build(star, grid, 2.0);
   const HierarchicalRaster hr = HierarchicalRaster::BuildEpsilon(star, grid, 2.0);
-  EXPECT_LT(hr.NumCells(), ur.NumCells());
+  EXPECT_LT(hr.NumCells(), ur.cover().TotalCells());
   // Boundary cells are never merged.
   const auto boundary = std::count_if(hr.cells().begin(), hr.cells().end(),
                                       [](const HrCell& c) { return c.boundary; });

@@ -9,8 +9,7 @@
 //     kAbsoluteDistance reproduces Grid::LevelForEpsilon snapping (one-ulp
 //     sweep), kExact answers equal brute force on adversarial polygons
 //     and report no approximation;
-//   * ExecOptions: deadlines and cancellation answer typed statuses,
-//     the shard fan-out cap never changes results.
+//   * ExecOptions: deadlines and cancellation answer typed statuses.
 
 #include <gtest/gtest.h>
 
@@ -390,7 +389,7 @@ TEST_F(QueryEnvelopeTest, ExactBoundBypassesApproximationAndMatchesBruteForce) {
   EXPECT_GE(ranged.range.hi, first.range.estimate);
 }
 
-// ---- ExecOptions: deadline, cancellation, fan-out cap ------------------
+// ---- ExecOptions: deadline, cancellation --------------------------------
 
 TEST_F(QueryEnvelopeTest, ExpiredDeadlineAnswersTypedStatus) {
   QueryService service(state_, {});
@@ -419,39 +418,6 @@ TEST_F(QueryEnvelopeTest, CancelledTokenAnswersTypedStatus) {
   auto live = std::make_shared<CancelToken>();
   options.cancel = live;
   EXPECT_TRUE(service.Execute(Query::Count(star), options).get().ok());
-}
-
-TEST_F(QueryEnvelopeTest, FanOutCapNeverChangesResults) {
-  ServiceOptions service_options;
-  service_options.num_threads = 8;
-  service_options.num_shards = 7;
-  QueryService service(state_, service_options);
-  const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
-  for (const size_t cap : {size_t{0}, size_t{1}, size_t{2}, size_t{64}}) {
-    ExecOptions options;
-    options.bound = ErrorBound::Absolute(4.0);
-    options.max_shard_fanout = cap;
-    options.mode = core::Mode::kPointIndex;
-    const Result count = service.Execute(Query::Count(star), options).get();
-    const Result agg =
-        service.Execute(Query::Aggregate(join::AggKind::kSum, core::Attr::kFare),
-                        options)
-            .get();
-    ASSERT_TRUE(count.ok() && agg.ok()) << "cap " << cap;
-    const core::CountAnswer want = core::ExecuteCount(
-        *state_, star, ErrorBound::Absolute(4.0));
-    EXPECT_EQ(count.range.estimate, want.range.estimate) << "cap " << cap;
-    EXPECT_EQ(count.range.lo, want.range.lo) << "cap " << cap;
-    EXPECT_EQ(count.range.hi, want.range.hi) << "cap " << cap;
-    const core::AggregateAnswer want_agg =
-        core::ExecuteAggregate(*state_, join::AggKind::kSum, core::Attr::kFare,
-                               ErrorBound::Absolute(4.0), core::Mode::kPointIndex);
-    ASSERT_EQ(agg.aggregate.rows.size(), want_agg.rows.size()) << "cap " << cap;
-    for (size_t r = 0; r < want_agg.rows.size(); ++r) {
-      EXPECT_EQ(agg.aggregate.rows[r].value, want_agg.rows[r].value)
-          << "cap " << cap << " region " << r;
-    }
-  }
 }
 
 // ---- typed failure statuses --------------------------------------------

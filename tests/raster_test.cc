@@ -206,7 +206,7 @@ TEST(UniformRasterTest, EpsilonBoundHolds) {
     for (uint64_t seed = 1; seed <= 5; ++seed) {
       const geom::Polygon star = MakeStarPolygon({128, 128}, 40, 90, 16, seed);
       const UniformRaster ur = UniformRaster::Build(star, grid, eps);
-      EXPECT_LE(ur.AchievedEpsilon(grid), eps * (1 + 1e-12));
+      EXPECT_LE(grid.AchievedEpsilon(ur.level()), eps * (1 + 1e-12));
       const BoundCheck check = CheckBound(star, grid, ur, eps * 0.25);
       EXPECT_LE(check.max_false_positive_dist, eps + 1e-9)
           << "eps " << eps << " seed " << seed;
@@ -246,8 +246,8 @@ TEST(UniformRasterTest, FinerLevelsGiveMoreCells) {
   size_t prev = 0;
   for (int level = 4; level <= 8; ++level) {
     const UniformRaster ur = UniformRaster::BuildAtLevel(star, grid, level);
-    EXPECT_GT(ur.NumCells(), prev) << "level " << level;
-    prev = ur.NumCells();
+    EXPECT_GT(ur.cover().TotalCells(), prev) << "level " << level;
+    prev = ur.cover().TotalCells();
   }
 }
 

@@ -4,13 +4,24 @@
 // combination, including queries that prune to zero shards —
 // serialization must not cost a single bit. Plus the per-shard HR cache:
 // shard-aware WarmCache routing, reference-request hits, eviction and
-// checksum-mismatch fallbacks, and malformed-message hardening.
+// checksum-mismatch fallbacks, and malformed-message hardening. And the
+// batched scatter: one frame per surviving shard per wave, wave 2 only
+// for the entries that missed, splits at the byte cap, the ascending
+// fold under any completion order, per-entry epoch checks and the order
+// in which errors surface.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <functional>
+#include <map>
+#include <cmath>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dbsa.h"
@@ -78,6 +89,18 @@ uint64_t ShardCacheHits(telemetry::MetricRegistry& registry, size_t k) {
     hits += registry.GetCounter(ShardMetric("dbsa_shard_cache_hits_total", s))->Value();
   }
   return hits;
+}
+
+/// `poly`'s approximation `hr` probed through the router's batch probe as
+/// the only entry — an ad-hoc polygon, keyed by its fingerprint.
+join::CellAggregate ProbeOne(const ShardRouter& router,
+                             const raster::HierarchicalRaster& hr,
+                             const geom::Polygon& poly, int level,
+                             const ErrorBound& bound) {
+  return router
+      .ProbeCells({core::Probe{hr, core::kAdHocPolygon, poly, bound, level, nullptr}},
+                  {})
+      .at(0);
 }
 
 Seam MakeSeam(const std::shared_ptr<const core::EngineState>& base, size_t k,
@@ -287,19 +310,15 @@ TEST_F(ShardServerTest, TransportServiceByteMatchesUnshardedEngine) {
 TEST_F(ShardServerTest, ReferenceRequestsShipFewerBytesOnRepeat) {
   Seam seam = MakeSeam(base_, 8);
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
-  const ObjectKey object = PolygonFingerprint(star);
   const raster::HierarchicalRaster hr =
       raster::HierarchicalRaster::BuildEpsilon(star, base_->grid, 4.0);
   const int level = base_->grid.LevelForEpsilon(4.0);
+  const ErrorBound bound = ErrorBound::Absolute(4.0);
 
-  const join::CellAggregate cold =
-      seam.router->ScatterGather(hr, &object, level,
-                                 query::ErrorBound::Absolute(4.0), {}, nullptr);
+  const join::CellAggregate cold = ProbeOne(*seam.router, hr, star, level, bound);
   const uint64_t cold_messages = LoopbackCounter(*seam.registry, "messages");
   const uint64_t cold_bytes = LoopbackCounter(*seam.registry, "request_bytes");
-  const join::CellAggregate warm =
-      seam.router->ScatterGather(hr, &object, level,
-                                 query::ErrorBound::Absolute(4.0), {}, nullptr);
+  const join::CellAggregate warm = ProbeOne(*seam.router, hr, star, level, bound);
   const uint64_t all_messages = LoopbackCounter(*seam.registry, "messages");
   const uint64_t all_bytes = LoopbackCounter(*seam.registry, "request_bytes");
 
@@ -323,17 +342,13 @@ TEST_F(ShardServerTest, EvictedSliceFallsBackToInlineShipping) {
   // unaffected.
   Seam seam = MakeSeam(base_, 8, /*cache_budget_bytes=*/0);
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
-  const ObjectKey object = PolygonFingerprint(star);
   const raster::HierarchicalRaster hr =
       raster::HierarchicalRaster::BuildEpsilon(star, base_->grid, 4.0);
   const int level = base_->grid.LevelForEpsilon(4.0);
+  const ErrorBound bound = ErrorBound::Absolute(4.0);
 
-  const join::CellAggregate first =
-      seam.router->ScatterGather(hr, &object, level,
-                                 query::ErrorBound::Absolute(4.0), {}, nullptr);
-  const join::CellAggregate second =
-      seam.router->ScatterGather(hr, &object, level,
-                                 query::ErrorBound::Absolute(4.0), {}, nullptr);
+  const join::CellAggregate first = ProbeOne(*seam.router, hr, star, level, bound);
+  const join::CellAggregate second = ProbeOne(*seam.router, hr, star, level, bound);
   EXPECT_EQ(second.count, first.count);
   EXPECT_EQ(second.sum, first.sum);
   size_t misses = 0, entries = 0;
@@ -573,6 +588,458 @@ TEST_F(ShardServerTest, WarmAndColdResultsByteIdentical) {
       EXPECT_GT(ShardCacheHits(*warm.registry(), k), 0u) << label;
     }
   }
+}
+
+// ---- the batched scatter ------------------------------------------------
+
+/// A region table of 500 polygons, non-dyadic fares: the shape of a
+/// dashboard's region aggregate, and sums whose association order would
+/// round differently if the gather did not keep it canonical.
+class BatchScatterTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    data::TaxiConfig taxi_config;
+    taxi_config.universe = geom::Box(0, 0, 4096, 4096);
+    data::PointSet points = data::GenerateTaxiPoints(20000, taxi_config);
+    for (size_t i = 0; i < points.fare.size(); ++i) {
+      points.fare[i] = 2.5 + 0.1 * static_cast<double>(i % 97) + 1.0 / 3.0;
+    }
+    data::RegionConfig region_config;
+    region_config.universe = taxi_config.universe;
+    region_config.num_polygons = 500;
+    region_config.target_avg_vertices = 12;
+    base_ = core::BuildEngineState(std::move(points),
+                                   data::GenerateRegions(region_config));
+    // Each region HR is built once per level and shared by every
+    // execution below, as the serving layer's cache shares them.
+    hooks_.hr_provider = [this](size_t j, const geom::Polygon& poly, double eps) {
+      const int level = base_->grid.LevelForEpsilon(eps);
+      dbsa::MutexLock lock(hrs_mu_);
+      auto& hr = hrs_[{j, level}];
+      if (hr == nullptr) {
+        hr = std::make_shared<raster::HierarchicalRaster>(
+            raster::HierarchicalRaster::BuildLevel(poly, base_->grid, level));
+      }
+      return hr;
+    };
+  }
+
+  /// Loopback counters and per-shard server counters, summed.
+  struct Traffic {
+    uint64_t messages = 0;
+    uint64_t requests = 0;  ///< Entries the servers handled.
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+  static Traffic Read(const Seam& seam) {
+    Traffic t;
+    t.messages = LoopbackCounter(*seam.registry, "messages");
+    for (const auto& server : seam.servers) {
+      const ShardServer::Stats stats = server->stats();
+      t.requests += stats.requests;
+      t.hits += stats.cache_hits;
+      t.misses += stats.cache_misses;
+    }
+    return t;
+  }
+
+  /// (entry, shard) pairs a region aggregate at `eps` scatters, and the
+  /// distinct shards it reaches.
+  std::pair<size_t, size_t> Survivors(const core::ShardedState& sharded,
+                                      double eps) const {
+    size_t pairs = 0;
+    std::set<uint32_t> shards;
+    const std::vector<geom::Polygon>& polys = base_->regions->polys;
+    for (size_t j = 0; j < polys.size(); ++j) {
+      const auto hr = hooks_.hr_provider(j, polys[j], eps);
+      for (const uint32_t s : sharded.PlanScatter(*hr, nullptr).shards) {
+        ++pairs;
+        shards.insert(s);
+      }
+    }
+    return {pairs, shards.size()};
+  }
+
+  core::AggregateAnswer Aggregate(const core::ShardSource& source,
+                                  join::AggKind agg, double eps) const {
+    return core::ExecuteAggregate(
+        source, agg, agg == join::AggKind::kCount ? core::Attr::kNone : core::Attr::kFare,
+        ErrorBound::Absolute(eps), core::Mode::kPointIndex, hooks_);
+  }
+
+  std::shared_ptr<const core::EngineState> base_;
+  core::ExecHooks hooks_;
+  dbsa::Mutex hrs_mu_;
+  std::map<std::pair<size_t, int>, std::shared_ptr<const raster::HierarchicalRaster>>
+      hrs_ DBSA_GUARDED_BY(hrs_mu_);
+};
+
+TEST_F(BatchScatterTest, AggregateSendsOneFramePerSurvivingShardPerWave) {
+  const double eps = 16.0;
+  for (const size_t k : {size_t{2}, size_t{7}}) {
+    Seam seam = MakeSeam(base_, k);
+    const auto [pairs, shards] = Survivors(*seam.sharded, eps);
+    ASSERT_GT(pairs, base_->regions->polys.size()) << "k=" << k;
+    // Cold: every entry inline, all in wave 1 — one frame per shard.
+    const core::AggregateAnswer cold = Aggregate(*seam.router, join::AggKind::kCount, eps);
+    const Traffic after_cold = Read(seam);
+    EXPECT_EQ(cold.stats.shards_probed, shards) << "k=" << k;
+    EXPECT_EQ(after_cold.messages, shards) << "k=" << k;
+    EXPECT_EQ(after_cold.requests, pairs) << "k=" << k;
+    // Warm: every entry a reference, every reference a hit — still one
+    // frame per shard, and no second wave.
+    const core::AggregateAnswer warm = Aggregate(*seam.router, join::AggKind::kCount, eps);
+    const Traffic after_warm = Read(seam);
+    EXPECT_EQ(after_warm.messages - after_cold.messages, shards) << "k=" << k;
+    EXPECT_EQ(after_warm.hits, pairs) << "k=" << k;
+    EXPECT_EQ(after_warm.misses, 0u) << "k=" << k;
+    ExpectRowsIdentical(warm, cold, "k=" + std::to_string(k) + " warm");
+  }
+}
+
+TEST_F(BatchScatterTest, RowsByteMatchInProcessShardedAndUnsharded) {
+  for (const size_t k : {size_t{2}, size_t{7}}) {
+    Seam seam = MakeSeam(base_, k);
+    ThreadPool pool(4);
+    core::ExecHooks pooled = hooks_;
+    pooled.parallel_for = [&pool](size_t n, const std::function<void(size_t)>& fn) {
+      pool.ParallelFor(n, fn);
+    };
+    for (const auto agg : {join::AggKind::kCount, join::AggKind::kSum, join::AggKind::kAvg}) {
+      for (const double eps : {4.0, 16.0}) {
+        const std::string label = "k=" + std::to_string(k) + " agg=" +
+                                  std::to_string(static_cast<int>(agg)) +
+                                  " eps=" + std::to_string(eps);
+        const core::AggregateAnswer want = Aggregate(*base_, agg, eps);
+        ExpectRowsIdentical(Aggregate(*seam.router, agg, eps), want, label + " loopback");
+        ExpectRowsIdentical(Aggregate(*seam.sharded, agg, eps), want, label + " sharded");
+        const core::Attr attr =
+            agg == join::AggKind::kCount ? core::Attr::kNone : core::Attr::kFare;
+        ExpectRowsIdentical(
+            core::ExecuteAggregate(*seam.router, agg, attr, ErrorBound::Absolute(eps),
+                                   core::Mode::kPointIndex, pooled),
+            want, label + " loopback pooled");
+      }
+    }
+  }
+}
+
+TEST_F(BatchScatterTest, WaveTwoResendsExactlyTheEntriesThatMissed) {
+  const double eps = 16.0;
+  for (const size_t k : {size_t{2}, size_t{7}}) {
+    // A slice cache that holds about half of its shard's routed slices.
+    const auto sharded = core::ShardedState::Build(base_, {k});
+    std::vector<size_t> routed_bytes(k, 0);
+    const std::vector<geom::Polygon>& polys = base_->regions->polys;
+    for (size_t j = 0; j < polys.size(); ++j) {
+      const auto hr = hooks_.hr_provider(j, polys[j], eps);
+      const core::ShardedState::Scatter plan = sharded->PlanScatter(*hr, nullptr);
+      for (const uint32_t s : plan.shards) {
+        routed_bytes[s] += sharded->PruneCellsForShard(s, hr->cells().data(),
+                                                       plan.routes.data(),
+                                                       hr->cells().size())
+                               .size() *
+                           sizeof(raster::HrCell);
+      }
+    }
+    const size_t budget =
+        *std::min_element(routed_bytes.begin(), routed_bytes.end()) / 2;
+    Seam seam = MakeSeam(base_, k, budget);
+    const auto [pairs, shards] = Survivors(*seam.sharded, eps);
+
+    const core::AggregateAnswer cold = Aggregate(*seam.router, join::AggKind::kSum, eps);
+    const Traffic before = Read(seam);
+    ASSERT_EQ(before.messages, shards) << "k=" << k;
+    // The repeat references every slice; the evicted ones miss and go
+    // again, inline, in ONE more frame per shard at most.
+    const core::AggregateAnswer again = Aggregate(*seam.router, join::AggKind::kSum, eps);
+    const Traffic after = Read(seam);
+    const uint64_t misses = after.misses - before.misses;
+    EXPECT_GT(misses, 0u) << "k=" << k;
+    EXPECT_GT(after.hits - before.hits, 0u) << "k=" << k;
+    EXPECT_EQ(after.hits - before.hits + misses, pairs) << "k=" << k;
+    EXPECT_EQ(after.requests - before.requests, pairs + misses) << "k=" << k;
+    EXPECT_GT(after.messages - before.messages, shards) << "k=" << k;
+    EXPECT_LE(after.messages - before.messages, 2 * shards) << "k=" << k;
+    ExpectRowsIdentical(again, cold, "k=" + std::to_string(k));
+    ExpectRowsIdentical(again, Aggregate(*base_, join::AggKind::kSum, eps),
+                        "k=" + std::to_string(k) + " unsharded");
+  }
+}
+
+TEST_F(BatchScatterTest, EntriesOverTheByteCapSplitAcrossFrames) {
+  // At ε 1 the inline slices of one wave pass kMaxBatchBytes per shard.
+  const double eps = 1.0;
+  for (const size_t k : {size_t{2}, size_t{7}}) {
+    Seam seam = MakeSeam(base_, k);
+    // Every frame the servers receive, by size.
+    auto sizes = std::make_shared<std::vector<size_t>>();
+    auto sizes_mu = std::make_shared<dbsa::Mutex>();
+    std::vector<LoopbackTransport::Handler> handlers;
+    for (const auto& server : seam.servers) {
+      handlers.push_back([server, sizes, sizes_mu](const std::string& request) {
+        {
+          dbsa::MutexLock lock(*sizes_mu);
+          sizes->push_back(request.size());
+        }
+        return server->Handle(request);
+      });
+    }
+    auto transport = std::make_shared<LoopbackTransport>(std::move(handlers));
+    ShardRouter router(seam.sharded, transport);
+    const auto [pairs, shards] = Survivors(*seam.sharded, eps);
+
+    const core::AggregateAnswer got = Aggregate(router, join::AggKind::kSum, eps);
+    EXPECT_GT(sizes->size(), shards) << "k=" << k;  // Some shard split.
+    size_t entries = 0;
+    for (const auto& server : seam.servers) entries += server->stats().requests;
+    EXPECT_EQ(entries, pairs) << "k=" << k;  // Each entry sent once.
+    for (const size_t size : *sizes) {
+      EXPECT_LE(size, kMaxBatchBytes + kWireEnvelopeSize) << "k=" << k;
+    }
+    const std::string label = "k=" + std::to_string(k);
+    ExpectRowsIdentical(got, Aggregate(*seam.sharded, join::AggKind::kSum, eps), label);
+    ExpectRowsIdentical(got, Aggregate(*base_, join::AggKind::kSum, eps),
+                        label + " unsharded");
+  }
+}
+
+TEST_F(BatchScatterTest, EveryBatchedEntryIsEpochChecked) {
+  for (const size_t k : {size_t{2}, size_t{7}}) {
+    const auto sharded = core::ShardedState::Build(base_, {k});
+    std::vector<std::shared_ptr<ShardServer>> servers;
+    std::vector<LoopbackTransport::Handler> handlers;
+    for (size_t s = 0; s < sharded->num_shards(); ++s) {
+      ShardServer::Options options;
+      options.serving_epoch = 7;
+      servers.push_back(std::make_shared<ShardServer>(
+          sharded->shard(s).state, sharded->shard(s).global_ids, options));
+      handlers.push_back([server = servers.back()](const std::string& request) {
+        return server->Handle(request);
+      });
+    }
+    ShardRouter router(sharded, std::make_shared<LoopbackTransport>(std::move(handlers)));
+    const auto [pairs, shards] = Survivors(*sharded, 16.0);
+
+    router.set_epoch(8);  // Another generation: every entry is rejected.
+    try {
+      Aggregate(router, join::AggKind::kCount, 16.0);
+      ADD_FAILURE() << "k=" << k << ": an epoch-skewed aggregate answered";
+    } catch (const StatusException& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kFailedPrecondition) << "k=" << k;
+    }
+    uint64_t rejects = 0;
+    for (const auto& server : servers) rejects += server->stats().epoch_rejects;
+    EXPECT_EQ(rejects, pairs) << "k=" << k;
+
+    router.set_epoch(7);  // The served generation answers.
+    ExpectRowsIdentical(Aggregate(router, join::AggKind::kCount, 16.0),
+                        Aggregate(*base_, join::AggKind::kCount, 16.0),
+                        "k=" + std::to_string(k));
+  }
+}
+
+/// A transport over scripted shard handlers: `failing` shards complete
+/// with kUnavailable, and with `reverse` every completion fires on its
+/// own thread, later the lower its shard, so replies land in descending
+/// shard order. Records the order completions fired in.
+class ScriptedTransport : public Transport {
+ public:
+  using Handler = LoopbackTransport::Handler;
+  ScriptedTransport(std::vector<Handler> handlers, std::set<size_t> failing,
+                    bool reverse)
+      : handlers_(std::move(handlers)), failing_(std::move(failing)),
+        reverse_(reverse) {}
+  ~ScriptedTransport() override {
+    for (std::thread& t : threads_) t.join();
+  }
+
+  size_t num_shards() const override { return handlers_.size(); }
+  uint64_t Send(size_t shard, std::string request, Done done) override {
+    const auto complete = [this, shard, request = std::move(request),
+                           done = std::move(done)]() {
+      {
+        dbsa::MutexLock lock(mu_);
+        completed_.push_back(shard);
+      }
+      if (failing_.count(shard) != 0) {
+        done(Status::Unavailable("scripted outage"));
+      } else {
+        done(handlers_[shard](request));
+      }
+    };
+    if (!reverse_) {
+      complete();
+    } else {
+      threads_.emplace_back([complete, delay = handlers_.size() - shard]() {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20 * delay));
+        complete();
+      });
+    }
+    return 0;
+  }
+
+  std::vector<size_t> completed() const {
+    dbsa::MutexLock lock(mu_);
+    return completed_;
+  }
+
+ private:
+  std::vector<Handler> handlers_;
+  std::set<size_t> failing_;
+  bool reverse_;
+  std::vector<std::thread> threads_;  ///< Only the sending thread appends.
+  mutable dbsa::Mutex mu_;
+  std::vector<size_t> completed_ DBSA_GUARDED_BY(mu_);
+};
+
+/// A shard that answers each request of a frame — bare or batched — with
+/// `answer(request)`, in the frame's shape.
+LoopbackTransport::Handler ScriptedShard(
+    std::function<GatherPartial(const ScatterRequest&)> answer) {
+  return [answer](const std::string& frame) {
+    ScatterBatch batch;
+    if (ScatterBatch::Decode(frame, &batch).ok()) {
+      GatherBatch reply;
+      for (const ScatterRequest& request : batch.requests) {
+        reply.partials.push_back(answer(request));
+      }
+      return reply.Encode();
+    }
+    ScatterRequest request;
+    EXPECT_TRUE(ScatterRequest::Decode(frame, &request).ok());
+    return answer(request).Encode();
+  };
+}
+
+/// `n` probes of one approximation that covers every shard, keyed as
+/// regions 0..n-1.
+struct EverywhereProbes {
+  EverywhereProbes(const core::EngineState& base, size_t n)
+      : poly(MakeRectPolygon(0, 0, 4096, 4096)),
+        hr(raster::HierarchicalRaster::BuildEpsilon(poly, base.grid, 64.0)),
+        level(base.grid.LevelForEpsilon(64.0)) {
+    for (size_t j = 0; j < n; ++j) {
+      probes.push_back(core::Probe{hr, j, poly, bound, level, nullptr});
+    }
+  }
+  geom::Polygon poly;
+  raster::HierarchicalRaster hr;
+  int level;
+  ErrorBound bound = ErrorBound::Absolute(64.0);
+  std::vector<core::Probe> probes;
+};
+
+TEST_F(BatchScatterTest, FoldsInAscendingShardOrderWhateverTheCompletionOrder) {
+  // Counts 2^53, 1, 1 on shards 0, 1, 2: the ascending fold rounds each
+  // +1 away (2^53), the reverse fold keeps them (2^53 + 2) — so the sum
+  // shows which order the gather folded in.
+  const double big = 9007199254740992.0;  // 2^53.
+  const auto sharded = core::ShardedState::Build(base_, {3});
+  std::vector<LoopbackTransport::Handler> handlers;
+  for (size_t s = 0; s < 3; ++s) {
+    handlers.push_back(ScriptedShard([s, big](const ScatterRequest& request) {
+      GatherPartial partial;
+      partial.kind = request.kind;
+      partial.aggregate.count = s == 0 ? big : 1.0;
+      return partial;
+    }));
+  }
+  for (const size_t n : {size_t{1}, size_t{4}}) {
+    auto transport = std::make_shared<ScriptedTransport>(handlers, std::set<size_t>{},
+                                                         /*reverse=*/true);
+    ShardRouter router(sharded, transport);
+    const EverywhereProbes everywhere(*base_, n);
+    const std::vector<join::CellAggregate> got =
+        router.ProbeCells(everywhere.probes, {});
+    ASSERT_EQ(transport->completed(), (std::vector<size_t>{2, 1, 0})) << "n=" << n;
+    ASSERT_EQ(got.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i].count, big) << "n=" << n << " probe " << i;
+    }
+  }
+}
+
+TEST_F(BatchScatterTest, ErrorsSurfaceTransportFirstThenProbeOrderThenShard) {
+  const auto sharded = core::ShardedState::Build(base_, {2});
+  const EverywhereProbes everywhere(*base_, 4);
+  // Shard s fails region j with the code `poison[{s, j}]`.
+  const auto run = [&](std::map<std::pair<size_t, uint64_t>, StatusCode> poison,
+                       std::set<size_t> outage) -> Status {
+    std::vector<LoopbackTransport::Handler> handlers;
+    for (size_t s = 0; s < 2; ++s) {
+      handlers.push_back(ScriptedShard([s, poison](const ScatterRequest& request) {
+        const auto it = poison.find({s, request.object.lo});
+        if (it == poison.end()) {
+          GatherPartial partial;
+          partial.kind = request.kind;
+          return partial;
+        }
+        return GatherPartial::FromStatus(
+            request.kind, GatherPartial::Disposition::kError,
+            Status(it->second, "poisoned region " + std::to_string(request.object.lo)));
+      }));
+    }
+    ShardRouter router(sharded, std::make_shared<ScriptedTransport>(
+                                    std::move(handlers), std::move(outage),
+                                    /*reverse=*/false));
+    try {
+      router.ProbeCells(everywhere.probes, {});
+    } catch (const StatusException& e) {
+      return e.status();
+    }
+    return Status::OK();
+  };
+  // Two entries fail: the earlier probe wins, though its shard is higher.
+  Status status = run({{{1, 1}, StatusCode::kInternal}, {{0, 3}, StatusCode::kNotFound}}, {});
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find("shard 1: poisoned region 1"), std::string::npos)
+      << status.ToString();
+  // One entry fails on both shards: the lower shard wins.
+  status = run({{{1, 2}, StatusCode::kInternal}, {{0, 2}, StatusCode::kNotFound}}, {});
+  EXPECT_EQ(status.code(), StatusCode::kNotFound);
+  EXPECT_NE(status.message().find("shard 0: poisoned region 2"), std::string::npos)
+      << status.ToString();
+  // A transport failure comes before any entry error.
+  status = run({{{0, 0}, StatusCode::kNotFound}}, {1});
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_NE(status.message().find("shard 1"), std::string::npos) << status.ToString();
+  // Without poison, every probe answers.
+  EXPECT_TRUE(run({}, {}).ok());
+}
+
+TEST_F(BatchScatterTest, BatchUnawarePeerAnswersTypedNeverWrong) {
+  // A peer that predates batches rejects the frame type with one error
+  // partial, as its frame parser does for any unknown type; every entry
+  // of that frame takes the error. Bare frames still serve.
+  const auto sharded = core::ShardedState::Build(base_, {2});
+  std::vector<LoopbackTransport::Handler> handlers;
+  for (size_t s = 0; s < 2; ++s) {
+    handlers.push_back([](const std::string& frame) {
+      if (static_cast<uint8_t>(frame[kWireTypeOffset]) ==
+          static_cast<uint8_t>(MessageType::kScatterBatch)) {
+        return GatherPartial::FromStatus(
+                   ScatterRequest::Kind::kAggregateCells,
+                   GatherPartial::Disposition::kError,
+                   Status::InvalidArgument("bad request: unknown message type 5"))
+            .Encode();
+      }
+      GatherPartial partial;
+      partial.aggregate.count = 1.0;
+      return partial.Encode();
+    });
+  }
+  ShardRouter router(sharded, std::make_shared<LoopbackTransport>(std::move(handlers)));
+  const EverywhereProbes many(*base_, 3);
+  try {
+    router.ProbeCells(many.probes, {});
+    ADD_FAILURE() << "a batch-unaware peer produced an answer";
+  } catch (const StatusException& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(e.status().message().find("unknown message type"), std::string::npos);
+  }
+  const EverywhereProbes one(*base_, 1);
+  EXPECT_EQ(router.ProbeCells(one.probes, {}).at(0).count, 2.0);
 }
 
 }  // namespace

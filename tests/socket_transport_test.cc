@@ -46,6 +46,7 @@
 #include "service/thread_pool.h"
 #include "service/transport.h"
 #include "test_util.h"
+#include "transport_util.h"
 
 #include <netinet/in.h>
 #include <poll.h>
@@ -58,6 +59,7 @@ namespace {
 using dbsa::testing::ExecuteAll;
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
+using dbsa::testing::Roundtrip;
 using dbsa::testing::Submission;
 
 void ExpectRowsIdentical(const core::AggregateAnswer& got,
@@ -309,7 +311,11 @@ TEST_F(SocketTransportTest, QueryServiceSocketMatchesLoopback) {
 // ---- wire-level stats scrape ------------------------------------------
 
 TEST_F(SocketTransportTest, StatsFramesScrapePerShardMetricsOverTheWire) {
-  SocketSeam seam = MakeSocketSeam(base_, 3, /*with_replicas=*/false);
+  // The transport records into a registry the test holds.
+  SocketTransport::Options transport_options;
+  transport_options.registry = std::make_shared<telemetry::MetricRegistry>();
+  SocketSeam seam =
+      MakeSocketSeam(base_, 3, /*with_replicas=*/false, transport_options);
   // A query covering the whole universe routes to every shard, so each
   // server has a non-zero scatter count to report.
   const geom::Polygon everything = MakeRectPolygon(0, 0, 4096, 4096);
@@ -348,14 +354,13 @@ TEST_F(SocketTransportTest, StatsFramesScrapePerShardMetricsOverTheWire) {
 
   // The CLIENT side of the same traffic: the transport's own registry
   // holds per-shard roundtrip histograms and the migrated counters.
-  const std::string client = seam.transport->registry()->RenderText();
+  const std::string client = transport_options.registry->RenderText();
   EXPECT_NE(client.find("dbsa_socket_messages_total"), std::string::npos);
   EXPECT_NE(client.find("dbsa_socket_roundtrip_ms_count{shard=\"0\"}"),
             std::string::npos);
   EXPECT_EQ(seam.transport->stats().messages,
-            seam.transport->registry()
-                    ->GetCounter("dbsa_socket_messages_total")
-                    ->Value());
+            transport_options.registry->GetCounter("dbsa_socket_messages_total")
+                ->Value());
 
   // A stats frame against a listener WITHOUT a registry falls through to
   // the shard handler, which answers a typed error partial — never a

@@ -31,9 +31,12 @@
 #include "service/placement.h"
 #include "service/socket_transport.h"
 #include "service/transport.h"
+#include "transport_util.h"
 
 namespace dbsa::service {
 namespace {
+
+using dbsa::testing::Roundtrip;
 
 /// The handler's visible transform: replies carry nonce ^ kEchoMask, so
 /// an echoed-back request (or a reply meant for another nonce) can never

@@ -5,7 +5,8 @@
 // typed Status, never undefined behaviour — this test runs under
 // ASan+UBSan in CI), v1–v3 frame rejection, the v3 trace-identity
 // fields, the v4 correlation envelope, the kStatsRequest/kStatsReply
-// admin frames, and the loopback dispatch.
+// admin frames, the ScatterBatch/GatherBatch frames, and the loopback
+// dispatch.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +20,12 @@
 
 #include "raster/cell_id.h"
 #include "service/transport.h"
+#include "transport_util.h"
 
 namespace dbsa::service {
 namespace {
+
+using dbsa::testing::Roundtrip;
 
 TEST(WireTest, PrimitiveRoundTrip) {
   WireWriter w;
@@ -443,6 +447,194 @@ TEST(StatsFrameTest, ReplyRoundTripAndTruncation) {
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0xff);
     StatsReply out;
     (void)StatsReply::Decode(corrupt, &out);  // Must not crash.
+  }
+}
+
+// ---- batch frames (types 5 and 6) --------------------------------------
+
+/// A batch payload assembled by hand: `count`, then each entry's length
+/// and bytes, then `tail` — so tests can state counts and lengths the
+/// entries do not back.
+std::string HandBatch(MessageType type, uint32_t count,
+                      const std::vector<std::pair<uint32_t, std::string>>& entries,
+                      const std::string& tail = "") {
+  WireWriter w;
+  w.U32(count);
+  for (const auto& [length, bytes] : entries) {
+    w.U32(length);
+    w.Bytes(bytes.data(), bytes.size());
+  }
+  w.Bytes(tail.data(), tail.size());
+  return w.TakeFramed(type);
+}
+
+TEST(BatchTest, ScatterBatchRoundTripsOneAndManyEntries) {
+  std::vector<ScatterRequest> shapes;
+  for (const auto kind :
+       {ScatterRequest::Kind::kAggregateCells, ScatterRequest::Kind::kSelectIds,
+        ScatterRequest::Kind::kWarm}) {
+    for (const bool cells : {false, true}) {
+      shapes.push_back(MakeRequest(kind, /*object=*/true, cells));
+    }
+  }
+  // One entry of each shape, then every shape in one batch.
+  std::vector<std::vector<ScatterRequest>> batches;
+  for (const ScatterRequest& shape : shapes) batches.push_back({shape});
+  batches.push_back(shapes);
+  for (const std::vector<ScatterRequest>& requests : batches) {
+    ScatterBatch batch;
+    batch.requests = requests;
+    const std::string bytes = batch.Encode();
+    MessageType type = MessageType::kScatterRequest;
+    const char* payload = nullptr;
+    size_t payload_size = 0;
+    ASSERT_TRUE(ParseFrame(bytes, &type, &payload, &payload_size).ok());
+    EXPECT_EQ(type, MessageType::kScatterBatch);
+    // Each entry is the bare frame its request encodes to.
+    std::vector<std::string> frames;
+    for (const ScatterRequest& request : requests) frames.push_back(request.Encode());
+    EXPECT_EQ(EncodeBatch(MessageType::kScatterBatch, frames), bytes);
+
+    ScatterBatch got;
+    ASSERT_TRUE(ScatterBatch::Decode(bytes, &got).ok());
+    ASSERT_EQ(got.requests.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(got.requests[i].Encode(), frames[i]) << "entry " << i;
+    }
+    // A batch is not a bare request, and vice versa.
+    ScatterRequest bare;
+    EXPECT_EQ(ScatterRequest::Decode(bytes, &bare).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ScatterBatch::Decode(frames[0], &got).code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(BatchTest, GatherBatchRoundTripsOneAndManyEntries) {
+  std::vector<GatherPartial> shapes(3);
+  shapes[0].kind = ScatterRequest::Kind::kAggregateCells;
+  shapes[0].epoch = 9;
+  shapes[0].aggregate.count = 12.0;
+  shapes[0].aggregate.sum = 0.1 + 0.2;
+  shapes[0].aggregate.sum_comp = -1e-17;
+  shapes[0].aggregate.query_cells = 3;
+  shapes[1].kind = ScatterRequest::Kind::kSelectIds;
+  shapes[1].probe_cells = 4;
+  shapes[1].keyed_ids = {{1, 9}, {1, 10}, {7, 2}};
+  shapes[2].kind = ScatterRequest::Kind::kWarm;
+  shapes[2].cells_cached = 5;
+  shapes.push_back(GatherPartial::FromStatus(ScatterRequest::Kind::kAggregateCells,
+                                             GatherPartial::Disposition::kError,
+                                             Status::FailedPrecondition("epoch")));
+  shapes.push_back(GatherPartial::FromStatus(ScatterRequest::Kind::kAggregateCells,
+                                             GatherPartial::Disposition::kNotCached,
+                                             Status::NotFound("slice not cached")));
+  std::vector<std::vector<GatherPartial>> batches;
+  for (const GatherPartial& shape : shapes) batches.push_back({shape});
+  batches.push_back(shapes);
+  for (const std::vector<GatherPartial>& partials : batches) {
+    GatherBatch batch;
+    batch.partials = partials;
+    const std::string bytes = batch.Encode();
+    GatherBatch got;
+    ASSERT_TRUE(GatherBatch::Decode(bytes, &got).ok());
+    ASSERT_EQ(got.partials.size(), partials.size());
+    for (size_t i = 0; i < partials.size(); ++i) {
+      EXPECT_EQ(got.partials[i].Encode(), partials[i].Encode()) << "entry " << i;
+    }
+    GatherPartial bare;
+    EXPECT_EQ(GatherPartial::Decode(bytes, &bare).code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(BatchTest, RejectsMalformedBatches) {
+  const std::string request =
+      MakeRequest(ScatterRequest::Kind::kAggregateCells, /*object=*/false,
+                  /*cells=*/true)
+          .Encode();
+  const uint32_t length = static_cast<uint32_t>(request.size());
+  ScatterBatch scatter;
+  const auto scatter_code = [&](const std::string& bytes) {
+    return ScatterBatch::Decode(bytes, &scatter).code();
+  };
+  // The well-formed baseline.
+  ASSERT_EQ(scatter_code(HandBatch(MessageType::kScatterBatch, 2,
+                                   {{length, request}, {length, request}})),
+            StatusCode::kOk);
+  // Count 0.
+  EXPECT_EQ(scatter_code(HandBatch(MessageType::kScatterBatch, 0, {})),
+            StatusCode::kInvalidArgument);
+  // A count the bytes cannot hold — rejected before anything is
+  // reserved, so 4G entries cost nothing.
+  EXPECT_EQ(scatter_code(HandBatch(MessageType::kScatterBatch, UINT32_MAX,
+                                   {{length, request}})),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(scatter_code(HandBatch(MessageType::kScatterBatch, 3,
+                                   {{length, request}, {length, request}})),
+            StatusCode::kInvalidArgument);
+  // An entry length that runs past the end.
+  EXPECT_EQ(scatter_code(HandBatch(MessageType::kScatterBatch, 2,
+                                   {{length, request}, {length + 1, request}})),
+            StatusCode::kInvalidArgument);
+  // An inner frame its own decoder rejects: an invalid cell id ...
+  std::string bad_cell = request;
+  std::memset(&bad_cell[kFirstCellIdOffset], 0, 8);
+  EXPECT_EQ(scatter_code(HandBatch(MessageType::kScatterBatch, 2,
+                                   {{length, request}, {length, bad_cell}})),
+            StatusCode::kInvalidArgument);
+  // ... a nested batch, which fails the inner type check ...
+  const std::string nested =
+      HandBatch(MessageType::kScatterBatch, 1, {{length, request}});
+  EXPECT_EQ(scatter_code(HandBatch(
+                MessageType::kScatterBatch, 2,
+                {{length, request},
+                 {static_cast<uint32_t>(nested.size()), nested}})),
+            StatusCode::kInvalidArgument);
+  // ... and a GatherPartial where a ScatterRequest belongs.
+  const std::string partial = GatherPartial().Encode();
+  EXPECT_EQ(scatter_code(HandBatch(
+                MessageType::kScatterBatch, 1,
+                {{static_cast<uint32_t>(partial.size()), partial}})),
+            StatusCode::kInvalidArgument);
+  // Trailing bytes after the last entry.
+  EXPECT_EQ(scatter_code(HandBatch(MessageType::kScatterBatch, 1,
+                                   {{length, request}}, "x")),
+            StatusCode::kInvalidArgument);
+  // The outer frame keeps the envelope's rules: version skew is typed.
+  std::string skewed = HandBatch(MessageType::kScatterBatch, 1, {{length, request}});
+  skewed[kWireVersionOffset] = 4;
+  EXPECT_EQ(scatter_code(skewed), StatusCode::kUnimplemented);
+
+  // A GatherBatch whose select entry's pairs are out of order.
+  GatherPartial select;
+  select.kind = ScatterRequest::Kind::kSelectIds;
+  select.keyed_ids = {{5, 1}, {3, 2}};
+  const std::string unordered = select.Encode();
+  GatherBatch gather;
+  EXPECT_EQ(GatherBatch::Decode(
+                HandBatch(MessageType::kGatherBatch, 2,
+                          {{static_cast<uint32_t>(partial.size()), partial},
+                           {static_cast<uint32_t>(unordered.size()), unordered}}),
+                &gather)
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(BatchTest, TruncationNeverCrashes) {
+  ScatterBatch batch;
+  batch.requests = {MakeRequest(ScatterRequest::Kind::kSelectIds, true, true),
+                    MakeRequest(ScatterRequest::Kind::kAggregateCells, true, false)};
+  const std::string bytes = batch.Encode();
+  ScatterBatch got;
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(ScatterBatch::Decode(bytes.substr(0, len), &got).ok())
+        << "prefix " << len;
+  }
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    std::string corrupt = bytes;
+    corrupt[i] = static_cast<char>(corrupt[i] ^ 0xff);
+    (void)ScatterBatch::Decode(corrupt, &got);
   }
 }
 

@@ -39,6 +39,7 @@ FIXTURES=(
   scripts/lint_fixtures/bad_snapshot_golden/client.snapshot
   scripts/lint_fixtures/bad_reachability
   scripts/lint_fixtures/bad_symbol_reachability/lib.cc
+  scripts/lint_fixtures/bad_metric_catalogue/docs/operations.md
   scripts/wire_layout_probe.cc
   scripts/determinism_probe.cc
   tests/golden/snapshot/client.snapshot
@@ -221,6 +222,22 @@ else
   err "could not build the symbol reachability fixture"
 fi
 rm -rf "$scratch"
+
+# ---- 10. metric-catalogue gate: real tree + drifted-catalogue fixture -
+# The fixture's catalogue lists a family nothing registers and misses
+# one that is registered; a label selector, brace alternatives and a
+# row after the catalogue section must not count. The gate must name
+# exactly the two drifted families.
+if ! scripts/check_metric_catalogue.sh >/dev/null; then
+  err "check_metric_catalogue.sh fails on the real tree (a dbsa_ family without its catalogue row?)"
+fi
+if out=$(scripts/check_metric_catalogue.sh scripts/lint_fixtures/bad_metric_catalogue 2>&1); then
+  err "check_metric_catalogue.sh PASSED the drifted-catalogue fixture — the gate is dead"
+elif [[ $(grep -c "check_metric_catalogue: dbsa_" <<<"$out") -ne 2 ||
+        "$out" != *"dbsa_fixture_uncatalogued_total is registered"* ||
+        "$out" != *"dbsa_fixture_cache_misses_total has a row"* ]]; then
+  err "check_metric_catalogue.sh failed the fixture for the wrong families: $out"
+fi
 
 if [[ $fail -ne 0 ]]; then
   exit 1

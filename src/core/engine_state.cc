@@ -63,12 +63,6 @@ std::shared_ptr<const EngineState> BuildEngineState(data::PointSet points,
       std::make_shared<const data::RegionSet>(std::move(regions)));
 }
 
-size_t EngineState::IndexBytes() const {
-  return point_index.has_value()
-             ? point_index->MemoryBytes(join::SearchStrategy::kRadixSpline)
-             : 0;
-}
-
 std::vector<join::CellAggregate> EngineState::ProbeCells(
     const std::vector<Probe>& probes, const ExecHooks& hooks) const {
   DBSA_CHECK(point_index.has_value());
@@ -279,7 +273,6 @@ void ProbeAdHoc(const ShardSource& source, const geom::Polygon& poly,
   stats->plan = query::PlanKind::kPointIndexJoin;
   stats->hr_level = level;
   stats->achieved_epsilon = base.grid.AchievedEpsilon(level);
-  stats->index_bytes = source.IndexBytes();
   stats->shards_probed = CountTouched(touched);
 }
 
@@ -301,7 +294,6 @@ AggregateAnswer ExecuteAggregate(const ShardSource& source, join::AggKind agg,
   if (plan == query::PlanKind::kExactRStar) {
     const join::JoinStats stats = join::RStarMbrJoin(base.MakeInput(attr), agg);
     answer.stats.pip_tests = stats.pip_tests;
-    answer.stats.index_bytes = stats.index_bytes;
     answer.stats.achieved_epsilon = 0.0;
     answer.rows.resize(stats.value.size());
     for (size_t r = 0; r < stats.value.size(); ++r) {
@@ -340,7 +332,6 @@ AggregateAnswer ExecuteAggregate(const ShardSource& source, join::AggKind agg,
       answer.stats.query_cells += per_poly[j].query_cells;
       per_region[base.regions->region_of[j]].Merge(per_poly[j]);
     }
-    answer.stats.index_bytes = source.IndexBytes();
     answer.stats.shards_probed = CountTouched(touched);
     RowsFromRegionAggregates(per_region, agg, &answer.rows);
   }

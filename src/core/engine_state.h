@@ -57,7 +57,6 @@ struct ExecStats {
   /// Point-in-polygon tests: the exact join's, or for an exact ad-hoc
   /// query those of the points in its refine HR's boundary cells.
   size_t pip_tests = 0;
-  size_t index_bytes = 0;
   size_t hr_cache_hits = 0;    ///< Approximations served from a cache.
   size_t hr_cache_misses = 0;  ///< Approximations built by this query.
   /// Sharded execution only: distinct shards that survived pruning for at
@@ -113,7 +112,7 @@ struct ExecHooks {
   /// serial execution regardless of scheduling.
   std::function<void(size_t n, const std::function<void(size_t)>& fn)> parallel_for;
   /// Span collector of the submitting query (telemetry/trace.h); null
-  /// when tracing is off. Observe-only: stages record wall-clock spans
+  /// in the default hooks. Observe-only: stages record wall-clock spans
   /// into it, nothing reads it back during execution — results are
   /// byte-identical with or without a trace attached.
   telemetry::QueryTrace* trace = nullptr;
@@ -174,8 +173,6 @@ class ShardSource {
   virtual const EngineState& base() const = 0;
   /// Shards a probe scatters over; 0 for the whole state.
   virtual size_t num_shards() const = 0;
-  /// Bytes of the point index(es) probed (ExecStats::index_bytes).
-  virtual size_t IndexBytes() const = 0;
 
   /// The merged cell aggregate of each probe's HR over the source's
   /// points, one per probe in the same positions. The probes of one call
@@ -209,7 +206,6 @@ struct EngineState : ShardSource {
 
   const EngineState& base() const override { return *this; }
   size_t num_shards() const override { return 0; }
-  size_t IndexBytes() const override;
   std::vector<join::CellAggregate> ProbeCells(const std::vector<Probe>& probes,
                                               const ExecHooks& hooks) const override;
   std::vector<uint32_t> SelectIds(const Probe& probe, const ExecHooks& hooks,

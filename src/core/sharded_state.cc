@@ -143,7 +143,8 @@ std::shared_ptr<const ShardedState> ShardedState::Build(
       if (has_hour) slice->hour.push_back(b.points->hour[id]);
     }
     shard.state = BuildEngineState(std::move(slice), b.regions, &b.grid);
-    shard.ids_by_position = BaseIdsByPosition(*shard.state, shard.global_ids);
+    shard.ids_by_position = std::make_shared<const std::vector<uint32_t>>(
+        BaseIdsByPosition(*shard.state, shard.global_ids));
   }
   return sharded;
 }
@@ -159,9 +160,11 @@ std::shared_ptr<const ShardedState> ShardedState::FromParts(
     }
   }
   for (Shard& shard : shards) {
-    shard.ids_by_position = shard.state != nullptr
-                                ? BaseIdsByPosition(*shard.state, shard.global_ids)
-                                : std::vector<uint32_t>();
+    shard.ids_by_position =
+        shard.state != nullptr
+            ? std::make_shared<const std::vector<uint32_t>>(
+                  BaseIdsByPosition(*shard.state, shard.global_ids))
+            : nullptr;
   }
   std::shared_ptr<ShardedState> sharded(new ShardedState());
   sharded->base_ = std::move(base);
@@ -269,17 +272,6 @@ std::vector<raster::HrCell> ShardedState::PruneCellsForShard(
   return PruneCellsForShard(s, cells, routes.data(), num_cells);
 }
 
-size_t ShardedState::IndexBytes() const {
-  size_t bytes = 0;
-  for (const Shard& shard : shards_) {
-    if (shard.state != nullptr && shard.state->point_index.has_value()) {
-      bytes +=
-          shard.state->point_index->MemoryBytes(join::SearchStrategy::kRadixSpline);
-    }
-  }
-  return bytes;
-}
-
 std::vector<join::CellAggregate> ShardedState::ProbeCells(
     const std::vector<Probe>& probes, const ExecHooks& hooks) const {
   // The in-process scatter needs slice states; a routing-only build
@@ -326,7 +318,7 @@ std::vector<uint32_t> ShardedState::SelectIds(const Probe& probe,
         scatter.shards[t], hr.cells().data(), scatter.routes.data(),
         hr.cells().size());
     per_shard_cells[t] = slice.size();
-    runs[t] = SelectKeyedIds(*shard.state, shard.ids_by_position, slice.data(),
+    runs[t] = SelectKeyedIds(*shard.state, *shard.ids_by_position, slice.data(),
                              slice.size());
   });
   *cells = 0;

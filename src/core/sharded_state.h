@@ -36,8 +36,8 @@
 // Tested with adversarial non-dyadic attributes at K in {1,7,16} in
 // sharded_state_test.cc. The identity holds under Mode::kAuto too: plans
 // resolve against the base state and the bound alone, never the shard
-// count. Only the ExecStats bookkeeping (shards_probed, index_bytes, the
-// query-cell counters) shows the sharding.
+// count. Only the ExecStats bookkeeping (shards_probed and the query-cell
+// counter) shows the sharding.
 
 #ifndef DBSA_CORE_SHARDED_STATE_H_
 #define DBSA_CORE_SHARDED_STATE_H_
@@ -92,8 +92,9 @@ class ShardedState : public ShardSource {
     std::vector<uint32_t> global_ids;
     /// Base-table row of each position of the slice's point index
     /// (BaseIdsByPosition), so a selection reads its ids in the order it
-    /// walks the index. Built with the slice state, empty without one.
-    std::vector<uint32_t> ids_by_position;
+    /// walks the index. Built with the slice state, null without one.
+    /// Shared, not copied, by a ShardServer built from this shard.
+    std::shared_ptr<const std::vector<uint32_t>> ids_by_position;
     /// Tight bounds of the shard's points (display / cost model).
     geom::Box bounds;
     /// Exact leaf-coordinate bounds at CellId::kMaxLevel, used for shard
@@ -142,7 +143,7 @@ class ShardedState : public ShardSource {
   size_t num_shards() const override { return shards_.size(); }
   /// False iff built with build_slices == false: routing/pruning work,
   /// the in-process probes (which need shard(s).state) do not (they
-  /// DBSA_CHECK), and IndexBytes() reports 0.
+  /// DBSA_CHECK).
   bool has_slices() const { return has_slices_; }
   const Shard& shard(size_t i) const { return shards_[i]; }
   const std::vector<Shard>& shards() const { return shards_; }
@@ -195,9 +196,6 @@ class ShardedState : public ShardSource {
   std::vector<raster::HrCell> PruneCellsForShard(
       size_t s, const raster::HrCell* cells, size_t num_cells) const;
 
-  /// Total bytes of the shard point indexes (stats).
-  size_t IndexBytes() const override;
-
   int hilbert_level() const { return hilbert_level_; }
 
   /// The in-process probes: scatter to the slices' point indexes, gather
@@ -216,11 +214,10 @@ class ShardedState : public ShardSource {
   bool has_slices_ = true;
 };
 
-/// Below this many approximation cells a query's shard fan-out cannot
-/// amortize the task-submission overhead; the scatter runs on the calling
-/// thread instead. Results are identical either way — only scheduling
-/// changes. Shared by the in-process cell probe and the shard router
-/// (service/shard_server.h) so the two schedule identically.
+/// Below this many approximation cells an in-process probe's shard
+/// fan-out (ShardedState::ProbeCells) cannot amortize the task-submission
+/// overhead; the probe's shards run on the calling thread instead.
+/// Results are identical either way — only scheduling changes.
 inline constexpr size_t kShardFanOutMinCells = 256;
 
 /// The canonical gather every sharded source ends with, so completion

@@ -43,11 +43,9 @@ class ActIndex {
   bool LookupFirst(uint64_t leaf_key, ActMatch* out) const;
 
   size_t NumNodes() const { return nodes_.size() / slots_per_node_; }
-  size_t NumValues() const { return values_.size(); }
   size_t MemoryBytes() const {
     return nodes_.size() * sizeof(Slot) + values_.size() * sizeof(ValueEntry);
   }
-  int levels_per_node() const { return levels_per_node_; }
 
  private:
   struct Slot {

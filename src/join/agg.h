@@ -36,12 +36,6 @@ struct Accumulator {
     if (o.max > max) max = o.max;
   }
 
-  /// Adds a precomputed (count, sum) partial (prefix-sum path).
-  void AddPartial(double partial_count, double partial_sum) {
-    count += partial_count;
-    sum += partial_sum;
-  }
-
   double Result(AggKind kind) const;
 };
 

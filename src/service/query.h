@@ -7,9 +7,8 @@
 //                and one visitor branch in the service, not editing an
 //                enum switch scattered across five files.
 //   ExecOptions  HOW to compute it — the per-query contract: a typed
-//                distance bound (query::ErrorBound), an execution-mode
-//                hint, a deadline, a cancellation token, and a cap on
-//                concurrent shard fan-out.
+//                distance bound (query::ErrorBound) and an execution-mode
+//                hint.
 //   Result       the answer PLUS the achieved side of the contract
 //                (BoundReport: epsilon requested vs. grid epsilon
 //                actually served, HR level, cells touched, cache and
@@ -24,9 +23,7 @@
 #ifndef DBSA_SERVICE_QUERY_H_
 #define DBSA_SERVICE_QUERY_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -110,19 +107,6 @@ class Query {
 
 // ---------------------------------------------------------- the options
 
-/// Cooperative cancellation flag, shared between the submitter and the
-/// worker. Cancel() any time; the query observes it when it starts
-/// executing (queued queries are the common win — a cancelled query that
-/// already runs completes normally).
-class CancelToken {
- public:
-  void Cancel() { cancelled_.store(true, std::memory_order_release); }
-  bool cancelled() const { return cancelled_.load(std::memory_order_acquire); }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
 /// Per-query execution contract.
 struct ExecOptions {
   /// The distance-bound contract (defaults to exact — approximation is
@@ -133,12 +117,6 @@ struct ExecOptions {
   /// bound, identically on every path. Both plans carry a guaranteed
   /// range. Aggregates the point index cannot answer run exact anyway.
   core::Mode mode = core::Mode::kAuto;
-  /// Wall-clock budget measured from the Execute call; 0 = none. Enforced at
-  /// execution start: a query still queued past its deadline answers
-  /// kDeadlineExceeded instead of running.
-  double deadline_ms = 0.0;
-  /// Optional cooperative cancellation (see CancelToken).
-  std::shared_ptr<const CancelToken> cancel;
 };
 
 // ----------------------------------------------------------- the result
@@ -181,9 +159,10 @@ struct BoundReport {
   size_t shards_probed = 0;
   ExecPath path = ExecPath::kLocal;
   /// 128-bit trace id of this query (telemetry/trace.h) — correlate the
-  /// Result with its slow-query line or scraped spans. Zero when the
-  /// service ran with tracing disabled. Provenance only, like `path`:
-  /// payloads are byte-identical traced or not.
+  /// Result with its slow-query line or scraped spans. Set on every
+  /// Result the service delivers, failures included. Provenance only,
+  /// like `path`: payloads are byte-identical to the untraced core
+  /// executors.
   uint64_t trace_hi = 0;
   uint64_t trace_lo = 0;
 };

@@ -29,8 +29,7 @@ QueryService::QueryService(std::shared_ptr<const core::EngineState> state,
                            const ServiceOptions& options)
     : state_(std::move(state)),
       options_(options),
-      registry_(options.registry ? options.registry
-                                 : std::make_shared<telemetry::MetricRegistry>()),
+      registry_(std::make_shared<telemetry::MetricRegistry>()),
       cache_(options.cache_budget_bytes, registry_),
       pool_(options.num_threads) {
   DBSA_CHECK(state_ != nullptr);
@@ -45,8 +44,6 @@ QueryService::QueryService(std::shared_ptr<const core::EngineState> state,
         registry_->GetHistogram("dbsa_query_latency_ms" + label);
   }
   slow_queries_total_ = registry_->GetCounter("dbsa_slow_queries_total");
-  inflight_depth_gauge_ = registry_->GetGauge("dbsa_inflight_depth");
-  shed_total_ = registry_->GetCounter("dbsa_shed_total");
   const bool socket_mode =
       options.use_transport && options.transport_kind == TransportKind::kSocket;
   if (!options.use_transport) {
@@ -108,21 +105,19 @@ QueryService::QueryService(std::shared_ptr<const core::EngineState> state,
     socket_ = std::make_shared<SocketTransport>(options.placement, socket_options);
     router_ = std::make_unique<ShardRouter>(sharded_, socket_);
   } else if (options.use_transport) {
-    // The distribution rehearsal: one ShardServer per shard (each owning
-    // its slice, id map and per-shard cell cache) behind a loopback
-    // transport; every shard probe crosses the serialized wire format.
-    // All shards record into the service registry, distinguished by their
-    // {shard="N"} label.
+    // The distribution rehearsal: one ShardServer per shard (each sharing
+    // its slice and position-ordered ids with sharded_, and owning its
+    // per-shard cell cache) behind a loopback transport; every shard probe
+    // crosses the serialized wire format. All shards record into the
+    // service registry, distinguished by their {shard="N"} label.
     ShardServer::Options server_options;
     server_options.registry = registry_;
     server_options.serving_epoch = options.serving_epoch;
     std::vector<LoopbackTransport::Handler> handlers;
     handlers.reserve(sharded_->num_shards());
     for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-      const core::ShardedState::Shard& shard = sharded_->shard(s);
       server_options.shard_index = s;
-      auto server = std::make_shared<ShardServer>(shard.state, shard.global_ids,
-                                                  server_options);
+      auto server = std::make_shared<ShardServer>(sharded_->shard(s), server_options);
       handlers.push_back([server](const std::string& request) {
         return server->Handle(request);
       });
@@ -249,28 +244,23 @@ void QueryService::RunSpec(const SelectSpec& spec, const ExecOptions& options,
 }
 
 void QueryService::FinishQueryTelemetry(const Result& result,
-                                        telemetry::QueryTrace* trace,
+                                        const telemetry::QueryTrace& trace,
                                         double total_ms) {
   const size_t k = static_cast<size_t>(result.kind);
   queries_total_[k]->Add(1);
   query_latency_ms_[k]->Record(total_ms);
-  std::vector<telemetry::TraceSpan> spans;
-  if (trace != nullptr) {
-    spans = trace->spans();
-    // Per-stage latency distributions: one histogram family keyed by the
-    // stage label. The stage set is tiny and closed, so the registry
-    // lookups here (post-query, not on the execution path) stay cheap.
-    for (const telemetry::TraceSpan& s : spans) {
-      registry_->GetHistogram("dbsa_stage_ms{stage=\"" + s.stage + "\"}")
-          ->Record(s.duration_ms);
-    }
+  std::vector<telemetry::TraceSpan> spans = trace.spans();
+  // Per-stage latency distributions: one histogram family keyed by the
+  // stage label. The stage set is tiny and closed, so the registry
+  // lookups here (post-query, not on the execution path) stay cheap.
+  for (const telemetry::TraceSpan& s : spans) {
+    registry_->GetHistogram("dbsa_stage_ms{stage=\"" + s.stage + "\"}")
+        ->Record(s.duration_ms);
   }
   if (options_.slow_query_ms > 0.0 && total_ms > options_.slow_query_ms) {
     slow_queries_total_->Add(1);
-    const telemetry::TraceContext ctx =
-        trace != nullptr ? trace->ctx() : telemetry::TraceContext{};
     const std::string line = telemetry::FormatSlowQueryLine(
-        ctx, QueryKindName(result.kind), result.bound.requested.ToString(),
+        trace.ctx(), QueryKindName(result.kind), result.bound.requested.ToString(),
         result.bound.epsilon_achieved, result.status.ToString(), total_ms,
         std::move(spans));
     if (options_.slow_query_sink) {
@@ -281,45 +271,25 @@ void QueryService::FinishQueryTelemetry(const Result& result,
   }
 }
 
-Result QueryService::RunQuery(const Query& query, const ExecOptions& options,
-                              Clock::time_point submitted) {
+Result QueryService::RunQuery(const Query& query, const ExecOptions& options) {
   Timer timer;
-  std::unique_ptr<telemetry::QueryTrace> trace;
-  if (options_.enable_tracing) {
-    trace = std::make_unique<telemetry::QueryTrace>(telemetry::NewTraceContext());
-  }
+  telemetry::QueryTrace trace(telemetry::NewTraceContext());
   Result result;
   result.kind = query.kind();
   result.bound.requested = options.bound;
   result.bound.path = exec_path();
-  if (trace != nullptr) {
-    result.bound.trace_hi = trace->ctx().trace_hi;
-    result.bound.trace_lo = trace->ctx().trace_lo;
-  }
+  result.bound.trace_hi = trace.ctx().trace_hi;
+  result.bound.trace_lo = trace.ctx().trace_lo;
 
-  // Admission: a cancelled or deadline-expired query never starts. Both
-  // checks run HERE, on the worker, so time spent queued counts against
-  // the deadline — the common case a deadline exists for.
-  const Status admitted = [&]() -> Status {
-    telemetry::SpanTimer span(trace.get(), "admission");
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      return Status::Cancelled("query cancelled before execution");
-    }
-    if (options.deadline_ms > 0.0) {
-      const double waited_ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - submitted)
-              .count();
-      if (waited_ms > options.deadline_ms) {
-        return Status::DeadlineExceeded(
-            "deadline of " + std::to_string(options.deadline_ms) +
-            " ms exceeded before execution");
-      }
-    }
+  // Admission: a malformed envelope, or a bound the grid cannot honour,
+  // answers its typed status without running.
+  const Status admitted = [&]() {
+    telemetry::SpanTimer span(&trace, "admission");
     return ValidateQuery(query, options, state_->grid);
   }();
   if (!admitted.ok()) {
     result.status = admitted;
-    FinishQueryTelemetry(result, trace.get(), timer.Millis());
+    FinishQueryTelemetry(result, trace, timer.Millis());
     return result;
   }
 
@@ -335,8 +305,7 @@ Result QueryService::RunQuery(const Query& query, const ExecOptions& options,
                   "new query kind: add a RunSpec overload, then audit the "
                   "shard seam (ScatterRequest::Kind) and BaselineSpec in "
                   "the envelope tests");
-    query.Visit(
-        [&](const auto& spec) { RunSpec(spec, options, trace.get(), &result); });
+    query.Visit([&](const auto& spec) { RunSpec(spec, options, &trace, &result); });
     result.status = Status::OK();
   } catch (const StatusException& e) {
     result.status = e.status();  // Typed codes survive (wire errors etc.).
@@ -346,60 +315,13 @@ Result QueryService::RunQuery(const Query& query, const ExecOptions& options,
   } catch (...) {
     result.status = Status::Internal("query failed with a non-standard exception");
   }
-  FinishQueryTelemetry(result, trace.get(), timer.Millis());
+  FinishQueryTelemetry(result, trace, timer.Millis());
   return result;
 }
 
-bool QueryService::AdmitQuery(QueryKind kind, Result* shed) {
-  dbsa::MutexLock lock(inflight_mu_);
-  // Shedding comes first: at or past the threshold the query is turned
-  // away with a cheap, typed answer BEFORE the pool, the cache or any
-  // HR build sees it — an overloaded service must get cheaper per
-  // request, not more expensive.
-  if (options_.shed_inflight_threshold > 0 &&
-      inflight_depth_ >= options_.shed_inflight_threshold) {
-    shed_total_->Add(1);
-    shed->kind = kind;
-    shed->bound.path = exec_path();
-    shed->status = Status::Unavailable(
-        "service overloaded: " + std::to_string(inflight_depth_) +
-        " queries in flight (shed threshold " +
-        std::to_string(options_.shed_inflight_threshold) + ")");
-    return false;
-  }
-  // Backpressure: at the hard cap the SUBMITTING thread waits — bounded
-  // in-flight depth instead of an unbounded pool queue.
-  if (options_.max_inflight > 0) {
-    while (inflight_depth_ >= options_.max_inflight) inflight_cv_.Wait(lock);
-  }
-  ++inflight_depth_;
-  inflight_depth_gauge_->Set(static_cast<double>(inflight_depth_));
-  return true;
-}
-
-void QueryService::FinishInflight() {
-  {
-    dbsa::MutexLock lock(inflight_mu_);
-    --inflight_depth_;
-    inflight_depth_gauge_->Set(static_cast<double>(inflight_depth_));
-  }
-  inflight_cv_.NotifyOne();
-}
-
 std::future<Result> QueryService::Execute(Query query, ExecOptions options) {
-  const Clock::time_point submitted = Clock::now();
-  Result shed;
-  shed.bound.requested = options.bound;
-  if (!AdmitQuery(query.kind(), &shed)) {
-    std::promise<Result> ready;
-    ready.set_value(std::move(shed));
-    return ready.get_future();
-  }
-  return pool_.Async([this, query = std::move(query), options = std::move(options),
-                      submitted]() {
-    Result result = RunQuery(query, options, submitted);
-    FinishInflight();
-    return result;
+  return pool_.Async([this, query = std::move(query), options = std::move(options)]() {
+    return RunQuery(query, options);
   });
 }
 

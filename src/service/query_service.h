@@ -1,24 +1,23 @@
 // QueryService — the concurrent serving layer over one immutable engine
 // snapshot (core::EngineState), speaking the v2 query envelope
 // (service/query.h): clients submit Query descriptors with per-query
-// ExecOptions (typed distance bound, mode hint, deadline, cancellation)
-// and get Results carrying the payload, the ACHIEVED
-// side of the distance-bound contract (BoundReport) and a typed Status.
+// ExecOptions (typed distance bound, mode hint) and get Results carrying
+// the payload, the ACHIEVED side of the distance-bound contract
+// (BoundReport), the query's trace id and a typed Status.
 // A fixed thread pool executes queries; a memory-budgeted LRU cache
 // shares the HR approximations across queries, sessions and threads.
 //
 // One way in: Execute(query, options) returns one std::future<Result>
-// per query. Every future resolves to a Result (failures as statuses, a
-// shed query at once), so a poisoned query never loses its neighbours'
-// answers.
+// per query. Every future resolves to a Result (failures as statuses),
+// so a poisoned query never loses its neighbours' answers.
 //
 // Every query runs through the core executors over ONE shard source fixed
 // at construction (core::ShardSource): the whole snapshot, its in-process
 // shards, or a ShardRouter over the message seam (see ServiceOptions
 // below and core/sharded_state.h, service/shard_server.h).
 //
-// Determinism: a service run with any thread count, shard count, fan-out
-// cap and deployment path (in-process, sharded, transport seam) returns
+// Determinism: a service run with any thread count, shard count and
+// deployment path (in-process, sharded, transport seam) returns
 // payloads byte-identical to the single-threaded engine on the same
 // workload under every mode — per-query floating-point accumulation order
 // is fixed (ExecHooks in core/engine_state.h; compensated SUM merges in
@@ -29,7 +28,6 @@
 #define DBSA_SERVICE_QUERY_SERVICE_H_
 
 #include <atomic>
-#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -44,7 +42,6 @@
 #include "service/socket_transport.h"
 #include "service/thread_pool.h"
 #include "service/transport.h"
-#include "util/thread_annotations.h"
 
 namespace dbsa::service {
 
@@ -101,38 +98,17 @@ struct ServiceOptions {
   uint64_t serving_epoch = 0;
 
   // ---- telemetry (src/telemetry/) -----------------------------------
-  /// Mint a TraceContext per query and record per-stage spans (admission,
-  /// cache lookup, HR build, route, per-shard roundtrip, execute, merge,
-  /// gather), propagated to shard servers over wire v3. Observe-only:
-  /// payloads are byte-identical with tracing on or off.
-  bool enable_tracing = true;
+  // Every query is traced: the service mints a TraceContext per query and
+  // records per-stage spans (admission, cache lookup, HR build, route,
+  // per-shard roundtrip, execute, merge, gather), propagated to shard
+  // servers on the wire. Observe-only: payloads are byte-identical to the
+  // untraced core executors.
   /// > 0: a query whose end-to-end latency exceeds this emits one
   /// structured SLOW_QUERY line (trace id, kind, bound, achieved epsilon,
-  /// per-stage span table) to `slow_query_sink`. Needs enable_tracing for
-  /// the span table; the line is emitted either way.
+  /// per-stage span table) to `slow_query_sink`.
   double slow_query_ms = 0.0;
   /// Destination of SLOW_QUERY lines; null -> stderr.
   std::function<void(const std::string&)> slow_query_sink;
-  /// Registry every component of this service records into (cache,
-  /// transports, loopback shard servers, per-query latencies). Null: the
-  /// service creates its own — shard it to aggregate several services or
-  /// to expose one process-wide scrape.
-  std::shared_ptr<telemetry::MetricRegistry> registry;
-
-  // ---- admission control --------------------------------------------
-  /// > 0: cap on queries in flight (queued + executing). Execute past
-  /// the cap BLOCKS the caller until the depth drops below it — bounded
-  /// backpressure instead of an unbounded pool queue. 0 = off.
-  size_t max_inflight = 0;
-  /// > 0: when the in-flight depth is at or above this threshold, new
-  /// queries are REJECTED immediately with a typed kUnavailable Result
-  /// (load shedding) — before any pool enqueue, cache lookup or HR
-  /// build, so an overloaded service degrades by answering cheaply
-  /// instead of queueing expensively. Shed queries count in
-  /// dbsa_shed_total, and Execute returns their future already resolved.
-  /// Set at or below max_inflight to shed instead of blocking; 0 = never
-  /// shed.
-  size_t shed_inflight_threshold = 0;
 };
 
 class QueryService {
@@ -158,12 +134,9 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   // ---- the v2 envelope ----------------------------------------------
-  /// One query, one future. The Result is always delivered (failures as
-  /// statuses); the future never stores an exception. Deadlines are
-  /// measured from this call. Blocks only under admission control: at
-  /// the ServiceOptions::max_inflight cap the caller waits for capacity,
-  /// and at shed_inflight_threshold the future is returned already
-  /// resolved to a kUnavailable Result, without queueing.
+  /// One query, one future: the query runs on the pool, never on the
+  /// caller. The Result is always delivered (failures as statuses); the
+  /// future never stores an exception.
   std::future<Result> Execute(Query query, ExecOptions options = {});
 
   // ---- cache management ---------------------------------------------
@@ -179,8 +152,9 @@ class QueryService {
 
   ApproxCache::Stats cache_stats() const { return cache_.stats(); }
 
-  /// The metric registry this service records into (ServiceOptions::
-  /// registry, or the service-private one) — RenderText() it to scrape.
+  /// The metric registry this service owns and every component of it
+  /// records into (cache, transports, loopback shard servers, per-query
+  /// latencies) — RenderText() it to scrape.
   const std::shared_ptr<telemetry::MetricRegistry>& registry() const {
     return registry_;
   }
@@ -199,8 +173,6 @@ class QueryService {
   const SocketTransport* socket_transport() const { return socket_.get(); }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   /// The one real constructor: `preassembled`, when non-null, is adopted
   /// as the sharded state instead of partitioning `state`.
   QueryService(std::shared_ptr<const core::EngineState> state,
@@ -216,12 +188,11 @@ class QueryService {
                             std::atomic<size_t>* query_misses = nullptr,
                             telemetry::QueryTrace* trace = nullptr);
 
-  /// The one execution funnel: admission (cancel/deadline/validation),
-  /// dispatch on the spec visitor, BoundReport assembly, telemetry
-  /// (latency histograms, stage spans, slow-query log), and the
-  /// exception->Status boundary. Runs on a pool worker; never throws.
-  Result RunQuery(const Query& query, const ExecOptions& options,
-                  Clock::time_point submitted);
+  /// The one execution funnel: admission (ValidateQuery), dispatch on
+  /// the spec visitor, BoundReport assembly, telemetry (latency
+  /// histograms, stage spans, slow-query log), and the exception->Status
+  /// boundary. Runs on a pool worker; never throws.
+  Result RunQuery(const Query& query, const ExecOptions& options);
 
   void RunSpec(const AggregateSpec& spec, const ExecOptions& options,
                telemetry::QueryTrace* trace, Result* result);
@@ -240,16 +211,8 @@ class QueryService {
 
   /// End-of-query telemetry: latency/stage histograms, query counters,
   /// the slow-query log. Called once per RunQuery, success or failure.
-  void FinishQueryTelemetry(const Result& result, telemetry::QueryTrace* trace,
-                            double total_ms);
-
-  /// Admission control (see ServiceOptions::max_inflight /
-  /// shed_inflight_threshold). Returns true when the query was admitted
-  /// (depth incremented — the caller MUST pair it with FinishInflight
-  /// when the query completes); false when it was shed, with `*shed`
-  /// holding the typed kUnavailable Result to deliver.
-  bool AdmitQuery(QueryKind kind, Result* shed);
-  void FinishInflight();
+  void FinishQueryTelemetry(const Result& result,
+                            const telemetry::QueryTrace& trace, double total_ms);
 
   std::shared_ptr<const core::EngineState> state_;
   std::shared_ptr<const core::ShardedState> sharded_;  ///< Null when unsharded.
@@ -270,13 +233,6 @@ class QueryService {
   telemetry::Counter* queries_total_[3] = {};
   telemetry::Histogram* query_latency_ms_[3] = {};
   telemetry::Counter* slow_queries_total_ = nullptr;
-  /// Admission control state: depth counts admitted-but-unfinished
-  /// queries (queued + executing). The gauge mirrors it for scrapes.
-  dbsa::Mutex inflight_mu_;
-  dbsa::CondVar inflight_cv_;  ///< Signals: a query finished, depth dropped.
-  size_t inflight_depth_ DBSA_GUARDED_BY(inflight_mu_) = 0;
-  telemetry::Gauge* inflight_depth_gauge_ = nullptr;
-  telemetry::Counter* shed_total_ = nullptr;
   ApproxCache cache_;
   ThreadPool pool_;  ///< Last member: workers die before cache/state.
 };

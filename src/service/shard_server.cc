@@ -44,10 +44,22 @@ std::string ShardMetric(const char* family, size_t shard) {
 ShardServer::ShardServer(std::shared_ptr<const core::EngineState> state,
                          const std::vector<uint32_t>& global_ids,
                          const Options& options)
+    : ShardServer(state,
+                  state != nullptr ? std::make_shared<const std::vector<uint32_t>>(
+                                         core::BaseIdsByPosition(*state, global_ids))
+                                   : nullptr,
+                  options) {}
+
+ShardServer::ShardServer(const core::ShardedState::Shard& shard,
+                         const Options& options)
+    : ShardServer(shard.state, shard.ids_by_position, options) {}
+
+ShardServer::ShardServer(
+    std::shared_ptr<const core::EngineState> state,
+    std::shared_ptr<const std::vector<uint32_t>> ids_by_position,
+    const Options& options)
     : state_(std::move(state)),
-      ids_by_position_(state_ != nullptr && state_->point_index.has_value()
-                           ? core::BaseIdsByPosition(*state_, global_ids)
-                           : std::vector<uint32_t>()),
+      ids_by_position_(std::move(ids_by_position)),
       cache_budget_bytes_(options.cell_cache_budget_bytes),
       options_(options),
       registry_(options.registry
@@ -71,7 +83,9 @@ ShardServer::ShardServer(std::shared_ptr<const core::EngineState> state,
           ShardMetric("dbsa_shard_cache_bytes", options.shard_index))),
       handle_ms_(registry_->GetHistogram(
           ShardMetric("dbsa_shard_handle_ms", options.shard_index))) {
-  DBSA_CHECK(state_ == nullptr || state_->points->size() == global_ids.size());
+  DBSA_CHECK((state_ == nullptr) == (ids_by_position_ == nullptr));
+  DBSA_CHECK(state_ == nullptr ||
+             state_->points->size() == ids_by_position_->size());
 }
 
 GatherPartial ShardServer::ParseError(const Status& parsed) {
@@ -227,7 +241,7 @@ GatherPartial ShardServer::Dispatch(const ScatterRequest& request) {
       // remapped to base rows: the router merges the runs with no point
       // data.
       out.keyed_ids =
-          core::SelectKeyedIds(*state_, ids_by_position_, cells, num_cells);
+          core::SelectKeyedIds(*state_, *ids_by_position_, cells, num_cells);
       break;
     }
     case ScatterRequest::Kind::kWarm:
@@ -381,19 +395,16 @@ struct WireFrame {
   double duration_ms = 0.0;
 };
 
-/// Starts every frame's request through Transport::Send and blocks until
-/// every completion lands — unconditionally, so no callback can outlive
-/// the wave. Issuing runs under the caller's RunMaybeParallel policy when
-/// `parallel_issue` is set: for an inline-completing transport (loopback)
-/// that IS the shard-execution parallelism, for an async transport the
-/// issue loop merely enqueues and the per-shard demux engines overlap the
-/// work. Either way only the calling thread waits on replies. Completions
-/// land in any order; frames keep their results positionally, so
-/// completion order never reaches the merge. Per-frame wall time and
-/// correlation ids are captured for span recording on the gathering
-/// thread.
-void SendWave(Transport& transport, const core::ExecHooks& hooks,
-              bool parallel_issue, telemetry::QueryTrace* trace,
+/// Starts every frame's request through Transport::Send from the calling
+/// thread, then blocks until every completion lands — unconditionally, so
+/// no callback can outlive the wave. On the socket carrier Send only
+/// stamps and enqueues a frame, and the per-shard demux engines overlap
+/// the shards; a loopback transport answers inline, so its shards run one
+/// after another. Completions land in any order; frames keep their results
+/// positionally, so completion order never reaches the merge. Per-frame
+/// wall time and correlation ids are captured for span recording on the
+/// gathering thread.
+void SendWave(Transport& transport, telemetry::QueryTrace* trace,
               std::vector<WireFrame>* frames) {
   struct WaveState {
     dbsa::Mutex mu;
@@ -406,8 +417,7 @@ void SendWave(Transport& transport, const core::ExecHooks& hooks,
     dbsa::MutexLock lock(state->mu);
     state->remaining = frames->size();
   }
-  const auto issue_one = [&](size_t f) {
-    WireFrame& frame = (*frames)[f];
+  for (WireFrame& frame : *frames) {
     frame.start_ms = trace != nullptr ? trace->ElapsedMs() : 0.0;
     const auto sent = std::chrono::steady_clock::now();
     frame.correlation = transport.Send(
@@ -427,13 +437,6 @@ void SendWave(Transport& transport, const core::ExecHooks& hooks,
           }
           state->cv.NotifyOne();
         });
-  };
-  // RunMaybeParallel is a barrier: every Send (and its correlation-id
-  // write) has returned before the wait below starts.
-  if (parallel_issue) {
-    core::RunMaybeParallel(hooks, frames->size(), issue_one);
-  } else {
-    for (size_t f = 0; f < frames->size(); ++f) issue_one(f);
   }
   dbsa::MutexLock lock(state->mu);
   while (state->remaining != 0) state->cv.Wait(lock);
@@ -524,7 +527,6 @@ std::vector<ShardRouter::Entry> ShardRouter::ScatterProbes(
   // (no cell payload: the per-shard HR cache hit path), inline cells
   // otherwise; a warm always ships its cells.
   std::vector<Slot> wave;
-  size_t total_cells = 0;
   {
     telemetry::SpanTimer route_span(trace, "route");
     core::RunMaybeParallel(hooks, n, [&](size_t i) {
@@ -544,15 +546,11 @@ std::vector<ShardRouter::Entry> ShardRouter::ScatterProbes(
       }
     });
     for (size_t i = 0; i < n; ++i) {
-      total_cells += probes[i].hr.cells().size();
       for (size_t t = 0; t < entries[i].plan.shards.size(); ++t) {
         wave.push_back(Slot{static_cast<uint32_t>(i), static_cast<uint32_t>(t)});
       }
     }
   }
-  // Same fan-out threshold as the in-process executor: scheduling (not
-  // results) is all that changes with it.
-  const bool parallel_issue = total_cells >= core::kShardFanOutMinCells;
 
   for (int round = 1; !wave.empty(); ++round) {
     // One frame per shard holding its slots in probe order, split only
@@ -596,7 +594,7 @@ std::vector<ShardRouter::Entry> ShardRouter::ScatterProbes(
       }
       close_frame(&frame);
     }
-    SendWave(*transport_, hooks, parallel_issue, trace, &frames);
+    SendWave(*transport_, trace, &frames);
 
     // Harvest on the gathering thread: every completion has landed, so
     // throwing from here leaves nothing in flight. Transport failures

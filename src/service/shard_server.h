@@ -48,7 +48,7 @@
 namespace dbsa::service {
 
 /// One shard behind the message seam. Thread-safe: Handle may be called
-/// concurrently (the router fans requests out across the service pool).
+/// concurrently (concurrent queries, or a listener's connections).
 class ShardServer {
  public:
   struct Options {
@@ -81,6 +81,10 @@ class ShardServer {
   ShardServer(std::shared_ptr<const core::EngineState> state,
               const std::vector<uint32_t>& global_ids, const Options& options);
 
+  /// Serves a slice of an in-process ShardedState, sharing its state and
+  /// its position-ordered ids instead of building a second copy.
+  ShardServer(const core::ShardedState::Shard& shard, const Options& options);
+
   /// Handles one framed ScatterRequest and returns a framed GatherPartial,
   /// or one framed ScatterBatch and returns a framed GatherBatch whose
   /// entry i answers request i. Each request (each entry of a batch) is
@@ -104,7 +108,9 @@ class ShardServer {
   /// directory sizes).
   Stats stats() const;
 
-  size_t num_points() const { return ids_by_position_.size(); }
+  size_t num_points() const {
+    return ids_by_position_ != nullptr ? ids_by_position_->size() : 0;
+  }
 
   /// The registry the server records into (the process registry a
   /// scraping listener renders; private if Options carried none).
@@ -126,6 +132,12 @@ class ShardServer {
   };
   using LruList = std::list<CacheEntry>;
 
+  /// Both public constructors end here; `ids_by_position` is null iff
+  /// `state` is null.
+  ShardServer(std::shared_ptr<const core::EngineState> state,
+              std::shared_ptr<const std::vector<uint32_t>> ids_by_position,
+              const Options& options);
+
   /// The kError partial answering an undecodable frame (counted).
   GatherPartial ParseError(const Status& parsed);
   /// One decoded request: the epoch check, then Dispatch; the partial
@@ -138,7 +150,7 @@ class ShardServer {
 
   std::shared_ptr<const core::EngineState> state_;
   /// Base row of each position of the slice's point index.
-  std::vector<uint32_t> ids_by_position_;
+  std::shared_ptr<const std::vector<uint32_t>> ids_by_position_;
   const size_t cache_budget_bytes_;
   Options options_;
 
@@ -184,9 +196,9 @@ inline constexpr size_t kMaxBatchBytes = size_t{1} << 20;
 /// bare frame, so a count or a select never sends a batch).
 /// Wave 1 carries every entry, as a cache reference where the shard is
 /// believed to hold the slice and inline cells otherwise; wave 2 re-sends,
-/// inline, only the entries that answered kNotCached. Each wave's frames
-/// are all sent before the calling thread waits on any reply, and no pool
-/// worker ever waits on the wire.
+/// inline, only the entries that answered kNotCached. The calling thread
+/// sends each wave's frames, one after another, before it waits on any
+/// reply, and no other thread waits on the wire.
 class ShardRouter : public core::ShardSource {
  public:
   ShardRouter(std::shared_ptr<const core::ShardedState> sharded,
@@ -194,7 +206,6 @@ class ShardRouter : public core::ShardSource {
 
   const core::EngineState& base() const override { return sharded_->base(); }
   size_t num_shards() const override { return sharded_->num_shards(); }
-  size_t IndexBytes() const override { return sharded_->IndexBytes(); }
   /// Byte-identical to the in-process ShardedState::ProbeCells: each
   /// probe's partials fold in ascending shard order (core::GatherCells).
   std::vector<join::CellAggregate> ProbeCells(

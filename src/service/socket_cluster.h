@@ -61,15 +61,14 @@ inline InProcessShardCluster MakeInProcessShardClusterFromState(
   InProcessShardCluster cluster;
   cluster.sharded = std::move(sharded);
   for (size_t s = 0; s < cluster.sharded->num_shards(); ++s) {
-    const core::ShardedState::Shard& shard = cluster.sharded->shard(s);
     // One registry per server, served by its listener's kStatsRequest
     // path — the same shape as a real shard_server_main process, so a
     // wire-level scrape of this cluster exercises the production seam.
     ShardServer::Options server_options;
     server_options.shard_index = s;
     server_options.serving_epoch = options.serving_epoch;
-    cluster.servers.push_back(std::make_unique<ShardServer>(
-        shard.state, shard.global_ids, server_options));
+    cluster.servers.push_back(
+        std::make_unique<ShardServer>(cluster.sharded->shard(s), server_options));
     ShardServer* server = cluster.servers.back().get();
     const ShardListener::Handler handler =
         [server](const std::string& request) { return server->Handle(request); };

@@ -39,7 +39,6 @@ class GridIndex {
 
   geom::Box CellBox(uint32_t cx, uint32_t cy) const;
 
-  uint32_t resolution() const { return resolution_; }
   size_t MemoryBytes() const {
     return starts_.size() * sizeof(size_t) + ids_.size() * sizeof(uint32_t);
   }

@@ -67,10 +67,6 @@ struct HistogramData {
     sum_ms += o.sum_ms;
   }
 
-  double MeanMs() const {
-    return count != 0 ? sum_ms / static_cast<double>(count) : 0.0;
-  }
-
   /// p in [0, 100]. Linear interpolation inside the bucket that holds the
   /// p-th sample; lower edge of bucket 0 is 0, the overflow bucket
   /// reports its lower edge (the largest finite boundary). 0 when empty.

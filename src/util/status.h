@@ -23,7 +23,7 @@ enum class StatusCode {
   kUnimplemented = 4,
   kInternal = 5,
   kDeadlineExceeded = 6,
-  kCancelled = 7,
+  kCancelled = 7,  ///< Reserved: nothing produces it.
   kUnavailable = 8,
   kFailedPrecondition = 9,
 };
@@ -68,9 +68,6 @@ class Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));

@@ -22,9 +22,6 @@ class Timer {
   /// Elapsed milliseconds.
   double Millis() const { return Seconds() * 1e3; }
 
-  /// Elapsed microseconds.
-  double Micros() const { return Seconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

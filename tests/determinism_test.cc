@@ -5,9 +5,10 @@
 // determinism gates defend (scripts/check_determinism.sh,
 // util/determinism.h):
 //
-//   * the same mixed workload executed twice through FRESH service
-//     stacks — different heap addresses, different hash-table layouts,
-//     telemetry on vs off — produces bit-identical payloads;
+//   * the same mixed workload executed twice through FRESH, always-traced
+//     service stacks — different heap addresses, different hash-table
+//     layouts — produces payloads bit-identical to each other and to the
+//     untraced core executors;
 //   * a shard server's reply FRAMES are byte-identical across repeated
 //     calls and across independently constructed server instances
 //     (serialization cannot owe a single bit to construction history);
@@ -81,13 +82,12 @@ class DeterminismTest : public ::testing::Test {
 
   /// One complete service lifetime: fresh pool, fresh shard servers,
   /// fresh caches, fresh transport — only `state_` is shared (it is
-  /// immutable after build).
-  std::vector<Result> RunOnce(bool tracing) const {
+  /// immutable after build). The service traces every query.
+  std::vector<Result> RunOnce() const {
     ServiceOptions options;
     options.num_threads = 4;
     options.num_shards = 5;
     options.use_transport = true;
-    options.enable_tracing = tracing;
     QueryService service(state_, options);
     return ExecuteAll(service, Workload());
   }
@@ -130,21 +130,20 @@ class DeterminismTest : public ::testing::Test {
   std::shared_ptr<const core::EngineState> state_;
 };
 
-// The tentpole property: two full service lifetimes, one traced and one
-// not, answer the mixed workload with bit-identical payloads. A third
-// run repeats the traced configuration so the comparison covers both
-// "telemetry toggled" and "same config, different run".
+// The tentpole property: two full lifetimes of the always-traced service
+// answer the mixed workload with payloads bit-identical to the core
+// executors run with default, untraced hooks — so the comparison covers
+// both "telemetry on vs off" and "same config, different run".
 TEST_F(DeterminismTest, MixedWorkloadBitIdenticalAcrossRunsAndTelemetry) {
   const std::vector<Submission> workload = Workload();
-  const std::vector<Result> traced = RunOnce(/*tracing=*/true);
-  const std::vector<Result> untraced = RunOnce(/*tracing=*/false);
-  const std::vector<Result> traced_again = RunOnce(/*tracing=*/true);
+  const std::vector<Result> traced = RunOnce();
+  const std::vector<Result> traced_again = RunOnce();
   ASSERT_EQ(traced.size(), workload.size());
-  ASSERT_EQ(untraced.size(), workload.size());
   ASSERT_EQ(traced_again.size(), workload.size());
   for (size_t i = 0; i < workload.size(); ++i) {
-    ExpectBitIdentical(untraced[i], traced[i],
-                       "telemetry off vs on: " + workload[i].label);
+    const Result untraced = dbsa::testing::Reference(*state_, workload[i]);
+    ExpectBitIdentical(traced[i], untraced,
+                       "telemetry on vs off: " + workload[i].label);
     ExpectBitIdentical(traced_again[i], traced[i],
                        "rerun vs first run: " + workload[i].label);
   }

@@ -546,6 +546,26 @@ TEST_F(ShardServerTest, WarmCacheWarmsOnlyRoutedRegionsPerShard) {
   }
 }
 
+// A loopback shard server shares its slice's position-ordered base ids
+// with the service's sharded state instead of building a second copy.
+TEST_F(ShardServerTest, LoopbackServersShareTheSliceIds) {
+  for (const size_t k : {size_t{1}, size_t{7}}) {
+    ServiceOptions options;
+    options.num_threads = 2;
+    options.num_shards = k;
+    options.use_transport = true;
+    QueryService service(std::shared_ptr<const core::EngineState>(base_), options);
+    ASSERT_EQ(service.sharded()->num_shards(), k);
+    for (size_t s = 0; s < k; ++s) {
+      const std::shared_ptr<const std::vector<uint32_t>>& ids =
+          service.sharded()->shard(s).ids_by_position;
+      ASSERT_NE(ids, nullptr) << "k=" << k << " shard " << s;
+      ASSERT_FALSE(ids->empty()) << "k=" << k << " shard " << s;
+      EXPECT_GE(ids.use_count(), 2) << "k=" << k << " shard " << s;
+    }
+  }
+}
+
 TEST_F(ShardServerTest, WarmAndColdResultsByteIdentical) {
   std::vector<Submission> workload;
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
